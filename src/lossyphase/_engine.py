@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from lossyphase.detection import OutcomeLikelihoodTable, Outcome, iter_outcomes
+from lossyphase.detection import OutcomeLikelihoodTable, Outcome
 
 GRID_POINTS = 64
 THETA_GRID = 2.0 * math.pi * np.arange(GRID_POINTS) / GRID_POINTS
@@ -36,17 +36,11 @@ def table_matrix(table: OutcomeLikelihoodTable,
     Returns (matrix, outcomes); with drop_zero_rows, outcomes whose
     likelihood vanishes identically (e.g. loss at eta = 1) are removed.
     """
-    n = table.n_photons
-    rows, outs = [], []
-    for o in iter_outcomes(n):
-        c = table.coeffs[o]
-        pad = o.lost
-        row = np.pad(c, (pad, pad))
-        if drop_zero_rows and not np.any(row != 0.0):
-            continue
-        rows.append(row)
-        outs.append(o)
-    return np.array(rows), outs
+    outs = table.outcomes
+    if not drop_zero_rows:
+        return table.matrix, outs
+    keep = np.any(table.matrix != 0.0, axis=1)
+    return table.matrix[keep], [o for o, k in zip(outs, keep) if k]
 
 
 def _g1_weights(batch: np.ndarray, cmat: np.ndarray) -> np.ndarray:
@@ -153,15 +147,14 @@ SINGLE_FRINGE = np.array(
 )
 
 
-def closed_form_theta_batch(batch: np.ndarray) -> np.ndarray:
-    """Locally optimal controlled phase for a single-photon detection.
+def closed_form_candidates(batch: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Stationary phases of the single-photon expected sharpness.
 
-    Builds the three stationary-phase candidates from the posterior's
-    first two harmonics and normalization, and keeps the one with the
-    largest expected sharpness.  A flat posterior returns 0 by convention;
-    the rare degenerate case c1 = 0 falls back to the numeric rule.
-    Photon loss only adds a theta-independent term, so the same phases
-    stay optimal for every eta.
+    Returns (candidates, flat, degenerate): three candidate phases per row
+    (theta_0, theta_+, theta_-) built from the posterior's first two
+    harmonics and normalization, the rows whose posterior is flat, and the
+    non-flat rows where c1 = 0 leaves theta_+- undefined (their entries
+    are placeholders).
     """
     n_c = batch.shape[1]
     center = (n_c - 1) // 2
@@ -191,8 +184,18 @@ def closed_form_theta_batch(batch: np.ndarray) -> np.ndarray:
         ],
         axis=1,
     )
-    cand = np.mod(cand, 2.0 * math.pi)
+    return np.mod(cand, 2.0 * math.pi), flat, degenerate
 
+
+def closed_form_theta_batch(batch: np.ndarray) -> np.ndarray:
+    """Locally optimal controlled phase for a single-photon detection.
+
+    Keeps the closed-form candidate with the largest expected sharpness.
+    A flat posterior returns 0 by convention; the rare degenerate case
+    c1 = 0 falls back to the numeric rule.  Photon loss only adds a
+    theta-independent term, so the same phases stay optimal for every eta.
+    """
+    cand, flat, degenerate = closed_form_candidates(batch)
     w = _g1_weights(batch, SINGLE_FRINGE)
     mu = np.stack(
         [_sharpness_from_weights(w, cand[:, i]) for i in range(3)], axis=1

@@ -21,7 +21,7 @@ import time
 import lossyphase
 from lossyphase.detection import build_likelihood_table
 from lossyphase.fisher import FisherDivergenceError, fisher_from_table
-from lossyphase.optimizer import optimize, pareto_csv, sql_baseline
+from lossyphase.optimizer import optimize, pareto_csv
 from lossyphase.sequences import (
     BranchGuardError,
     SequencePlan,
@@ -101,12 +101,8 @@ def _emit_json(doc: dict, output_path: str | None):
 
 
 def _csv_meta_lines(config: dict, t0: float) -> str:
-    meta = {
-        "config": config,
-        "seed": config.get("seed"),
-        "version": f"lossyphase {lossyphase.__version__}",
-        "wall_time_ms": (time.perf_counter() - t0) * 1e3,
-    }
+    meta = _artifact(config, None, t0)
+    del meta["result"]
     return f"# {json.dumps(meta)}\n"
 
 
@@ -232,14 +228,15 @@ def cmd_optimize(args, config) -> int:
                 "chi_step": chi_step, "method": method, "seed": seed,
                 "trials": trials}
     doc = _artifact(resolved, result.to_json_dict(), t0)
-    doc["result"]["sql_baseline"] = sql_baseline(total, eta)
+    # enumerate_plans puts the all-single-photon (SQL) plan first.
+    doc["result"]["sql_baseline"] = result.pareto_table[0][1].holevo_variance
+    csv_text = _csv_meta_lines(resolved, t0) + pareto_csv(result)
     if args.format == "csv":
-        _emit(_csv_meta_lines(resolved, t0) + pareto_csv(result), args.output)
+        _emit(csv_text, args.output)
     else:
         _emit_json(doc, args.output)
         if args.output:
-            with open(args.output + ".csv", "w") as fh:
-                fh.write(_csv_meta_lines(resolved, t0) + pareto_csv(result))
+            _emit(csv_text, args.output + ".csv")
     return EXIT_OK
 
 
@@ -265,8 +262,6 @@ def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool):
     parser.add_argument("--format", choices=("json", "csv"),
                         default=dfl("json"))
     parser.add_argument("--seed", type=int, default=dfl(None))
-    parser.add_argument("--threads", type=int, default=dfl(0),
-                        help="0 = auto (vectorized numpy; recorded only)")
 
 
 def build_parser() -> argparse.ArgumentParser:

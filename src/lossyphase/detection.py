@@ -18,10 +18,12 @@ convention and provides an independent check of the closed-form table.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -77,27 +79,40 @@ def _port_sum(n_det: int, r: int, k: int) -> float:
 class OutcomeLikelihoodTable:
     """Fourier coefficients of every P_{L,k} for one input state and eta.
 
-    coeffs[outcome] is the complex vector c_d ordered d = -(N-L)..(N-L);
-    Hermitian symmetry c_{-d} = conj(c_d) holds because probabilities are
-    real.
+    matrix[i] holds outcome i of `iter_outcomes` over the full harmonic
+    band d = -N..N; outcome (L, k) occupies only |d| <= N - L and is zero
+    outside it.  Hermitian symmetry c_{-d} = conj(c_d) holds because
+    probabilities are real.  The matrix is stored read-only.
     """
 
     n_photons: int
     eta: float
-    coeffs: dict[Outcome, np.ndarray]
+    matrix: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        m = np.array(self.matrix, dtype=complex)
+        n = self.n_photons
+        if m.shape != (len(_row_index(n)), 2 * n + 1):
+            raise ValueError(f"matrix shape {m.shape} does not fit N={n}")
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
 
     @property
     def outcomes(self) -> list[Outcome]:
-        return list(self.coeffs)
+        return list(_row_index(self.n_photons))
 
-    def harmonic_order(self, outcome: Outcome) -> int:
-        return self.n_photons - outcome.lost
+    def row(self, outcome: Outcome) -> np.ndarray:
+        """c_d of one outcome over its own band d = -(N-L)..(N-L)."""
+        i = _row_index(self.n_photons).get(Outcome(*outcome))
+        if i is None:
+            raise KeyError(f"outcome {outcome} not in table")
+        lost = outcome[0]
+        return self.matrix[i, lost: self.matrix.shape[1] - lost]
 
-    def probability(self, outcome: Outcome, phi: float, theta: float) -> float:
-        return evaluate_outcome(self, outcome, phi, theta)
-
-    def all_probabilities(self, phi: float, theta: float) -> dict[Outcome, float]:
-        return {o: evaluate_outcome(self, o, phi, theta) for o in self.coeffs}
+    @property
+    def coeffs(self) -> Mapping[Outcome, np.ndarray]:
+        """Read-only mapping outcome -> `row(outcome)`."""
+        return MappingProxyType({o: self.row(o) for o in self.outcomes})
 
     def to_json_dict(self) -> dict:
         return {
@@ -116,11 +131,14 @@ class OutcomeLikelihoodTable:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "OutcomeLikelihoodTable":
-        coeffs = {}
+        n = data["n_photons"]
+        index = _row_index(n)
+        matrix = np.zeros((len(index), 2 * n + 1), dtype=complex)
         for e in data["entries"]:
+            lost = e["L"]
             c = np.array(e["re"], dtype=complex) + 1j * np.array(e["im"])
-            coeffs[Outcome(e["L"], e["k"])] = c
-        return cls(data["n_photons"], data["eta"], coeffs)
+            matrix[index[Outcome(lost, e["k"])], lost: 2 * n + 1 - lost] = c
+        return cls(n, data["eta"], matrix)
 
 
 def iter_outcomes(n_photons: int) -> Iterator[Outcome]:
@@ -130,54 +148,51 @@ def iter_outcomes(n_photons: int) -> Iterator[Outcome]:
             yield Outcome(lost, k)
 
 
+@functools.lru_cache(maxsize=None)
+def _row_index(n_photons: int) -> Mapping[Outcome, int]:
+    return MappingProxyType({o: i for i, o in enumerate(iter_outcomes(n_photons))})
+
+
 def build_likelihood_table(state: TwoModeState, eta: float) -> OutcomeLikelihoodTable:
     """Closed-form detection probabilities grouped by harmonic d = s - r.
 
     The phase factors Psi_k = psi_k e^{i(N-k)phi} e^{ik theta} make the
     (r, s) cross term carry e^{i(s-r)(phi-theta)}, so each outcome reduces
     to a vector over d.  The m / r / s / port sums factorize per m into an
-    outer product of one weight vector with itself.
+    outer product of one weight vector with itself, summed along its
+    diagonals: c_d = sum_r w_r conj(w_{r+d}), one correlation per m.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta={eta} outside [0, 1]")
     n = state.n_photons
     psi = state.amplitudes
-    coeffs: dict[Outcome, np.ndarray] = {}
-    for lost in range(n + 1):
+    matrix = np.zeros((len(_row_index(n)), 2 * n + 1), dtype=complex)
+    for i, (lost, k) in enumerate(iter_outcomes(n)):
         n_det = n - lost
-        half = 0.5 ** n_det
-        for k in range(n_det + 1):
-            pre = half * math.factorial(n_det - k) * math.factorial(k)
-            c = np.zeros(2 * n_det + 1, dtype=complex)
-            for m in range(lost + 1):
-                # weight[r] collects everything that depends on r alone
-                w = np.array(
-                    [
-                        psi[r + m]
-                        * a_coefficient(n, lost, r, m, eta)
-                        * _port_sum(n_det, r, k)
-                        / math.sqrt(math.factorial(n_det - r) * math.factorial(r))
-                        for r in range(n_det + 1)
-                    ]
-                )
-                for d in range(-n_det, n_det + 1):
-                    lo, hi = max(0, -d), min(n_det, n_det - d)
-                    acc = 0.0 + 0.0j
-                    for r in range(lo, hi + 1):
-                        acc += w[r] * np.conj(w[r + d])
-                    c[d + n_det] += acc
-            coeffs[Outcome(lost, k)] = pre * c
-    return OutcomeLikelihoodTable(n, eta, coeffs)
+        pre = 0.5 ** n_det * math.factorial(n_det - k) * math.factorial(k)
+        c = np.zeros(2 * n_det + 1, dtype=complex)
+        for m in range(lost + 1):
+            # weight[r] collects everything that depends on r alone
+            w = np.array(
+                [
+                    psi[r + m]
+                    * a_coefficient(n, lost, r, m, eta)
+                    * _port_sum(n_det, r, k)
+                    / math.sqrt(math.factorial(n_det - r) * math.factorial(r))
+                    for r in range(n_det + 1)
+                ]
+            )
+            c += np.conj(np.correlate(w, w, "full"))
+        matrix[i, lost: 2 * n + 1 - lost] = pre * c
+    return OutcomeLikelihoodTable(n, eta, matrix)
 
 
 def evaluate_outcome(
     table: OutcomeLikelihoodTable, outcome: Outcome, phi: float, theta: float
 ) -> float:
     """P_{L,k}(phi, theta) from the Fourier series, clamped to >= 0."""
-    c = table.coeffs.get(Outcome(*outcome))
-    if c is None:
-        raise KeyError(f"outcome {outcome} not in table")
-    n_det = table.n_photons - outcome[0]
+    c = table.row(outcome)
+    n_det = (len(c) - 1) // 2
     d = np.arange(-n_det, n_det + 1)
     val = np.sum(c * np.exp(1j * d * (phi - theta)))
     if abs(val.imag) > 1e-10:

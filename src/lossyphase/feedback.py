@@ -4,7 +4,9 @@ The controlled phase for the next detection is the one maximizing the
 expected sharpness, i.e. the sum over outcomes of the magnitude of the
 predicted first-harmonic coefficient of the unnormalized posterior.  For
 single photons the three candidate phases are available in closed form;
-multi-photon states use a grid search with golden-section refinement.
+multi-photon states use a 64-point grid search with damped-Newton
+refinement.  Every function here is a one-row view over the batch
+kernels of `_engine`.
 """
 
 from __future__ import annotations
@@ -32,10 +34,9 @@ def expected_sharpness(
     table; outcomes carrying no phase information (total loss) contribute a
     theta-independent constant.
     """
-    cmat, _ = _engine.table_matrix(table)
     batch = prior.coeffs[None, :]
     return float(
-        _engine.expected_sharpness_batch(batch, cmat, np.array([theta]))[0]
+        _engine.expected_sharpness_batch(batch, table.matrix, np.array([theta]))[0]
     )
 
 
@@ -44,39 +45,23 @@ def optimal_theta_numeric(
 ) -> float:
     """Maximize the expected sharpness over theta in [0, 2pi).
 
-    64-point coarse grid plus golden-section refinement to 1e-6 rad, ties
-    broken toward the smallest theta.
+    64-point coarse grid, ties broken toward the smallest theta, then
+    damped-Newton refinement inside the winning grid bracket.
     """
-    cmat, _ = _engine.table_matrix(table)
-    return float(_engine.numeric_theta_batch(prior.coeffs[None, :], cmat)[0])
+    batch = prior.coeffs[None, :]
+    return float(_engine.numeric_theta_batch(batch, table.matrix)[0])
 
 
 def single_photon_candidates(prior: PhaseDistribution) -> np.ndarray:
-    """The three closed-form candidate phases (theta_0, theta_+, theta_-)."""
-    batch = prior.coeffs[None, :]
-    n_c = batch.shape[1]
-    center = (n_c - 1) // 2
-    pad = np.pad(batch, ((0, 0), (2, 2)))
-    # a, b: projections of e^{i phi}, e^{2i phi} onto the prior
-    a = pad[0, center + 3]
-    b = 0.5 * pad[0, center + 4]
-    c = 0.5 * pad[0, center + 2]
-    c1 = (np.conj(a) * c) ** 2 - (a * np.conj(b)) ** 2 \
-        + 4.0 * (abs(b) ** 2 - abs(c) ** 2) * np.conj(b) * c
-    c2 = -2j * np.imag(a * a * np.conj(b) * np.conj(c))
-    if c1 == 0.0:
+    """The three closed-form candidate phases (theta_0, theta_+, theta_-).
+
+    Raises ZeroDivisionError for a flat prior or when the coefficient c1
+    vanishes, where theta_+- are undefined.
+    """
+    cand, flat, degenerate = _engine.closed_form_candidates(prior.coeffs[None, :])
+    if flat[0] or degenerate[0]:
         raise ZeroDivisionError("candidate phases are degenerate (c1 = 0)")
-    root = np.sqrt(c2 * c2 + abs(c1) ** 2)
-    return np.mod(
-        np.array(
-            [
-                np.angle(b * np.conj(a) - np.conj(c) * a),
-                np.angle(np.sqrt((c2 + root) / c1)),
-                np.angle(np.sqrt((c2 - root) / c1)),
-            ]
-        ),
-        2.0 * np.pi,
-    )
+    return cand[0]
 
 
 def optimal_theta_single_photon(prior: PhaseDistribution) -> float:

@@ -33,25 +33,41 @@ class FisherDivergenceError(ArithmeticError):
     """An outcome probability vanishes with non-vanishing phase derivative."""
 
 
+def _p_and_slope(table: OutcomeLikelihoodTable,
+                 x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P and dP/dphi per outcome (rows) at each phase difference (columns)."""
+    n = table.n_photons
+    d = np.arange(-n, n + 1)
+    phases = np.exp(1j * np.multiply.outer(d, x))
+    p = (table.matrix @ phases).real
+    dp = ((table.matrix * (1j * d)) @ phases).real
+    return p, dp
+
+
+def _fisher_sum(p: np.ndarray, dp: np.ndarray) -> np.ndarray:
+    """Sum over outcomes of dP^2 / P; divergent columns become -inf."""
+    small = p < _P_FLOOR
+    divergent = small & (np.abs(dp) >= _SLOPE_FLOOR)
+    ratio = np.where(small, 0.0, dp * dp / np.where(small, 1.0, p))
+    total = ratio.sum(axis=0)
+    total[divergent.any(axis=0)] = -math.inf
+    return total
+
+
 def fisher_from_table(
     table: OutcomeLikelihoodTable, phi: float, theta: float
 ) -> float:
     """Fisher information at (phi, theta) for a prebuilt likelihood table."""
     x = phi - theta
-    total = 0.0
-    for outcome, c in table.coeffs.items():
-        n_det = table.n_photons - outcome.lost
-        d = np.arange(-n_det, n_det + 1)
-        phases = np.exp(1j * d * x)
-        p = float(np.sum(c * phases).real)
-        dp = float(np.sum(1j * d * c * phases).real)
-        if p < _P_FLOOR:
-            if abs(dp) < _SLOPE_FLOOR:
-                continue
-            raise FisherDivergenceError(
-                f"P_{outcome} = {p} with dP/dphi = {dp} at phi-theta = {x}"
-            )
-        total += dp * dp / p
+    p, dp = _p_and_slope(table, np.array([x]))
+    total = float(_fisher_sum(p, dp)[0])
+    if total == -math.inf:
+        i = int(np.argmax((p[:, 0] < _P_FLOOR)
+                          & (np.abs(dp[:, 0]) >= _SLOPE_FLOOR)))
+        raise FisherDivergenceError(
+            f"P_{table.outcomes[i]} = {p[i, 0]} with dP/dphi = {dp[i, 0]} "
+            f"at phi-theta = {x}"
+        )
     return total
 
 
@@ -62,24 +78,25 @@ def fisher_information(
     return fisher_from_table(build_likelihood_table(state, eta), phi, theta)
 
 
-def _fisher_on_grid(table: OutcomeLikelihoodTable, x: np.ndarray) -> np.ndarray:
-    """F over an array of phase differences; divergent points become -inf."""
-    n = table.n_photons
-    d_full = np.arange(-n, n + 1)
-    rows = []
-    for outcome, c in table.coeffs.items():
-        rows.append(np.pad(c, (outcome.lost, outcome.lost)))
-    cmat = np.array(rows)
-    phases = np.exp(1j * np.multiply.outer(d_full, x))
-    p = (cmat @ phases).real
-    dp = ((cmat * (1j * d_full)) @ phases).real
-    small = p < _P_FLOOR
-    removable = small & (np.abs(dp) < _SLOPE_FLOOR)
-    divergent = small & ~removable
-    ratio = np.where(small, 0.0, dp * dp / np.where(small, 1.0, p))
-    total = ratio.sum(axis=0)
-    total[divergent.any(axis=0)] = -math.inf
-    return total
+def _golden_max(f, lo: float, hi: float,
+                iters: int) -> list[tuple[float, float]]:
+    """Golden-section search for a maximum of f on [lo, hi].
+
+    Returns the two final interior points with their values.
+    """
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(iters):
+        if f1 > f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - invphi * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + invphi * (hi - lo)
+            f2 = f(x2)
+    return [(x1, f1), (x2, f2)]
 
 
 def _max_over_phi(table: OutcomeLikelihoodTable, theta: float,
@@ -93,28 +110,16 @@ def _max_over_phi(table: OutcomeLikelihoodTable, theta: float,
     phis = theta + 2.0 * math.pi * np.arange(grid_points) / grid_points
 
     def safe_f(phi):
-        return float(_fisher_on_grid(table, np.array([phi - theta]))[0])
+        return float(_fisher_sum(*_p_and_slope(table, np.array([phi - theta])))[0])
 
-    vals = _fisher_on_grid(table, phis - theta)
+    vals = _fisher_sum(*_p_and_slope(table, phis - theta))
     i = int(np.argmax(vals))
     best_val, best_phi = vals[i], phis[i]
     if not math.isfinite(best_val):
         return 0.0
     step = 2.0 * math.pi / grid_points
-    lo, hi = best_phi - step, best_phi + step
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1, x2 = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
-    f1, f2 = safe_f(x1), safe_f(x2)
-    for _ in range(30):
-        if f1 > f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = safe_f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = safe_f(x2)
-    return max(best_val, f1, f2)
+    ends = _golden_max(safe_f, best_phi - step, best_phi + step, 30)
+    return max(best_val, *(f for _, f in ends))
 
 
 def max_fisher_over_chi(
@@ -140,19 +145,7 @@ def max_fisher_over_chi(
     best_chi, best_val = float(chis[i]), float(vals[i])
     lo = max(0.0, best_chi - chi_step)
     hi = min(2.0, best_chi + chi_step)
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1, x2 = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
-    f1, f2 = objective(x1), objective(x2)
-    for _ in range(25):
-        if f1 > f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = objective(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = objective(x2)
-    for x, f in ((x1, f1), (x2, f2)):
+    for x, f in _golden_max(objective, lo, hi, 25):
         if f > best_val:
             best_chi, best_val = float(x), float(f)
     return best_chi, best_val

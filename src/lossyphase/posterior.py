@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from lossyphase import _engine
 from lossyphase.detection import Outcome, OutcomeLikelihoodTable
 
 __all__ = [
@@ -82,32 +83,6 @@ def flat_prior() -> PhaseDistribution:
     return PhaseDistribution(0, np.ones(1, dtype=complex))
 
 
-def likelihood_update_vector(
-    table: OutcomeLikelihoodTable, outcome: Outcome, theta: float
-) -> np.ndarray:
-    """Likelihood of `outcome` at controlled phase theta, as coefficients of
-    exp(-i j phi) (ready to correlate with posterior coefficients).
-
-    P_{L,k}(phi, theta) = sum_d c_d e^{id(phi-theta)}; as a function of phi
-    this is sum_j [c_{-j} e^{ij theta}] e^{-ij phi}.
-    """
-    c = table.coeffs.get(Outcome(*outcome))
-    if c is None:
-        raise KeyError(f"outcome {outcome} not in table")
-    n_det = table.n_photons - outcome[0]
-    d = np.arange(-n_det, n_det + 1)
-    return (c * np.exp(-1j * d * theta))[::-1]
-
-
-def convolve_coeffs(post: np.ndarray, update: np.ndarray) -> np.ndarray:
-    """Coefficient vector of the product of two Fourier series.
-
-    Both arguments and the result are coefficient vectors of e^{-ij phi}
-    centered on j = 0; plain full convolution of the index bands.
-    """
-    return np.convolve(post, update)
-
-
 def bayes_update(
     prior: PhaseDistribution,
     table: OutcomeLikelihoodTable,
@@ -116,15 +91,21 @@ def bayes_update(
 ) -> PhaseDistribution:
     """Posterior after observing `outcome` with controlled phase theta.
 
-    Multiplies the prior by the likelihood Fourier series and renormalizes
-    so a_0 = 1.  A likelihood that is identically zero (a structurally
-    impossible outcome, e.g. photon loss at eta = 1) is rejected.
+    Multiplies the prior by the likelihood Fourier series (the one-row
+    case of `_engine.advance_selected`, on the prior widened by N - L) and
+    renormalizes so a_0 = 1.  A likelihood that is identically zero (a
+    structurally impossible outcome, e.g. photon loss at eta = 1) is
+    rejected.
     """
-    upd = likelihood_update_vector(table, outcome, theta)
-    raw = convolve_coeffs(prior.coeffs, upd)
-    mid = len(raw) // 2
+    c = table.row(outcome)
+    n_det = (len(c) - 1) // 2
+    band = np.pad(prior.coeffs, n_det)[None, :]
+    raw = _engine.advance_selected(
+        band, c[None, :], np.zeros(1, dtype=int), np.array([theta])
+    )[0]
+    mid = prior.max_harmonic + n_det
     norm = raw[mid].real
-    if norm <= 0.0 or not np.any(np.abs(upd) > 0.0):
+    if norm <= 0.0 or not np.any(c != 0.0):
         raise ValueError(f"degenerate update: outcome {outcome} has zero likelihood")
     return PhaseDistribution(mid, raw / norm)
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -114,30 +114,30 @@ class _Stage:
     single_photon: bool  # closed-form feedback instead of numeric
 
 
-def _plan_stages(plan: SequencePlan, lossless_singles: bool,
-                 n1_override: int | None = None) -> tuple[list[_Stage], int]:
+def _band_width(stages: list[_Stage]) -> int:
+    """Coefficient-band width that holds every posterior of the tree."""
+    max_harmonic = sum(st.count * (st.cmat.shape[1] // 2) for st in stages)
+    return 2 * max_harmonic + 1
+
+
+def _plan_stages(plan: SequencePlan,
+                 lossless_singles: bool) -> tuple[list[_Stage], int]:
     """Stage list plus the fixed coefficient-band width for the whole tree."""
     stages = []
-    n1 = plan.n1 if n1_override is None else n1_override
-    if n1 > 0:
+    if plan.n1 > 0:
         eta1 = 1.0 if lossless_singles else plan.eta
         cmat, _ = _engine.table_matrix(
             build_likelihood_table(make_single_photon(), eta1),
             drop_zero_rows=lossless_singles,
         )
-        stages.append(_Stage(n1, cmat, True))
+        stages.append(_Stage(plan.n1, cmat, True))
     if plan.n2 > 0:
-        cmat, _ = _engine.table_matrix(
-            build_likelihood_table(make_loss_resistant(1, plan.chi2), plan.eta)
-        )
-        stages.append(_Stage(plan.n2, cmat, False))
+        table = build_likelihood_table(make_loss_resistant(1, plan.chi2), plan.eta)
+        stages.append(_Stage(plan.n2, table.matrix, False))
     if plan.n4 > 0:
-        cmat, _ = _engine.table_matrix(
-            build_likelihood_table(make_loss_resistant(2, plan.chi4), plan.eta)
-        )
-        stages.append(_Stage(plan.n4, cmat, False))
-    max_harmonic = n1 + 2 * plan.n2 + 4 * plan.n4
-    return stages, 2 * max_harmonic + 1
+        table = build_likelihood_table(make_loss_resistant(2, plan.chi4), plan.eta)
+        stages.append(_Stage(plan.n4, table.matrix, False))
+    return stages, _band_width(stages)
 
 
 def _remaining_leaves(stages: list[_Stage]) -> list[list[int]]:
@@ -235,12 +235,13 @@ def evaluate_exact_with_speedup(
             f"{total} leaves exceed the branch guard {branch_guard} for {plan}"
         )
     eta = plan.eta
+    stages, _ = _plan_stages(plan, lossless_singles=True)
+    multi = stages[1:] if plan.n1 > 0 else stages
     mu = 0.0
     leaves = 0
     for n_alive in range(plan.n1 + 1):
-        stages, width = _plan_stages(plan, lossless_singles=True,
-                                     n1_override=n_alive)
-        mu_n, leaves_n = _walk_tree(stages, width)
+        walk = [replace(stages[0], count=n_alive)] + multi if n_alive else multi
+        mu_n, leaves_n = _walk_tree(walk, _band_width(walk))
         weight = (
             math.comb(plan.n1, n_alive)
             * eta ** n_alive

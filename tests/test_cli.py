@@ -158,6 +158,20 @@ class TestOptimize:
         assert lines[0] == "n1,n2,chi2,n4,chi4,eta,mu,holevo_variance,branches,method"
 
 
+    def test_sql_baseline_is_the_single_photon_row(self, capsys):
+        # At N=26 the SQL plan is beyond the exact branch guard, so the
+        # baseline must come from the evaluated table, not a re-evaluation.
+        code, out, _ = run(capsys, "optimize", "--n", "26", "--eta", "0.6",
+                           "--chi-step", "2", "--method", "mc",
+                           "--trials", "2")
+        assert code == EXIT_OK
+        doc = json.loads(out)["result"]
+        first = doc["pareto_table"][0]
+        assert (first["plan"]["n1"], first["plan"]["n2"],
+                first["plan"]["n4"]) == (26, 0, 0)
+        assert doc["sql_baseline"] == first["report"]["holevo_variance"]
+
+
 class TestConfigFile:
     def test_flags_override_config(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"

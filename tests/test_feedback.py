@@ -79,6 +79,16 @@ class TestClosedForm:
         cands = np.sort(single_photon_candidates(prior))
         assert np.allclose(cands, [0.0, math.pi / 2.0, math.pi], atol=1e-12)
 
+    def test_degenerate_candidates_fall_back_to_numeric(self):
+        # a_1 = 0 and |a_2| = a_0 make c1 vanish exactly: theta_+- are
+        # undefined and the closed form defers to the numeric search.
+        prior = PhaseDistribution(2, np.array([1, 0, 1, 0, 1], dtype=complex))
+        with pytest.raises(ZeroDivisionError):
+            single_photon_candidates(prior)
+        assert optimal_theta_single_photon(prior) == optimal_theta_numeric(
+            prior, T1
+        )
+
     def test_closed_form_is_optimal_over_random_priors(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
