@@ -2,9 +2,11 @@
 
 Everything here operates on a batch of unnormalized posterior coefficient
 vectors stacked as a (branches, 2J+1) complex matrix, all rows sharing one
-harmonic band.  The public feedback functions and the sequence evaluators
-are thin wrappers; keeping a single implementation guarantees the scalar
-API and the tree traversal make bit-identical feedback decisions.
+harmonic band; each Bayes update returns the band widened by the
+likelihood's order.  The public feedback functions and the sequence
+evaluators are thin wrappers; keeping a single implementation guarantees
+the scalar API and the tree traversal make bit-identical feedback
+decisions.
 
 All feedback objectives are scale-invariant, so rows may carry any positive
 overall factor (branch probabilities are folded into the coefficients).
@@ -22,6 +24,7 @@ GRID_POINTS = 64
 THETA_GRID = 2.0 * math.pi * np.arange(GRID_POINTS) / GRID_POINTS
 _GRID_STEP = 2.0 * math.pi / GRID_POINTS
 _NEWTON_ITERS = 12
+_NEWTON_TOL = 1e-12
 # Relative slack for grid comparisons.  The refinement must behave as a
 # smooth function of the posterior: the exact and binomial-speedup
 # evaluators feed it inputs differing in the last bits, and any
@@ -43,14 +46,21 @@ def table_matrix(table: OutcomeLikelihoodTable,
     return table.matrix[keep], [o for o, k in zip(outs, keep) if k]
 
 
+def _harmonics(batch: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Coefficients a_lo..a_hi of every row, zero outside the stored band."""
+    center = (batch.shape[1] - 1) // 2
+    out = np.zeros((batch.shape[0], hi - lo + 1), dtype=complex)
+    first, last = max(lo, -center), min(hi, center)
+    if first <= last:
+        out[:, first - lo: last - lo + 1] = batch[:, center + first: center + last + 1]
+    return out
+
+
 def _g1_weights(batch: np.ndarray, cmat: np.ndarray) -> np.ndarray:
     """w[b,o,d] = c[o,d] * a_{1+d}[b]: everything the predicted first
     harmonic of the unnormalized posterior needs, before the theta phases."""
-    n_c = batch.shape[1]
     order = (cmat.shape[1] - 1) // 2
-    center = (n_c - 1) // 2
-    pad = np.pad(batch, ((0, 0), (order + 1, order + 1)))
-    window = pad[:, center + 2: center + 2 * order + 3]
+    window = _harmonics(batch, 1 - order, 1 + order)
     return cmat[None, :, :] * window[:, None, :]
 
 
@@ -68,12 +78,27 @@ def _sharpness_from_weights(w: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return np.abs(np.einsum("bod,bd->bo", w, phases)).sum(axis=1)
 
 
-def _sharpness_grid(w: np.ndarray) -> np.ndarray:
-    """(branches, GRID_POINTS) objective values on the coarse theta grid."""
+def _pi_periodic(cmat: np.ndarray) -> bool:
+    """Whether the expected sharpness has period pi in theta.
+
+    Shifting theta by pi multiplies column d by (-1)^d; when that only
+    permutes the outcome rows the summed objective is unchanged.  It does
+    for every detection table: a pi phase on one arm swaps the output
+    ports, relabelling k <-> N-L-k.  The test is exact; adding 0.0 turns
+    -0.0 into 0.0 before comparing.
+    """
+    order = (cmat.shape[1] - 1) // 2
+    sign = np.where(np.arange(-order, order + 1) % 2 == 0, 1.0, -1.0)
+    rows = sorted(r.tobytes() for r in cmat + 0.0)
+    return rows == sorted(r.tobytes() for r in cmat * sign + 0.0)
+
+
+def _sharpness_grid(w: np.ndarray, points: int) -> np.ndarray:
+    """(branches, points) objective values on the first `points` grid thetas."""
     order = (w.shape[2] - 1) // 2
     d = np.arange(-order, order + 1)
-    phases = np.exp(-1j * np.multiply.outer(d, THETA_GRID))
-    vals = np.zeros((w.shape[0], GRID_POINTS))
+    phases = np.exp(-1j * np.multiply.outer(d, THETA_GRID[:points]))
+    vals = np.zeros((w.shape[0], points))
     for o in range(w.shape[1]):
         vals += np.abs(w[:, o, :] @ phases)
     return vals
@@ -86,21 +111,22 @@ def _refine_newton(w: np.ndarray, theta0: np.ndarray, lo: np.ndarray,
     Unlike bracketing searches this is a smooth map of the weights: runs on
     inputs that agree to rounding stay together instead of diverging once
     comparisons drop below the noise floor.  Steps are clamped to the
-    bracket around the coarse grid winner.
+    bracket around the coarse grid winner; a row stops once its step is
+    below _NEWTON_TOL, the rest after _NEWTON_ITERS steps.
     """
     order = (w.shape[2] - 1) // 2
     d = np.arange(-order, order + 1)
-    w1 = w * (-1j * d)
-    w2 = w * (-(d * d.astype(float)))
+    # Columns 0, 1, 2 give g and its first and second theta derivatives.
+    deriv = np.stack([np.ones(d.size), -1j * d, -(d * d.astype(float))], axis=1)
     scale = np.abs(w).sum(axis=(1, 2)) + 1e-300
     curv_floor = 1e-9 * scale
     mag_floor = (1e-15 * scale)[:, None]
-    theta = theta0.astype(float).copy()
+    theta = theta0.astype(float)
+    rows = np.arange(theta.size)
+    t = theta.copy()
     for _ in range(_NEWTON_ITERS):
-        phases = np.exp(-1j * np.multiply.outer(theta, d))
-        g = np.einsum("bod,bd->bo", w, phases)
-        g1 = np.einsum("bod,bd->bo", w1, phases)
-        g2 = np.einsum("bod,bd->bo", w2, phases)
+        phases = np.exp(-1j * np.multiply.outer(t, d))
+        g, g1, g2 = np.moveaxis(w @ (phases[:, :, None] * deriv), 2, 0)
         safe = np.abs(g) + mag_floor
         inner = np.real(np.conj(g) * g1)
         mu1 = (inner / safe).sum(axis=1)
@@ -108,26 +134,37 @@ def _refine_newton(w: np.ndarray, theta0: np.ndarray, lo: np.ndarray,
             (np.abs(g1) ** 2 + np.real(np.conj(g) * g2)) / safe
             - inner ** 2 / safe ** 3
         ).sum(axis=1)
-        theta = np.clip(theta + mu1 / (np.abs(mu2) + curv_floor), lo, hi)
+        stepped = np.clip(t + mu1 / (np.abs(mu2) + curv_floor), lo, hi)
+        theta[rows] = stepped
+        moving = np.abs(stepped - t) > _NEWTON_TOL
+        if not moving.all():
+            rows, w, lo, hi = rows[moving], w[moving], lo[moving], hi[moving]
+            curv_floor, mag_floor = curv_floor[moving], mag_floor[moving]
+        t = stepped[moving]
+        if not t.size:
+            break
     return theta
 
 
 def numeric_theta_batch(batch: np.ndarray, cmat: np.ndarray) -> np.ndarray:
     """Per-row argmax of the expected sharpness over the controlled phase.
 
-    Coarse 64-point grid (ties within a small relative slack go to the
+    Coarse grid search (ties within a small relative slack go to the
     smallest theta) followed by damped-Newton refinement inside the
-    winning bracket, converging well below 1e-6 rad.  Plateaus skip
-    refinement, so e.g. a flat prior returns exactly 0.
+    winning bracket, converging well below 1e-6 rad.  The grid has 64
+    points on the full circle, or its first 32 on [0, pi) when the table
+    makes the objective pi-periodic; either way the winner is the same.
+    Plateaus skip refinement, so e.g. a flat prior returns exactly 0.
     """
     w = _g1_weights(batch, cmat)
-    vals = _sharpness_grid(w)
+    points = GRID_POINTS // 2 if _pi_periodic(cmat) else GRID_POINTS
+    vals = _sharpness_grid(w, points)
     top = vals.max(axis=1, keepdims=True)
     idx = np.argmax(vals >= top * (1.0 - _SNAP), axis=1)
     rows = np.arange(batch.shape[0])
     f_best = vals[rows, idx]
-    f_prev = vals[rows, (idx - 1) % GRID_POINTS]
-    f_next = vals[rows, (idx + 1) % GRID_POINTS]
+    f_prev = vals[rows, (idx - 1) % points]
+    f_next = vals[rows, (idx + 1) % points]
     theta = THETA_GRID[idx].copy()
     margin = 1.0 + _SNAP
     refine = (f_best > f_prev * margin) & (f_best > f_next * margin)
@@ -156,14 +193,12 @@ def closed_form_candidates(batch: np.ndarray) -> tuple[np.ndarray, ...]:
     non-flat rows where c1 = 0 leaves theta_+- undefined (their entries
     are placeholders).
     """
-    n_c = batch.shape[1]
-    center = (n_c - 1) // 2
-    pad = np.pad(batch, ((0, 0), (2, 2)))
+    low = _harmonics(batch, 0, 2)
     # a and b are the projections of e^{i phi} and e^{2i phi} onto the
     # posterior (the first of these is what the sharpness reads off).
-    a0 = pad[:, center + 2]
-    a = pad[:, center + 3]
-    b = 0.5 * pad[:, center + 4]
+    a0 = low[:, 0]
+    a = low[:, 1]
+    b = 0.5 * low[:, 2]
     c = 0.5 * a0
     scale = np.abs(a0)
     scale = np.where(scale > 0.0, scale, 1.0)
@@ -207,45 +242,51 @@ def closed_form_theta_batch(batch: np.ndarray) -> np.ndarray:
     return theta
 
 
+def _widen(batch: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+    """out[b, o, :] = posterior_b * sum_d coefs[b, o, d] e^{-i d phi}.
+
+    The product's band is wider by the likelihood order on each side.
+    Over the batch padded by twice the order, window[b, d, k] = pad[b, k + d]
+    is a sliding-window view, so the correlation is one batched matrix
+    product; the zeros outside the support make it exact.
+    """
+    order = (coefs.shape[-1] - 1) // 2
+    n_b, n_c = batch.shape
+    n_out = n_c + 2 * order
+    pad = np.zeros((n_b, n_out + 2 * order), dtype=complex)
+    pad[:, 2 * order: 2 * order + n_c] = batch
+    s_row, s_col = pad.strides
+    window = np.lib.stride_tricks.as_strided(
+        pad, (n_b, 2 * order + 1, n_out), (s_row, s_col, s_col), writeable=False
+    )
+    return coefs @ window
+
+
+def _likelihood_phases(cmat: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    order = (cmat.shape[1] - 1) // 2
+    d = np.arange(-order, order + 1)
+    return np.exp(-1j * np.multiply.outer(np.asarray(thetas, float), d))
+
+
 def advance_batch(batch: np.ndarray, cmat: np.ndarray,
                   thetas: np.ndarray) -> np.ndarray:
     """Unnormalized posteriors after one detection, for every outcome.
 
-    Returns out[b, o, :] = coefficients of posterior_b * likelihood_o(theta_b)
-    in the same (fixed) harmonic band as the input batch; callers allocate
-    the band wide enough for the whole sequence up front.
+    Returns out[b, o, :] = coefficients of posterior_b * likelihood_o(theta_b),
+    a band widened by the table's order on each side: (n_b, n_o, n_c + 2 order).
     """
-    n_b, n_c = batch.shape
-    n_o, width = cmat.shape
-    order = (width - 1) // 2
-    d = np.arange(-order, order + 1)
-    phases = np.exp(-1j * np.multiply.outer(np.asarray(thetas, float), d))
-    out = np.zeros((n_b, n_o, n_c), dtype=complex)
-    for oi in range(n_o):
-        for di, dv in enumerate(d):
-            cv = cmat[oi, di]
-            if cv == 0.0:
-                continue
-            coef = cv * phases[:, di]
-            lo, hi = max(0, -dv), n_c - max(0, dv)
-            out[:, oi, lo:hi] += coef[:, None] * batch[:, lo + dv: hi + dv]
-    return out
+    phases = _likelihood_phases(cmat, thetas)
+    return _widen(batch, cmat[None, :, :] * phases[:, None, :])
 
 
 def advance_selected(batch: np.ndarray, cmat: np.ndarray, picks: np.ndarray,
                      thetas: np.ndarray) -> np.ndarray:
-    """Like advance_batch but per-row, with one chosen outcome per row."""
-    n_b, n_c = batch.shape
-    width = cmat.shape[1]
-    order = (width - 1) // 2
-    d = np.arange(-order, order + 1)
-    phases = np.exp(-1j * np.multiply.outer(np.asarray(thetas, float), d))
-    coefs = cmat[picks] * phases
-    out = np.zeros_like(batch)
-    for di, dv in enumerate(d):
-        lo, hi = max(0, -dv), n_c - max(0, dv)
-        out[:, lo:hi] += coefs[:, di, None] * batch[:, lo + dv: hi + dv]
-    return out
+    """The one-outcome case of advance_batch: outcome picks[b] for row b.
+
+    Returns (n_b, n_c + 2 order).
+    """
+    coefs = cmat[picks] * _likelihood_phases(cmat, thetas)
+    return _widen(batch, coefs[:, None, :])[:, 0, :]
 
 
 def outcome_probabilities(cmat: np.ndarray, x: np.ndarray) -> np.ndarray:

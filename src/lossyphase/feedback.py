@@ -4,9 +4,10 @@ The controlled phase for the next detection is the one maximizing the
 expected sharpness, i.e. the sum over outcomes of the magnitude of the
 predicted first-harmonic coefficient of the unnormalized posterior.  For
 single photons the three candidate phases are available in closed form;
-multi-photon states use a 64-point grid search with damped-Newton
-refinement.  Every function here is a one-row view over the batch
-kernels of `_engine`.
+multi-photon states use a grid search with damped-Newton refinement: 32
+points on [0, pi) when the table makes the objective pi-periodic (every
+table `build_likelihood_table` makes), 64 on the full circle otherwise.
+Every function here is a one-row view over the batch kernels of `_engine`.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ def optimal_theta_numeric(
 ) -> float:
     """Maximize the expected sharpness over theta in [0, 2pi).
 
-    64-point coarse grid, ties broken toward the smallest theta, then
+    Coarse grid (32 points on [0, pi) for a pi-periodic objective, else
+    64 on the full circle), ties broken toward the smallest theta, then
     damped-Newton refinement inside the winning grid bracket.
     """
     batch = prior.coeffs[None, :]

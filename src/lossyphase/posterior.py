@@ -92,16 +92,15 @@ def bayes_update(
     """Posterior after observing `outcome` with controlled phase theta.
 
     Multiplies the prior by the likelihood Fourier series (the one-row
-    case of `_engine.advance_selected`, on the prior widened by N - L) and
+    case of `_engine.advance_selected`, which widens the band by N - L) and
     renormalizes so a_0 = 1.  A likelihood that is identically zero (a
     structurally impossible outcome, e.g. photon loss at eta = 1) is
     rejected.
     """
     c = table.row(outcome)
     n_det = (len(c) - 1) // 2
-    band = np.pad(prior.coeffs, n_det)[None, :]
     raw = _engine.advance_selected(
-        band, c[None, :], np.zeros(1, dtype=int), np.array([theta])
+        prior.coeffs[None, :], c[None, :], np.zeros(1, dtype=int), np.array([theta])
     )[0]
     mid = prior.max_harmonic + n_det
     norm = raw[mid].real

@@ -114,15 +114,8 @@ class _Stage:
     single_photon: bool  # closed-form feedback instead of numeric
 
 
-def _band_width(stages: list[_Stage]) -> int:
-    """Coefficient-band width that holds every posterior of the tree."""
-    max_harmonic = sum(st.count * (st.cmat.shape[1] // 2) for st in stages)
-    return 2 * max_harmonic + 1
-
-
-def _plan_stages(plan: SequencePlan,
-                 lossless_singles: bool) -> tuple[list[_Stage], int]:
-    """Stage list plus the fixed coefficient-band width for the whole tree."""
+def _plan_stages(plan: SequencePlan, lossless_singles: bool) -> list[_Stage]:
+    """One stage per state type, in the plan's detection order."""
     stages = []
     if plan.n1 > 0:
         eta1 = 1.0 if lossless_singles else plan.eta
@@ -137,7 +130,7 @@ def _plan_stages(plan: SequencePlan,
     if plan.n4 > 0:
         table = build_likelihood_table(make_loss_resistant(2, plan.chi4), plan.eta)
         stages.append(_Stage(plan.n4, table.matrix, False))
-    return stages, _band_width(stages)
+    return stages
 
 
 def _remaining_leaves(stages: list[_Stage]) -> list[list[int]]:
@@ -152,18 +145,18 @@ def _remaining_leaves(stages: list[_Stage]) -> list[list[int]]:
     return remaining
 
 
-def _walk_tree(stages: list[_Stage], width: int) -> tuple[float, int]:
+def _walk_tree(stages: list[_Stage]) -> tuple[float, int]:
     """Sum of |leaf first harmonics| over the whole outcome tree.
 
     Depth-first over (stage, step) with batches of posterior rows; branches
     whose coefficients are exactly zero (structurally impossible outcomes)
     are dropped but still counted with their subtree size, so the returned
     leaf count always equals the closed-form product.  Batches are split to
-    a fixed row cap, which also fixes the summation order.
+    a fixed row cap, which also fixes the summation order.  The band starts
+    at the flat prior's single coefficient and widens with each detection.
     """
     remaining = _remaining_leaves(stages)
-    root = np.zeros((1, width), dtype=complex)
-    root[0, (width - 1) // 2] = 1.0
+    root = np.ones((1, 1), dtype=complex)
     mu = 0.0
     leaves = 0
     stack: list[tuple[np.ndarray, int, int]] = [(root, 0, 0)]
@@ -179,7 +172,7 @@ def _walk_tree(stages: list[_Stage], width: int) -> tuple[float, int]:
         else:
             thetas = _engine.numeric_theta_batch(batch, stage.cmat)
         children = _engine.advance_batch(batch, stage.cmat, thetas)
-        children = children.reshape(-1, width)
+        children = children.reshape(-1, children.shape[2])
         alive = np.abs(children).max(axis=1) > 0.0
         n_dead = int((~alive).sum())
         next_si, next_step = (si, step + 1) if step + 1 < stage.count else (si + 1, 0)
@@ -206,8 +199,8 @@ def evaluate_exact(
         raise BranchGuardError(
             f"{total} leaves exceed the branch guard {branch_guard} for {plan}"
         )
-    stages, width = _plan_stages(plan, lossless_singles=False)
-    mu, leaves = _walk_tree(stages, width)
+    stages = _plan_stages(plan, lossless_singles=False)
+    mu, leaves = _walk_tree(stages)
     return EvaluationReport(
         mu=mu,
         holevo_variance=_variance_from_mu(mu),
@@ -235,13 +228,13 @@ def evaluate_exact_with_speedup(
             f"{total} leaves exceed the branch guard {branch_guard} for {plan}"
         )
     eta = plan.eta
-    stages, _ = _plan_stages(plan, lossless_singles=True)
+    stages = _plan_stages(plan, lossless_singles=True)
     multi = stages[1:] if plan.n1 > 0 else stages
     mu = 0.0
     leaves = 0
     for n_alive in range(plan.n1 + 1):
         walk = [replace(stages[0], count=n_alive)] + multi if n_alive else multi
-        mu_n, leaves_n = _walk_tree(walk, _band_width(walk))
+        mu_n, leaves_n = _walk_tree(walk)
         weight = (
             math.comb(plan.n1, n_alive)
             * eta ** n_alive
@@ -259,12 +252,11 @@ def evaluate_exact_with_speedup(
     )
 
 
-def _simulate_chunk(plan: SequencePlan, stages: list[_Stage], width: int,
-                    rng: np.random.Generator, n_trials: int) -> np.ndarray:
+def _simulate_chunk(stages: list[_Stage], rng: np.random.Generator,
+                    n_trials: int) -> np.ndarray:
     """Per-trial residuals exp(i(phi_hat - phi)) for one batch of trials."""
     phi = rng.uniform(0.0, 2.0 * math.pi, n_trials)
-    batch = np.zeros((n_trials, width), dtype=complex)
-    batch[:, (width - 1) // 2] = 1.0
+    batch = np.ones((n_trials, 1), dtype=complex)
     for stage in stages:
         for _ in range(stage.count):
             if stage.single_photon:
@@ -300,12 +292,12 @@ def evaluate_monte_carlo(
     t0 = time.perf_counter()
     ss_sim, ss_boot = np.random.SeedSequence(rng_seed).spawn(2)
     rng = np.random.default_rng(ss_sim)
-    stages, width = _plan_stages(plan, lossless_singles=False)
+    stages = _plan_stages(plan, lossless_singles=False)
     residuals = np.empty(trials, dtype=complex)
     done = 0
     while done < trials:
         n = min(_MC_CHUNK, trials - done)
-        residuals[done: done + n] = _simulate_chunk(plan, stages, width, rng, n)
+        residuals[done: done + n] = _simulate_chunk(stages, rng, n)
         done += n
     mu = abs(residuals.mean())
     boot_rng = np.random.default_rng(ss_boot)

@@ -1,0 +1,219 @@
+"""The batch kernels against the plain implementations they replace.
+
+The references below are the fixed-band Bayes update (one shift per
+harmonic d into a band allocated wide enough up front) and the
+full-circle 64-point grid search followed by exactly 12 Newton steps.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from lossyphase import _engine
+from lossyphase.detection import Outcome, build_likelihood_table
+from lossyphase.posterior import PhaseDistribution, bayes_update, flat_prior
+from lossyphase.states import (
+    TwoModeState,
+    make_exact_optimal4,
+    make_loss_resistant,
+    make_single_photon,
+)
+
+CHI_GRID = [round(0.1 * i, 1) for i in range(21)]
+
+
+def reference_advance(batch, cmat, thetas):
+    """Fixed-band update: the batch padded by the table order, one shift per d."""
+    order = (cmat.shape[1] - 1) // 2
+    band = np.pad(batch, ((0, 0), (order, order)))
+    n_c = band.shape[1]
+    d = np.arange(-order, order + 1)
+    phases = np.exp(-1j * np.multiply.outer(thetas, d))
+    out = np.zeros((batch.shape[0], cmat.shape[0], n_c), dtype=complex)
+    for oi in range(cmat.shape[0]):
+        for di, dv in enumerate(d):
+            coef = cmat[oi, di] * phases[:, di]
+            lo, hi = max(0, -dv), n_c - max(0, dv)
+            out[:, oi, lo:hi] += coef[:, None] * band[:, lo + dv: hi + dv]
+    return out
+
+
+def reference_numeric_theta(batch, cmat):
+    """64-point grid on the full circle, then 12 damped Newton steps."""
+    w = _engine._g1_weights(batch, cmat)
+    order = (cmat.shape[1] - 1) // 2
+    d = np.arange(-order, order + 1)
+    grid = 2.0 * math.pi * np.arange(64) / 64
+    step = 2.0 * math.pi / 64
+    phases = np.exp(-1j * np.multiply.outer(d, grid))
+    vals = sum(np.abs(w[:, o, :] @ phases) for o in range(w.shape[1]))
+    top = vals.max(axis=1, keepdims=True)
+    idx = np.argmax(vals >= top * (1.0 - _engine._SNAP), axis=1)
+    rows = np.arange(batch.shape[0])
+    margin = 1.0 + _engine._SNAP
+    refine = ((vals[rows, idx] > vals[rows, (idx - 1) % 64] * margin)
+              & (vals[rows, idx] > vals[rows, (idx + 1) % 64] * margin))
+    theta = grid[idx].copy()
+    wr = w[refine]
+    t, lo, hi = theta[refine], theta[refine] - step, theta[refine] + step
+    w1 = wr * (-1j * d)
+    w2 = wr * (-(d * d.astype(float)))
+    scale = np.abs(wr).sum(axis=(1, 2)) + 1e-300
+    mag_floor = (1e-15 * scale)[:, None]
+    for _ in range(12):
+        ph = np.exp(-1j * np.multiply.outer(t, d))
+        g = np.einsum("bod,bd->bo", wr, ph)
+        g1 = np.einsum("bod,bd->bo", w1, ph)
+        g2 = np.einsum("bod,bd->bo", w2, ph)
+        safe = np.abs(g) + mag_floor
+        inner = np.real(np.conj(g) * g1)
+        mu1 = (inner / safe).sum(axis=1)
+        mu2 = ((np.abs(g1) ** 2 + np.real(np.conj(g) * g2)) / safe
+               - inner ** 2 / safe ** 3).sum(axis=1)
+        t = np.clip(t + mu1 / (np.abs(mu2) + 1e-9 * scale), lo, hi)
+    theta[refine] = t
+    return np.mod(theta, 2.0 * math.pi)
+
+
+def random_hermitian(rng, rows, harmonics):
+    x = rng.normal(size=(rows, 2 * harmonics + 1)) \
+        + 1j * rng.normal(size=(rows, 2 * harmonics + 1))
+    return 0.5 * (x + np.conj(x[:, ::-1]))
+
+
+def circular_gap(a, b):
+    delta = np.mod(np.asarray(a) - np.asarray(b), 2.0 * math.pi)
+    return np.minimum(delta, 2.0 * math.pi - delta)
+
+
+TABLE_STATES = {
+    1: make_single_photon(),
+    2: make_loss_resistant(1, 1.7),
+    4: make_loss_resistant(2, 1.3),
+}
+
+
+class TestAdvance:
+    @pytest.mark.parametrize("eta", [0.6, 1.0])
+    @pytest.mark.parametrize("n_photons", [1, 2, 4])
+    @pytest.mark.parametrize("harmonics", [0, 3, 8])
+    def test_matches_fixed_band_reference(self, n_photons, eta, harmonics):
+        rng = np.random.default_rng(100 * n_photons + harmonics)
+        cmat = build_likelihood_table(TABLE_STATES[n_photons], eta).matrix
+        order = (cmat.shape[1] - 1) // 2
+        batch = random_hermitian(rng, 40, harmonics)
+        thetas = rng.uniform(0.0, 2.0 * math.pi, 40)
+        atol = 1e-14 * np.abs(batch).max()
+        ref = reference_advance(batch, cmat, thetas)
+
+        out = _engine.advance_batch(batch, cmat, thetas)
+        assert out.shape == (40, cmat.shape[0], batch.shape[1] + 2 * order)
+        np.testing.assert_allclose(out, ref, rtol=0.0, atol=atol)
+
+        picks = rng.integers(0, cmat.shape[0], 40)
+        sel = _engine.advance_selected(batch, cmat, picks, thetas)
+        assert sel.shape == (40, batch.shape[1] + 2 * order)
+        np.testing.assert_allclose(sel, ref[np.arange(40), picks],
+                                   rtol=0.0, atol=atol)
+
+
+def random_posteriors(rng, count):
+    """Posteriors after 2-5 detections of mixed states at random phases."""
+    tables = [build_likelihood_table(s, 0.6) for s in TABLE_STATES.values()]
+    posts = []
+    for _ in range(count):
+        post = flat_prior()
+        for _ in range(int(rng.integers(2, 6))):
+            table = tables[int(rng.integers(0, len(tables)))]
+            outcome = table.outcomes[int(rng.integers(0, len(table.outcomes)))]
+            post = bayes_update(post, table, outcome,
+                                float(rng.uniform(0.0, 2.0 * math.pi)))
+        posts.append(post)
+    width = max(p.max_harmonic for p in posts)
+    return np.stack([np.pad(p.coeffs, width - p.max_harmonic) for p in posts])
+
+
+class TestNumericFeedback:
+    @pytest.mark.parametrize("n, chi", [(1, 1.7), (2, 1.3)])
+    def test_matches_full_circle_reference(self, n, chi):
+        cmat = build_likelihood_table(make_loss_resistant(n, chi), 0.6).matrix
+        batch = random_posteriors(np.random.default_rng(40 + n), 240)
+        got = _engine.numeric_theta_batch(batch, cmat)
+        ref = reference_numeric_theta(batch, cmat)
+        assert circular_gap(got, ref).max() < 1e-9
+
+    @pytest.mark.parametrize("eta", [0.2, 0.6, 1.0])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_chi_state_tables_are_pi_periodic(self, n, eta):
+        for chi in CHI_GRID:
+            table = build_likelihood_table(make_loss_resistant(n, chi), eta)
+            assert _engine._pi_periodic(table.matrix), chi
+
+    def test_other_tables_are_pi_periodic(self):
+        assert _engine._pi_periodic(_engine.SINGLE_FRINGE)
+        for eta in (0.3, 1.0):
+            for state in (make_single_photon(), make_exact_optimal4(0.4, 1.9)):
+                assert _engine._pi_periodic(
+                    build_likelihood_table(state, eta).matrix)
+
+    def test_asymmetric_states_are_pi_periodic_too(self):
+        # A pi phase on one arm before the final 50:50 beam splitter is a
+        # swap of its output ports, whatever the input state, so the
+        # relabelling k <-> N-L-k maps every table onto itself.
+        rng = np.random.default_rng(5)
+        prior = PhaseDistribution(
+            3, random_hermitian(rng, 1, 3)[0] + np.eye(1, 7, 3)[0] * 8.0)
+        for amps in ([1.0, 0.4, 0.1], [1.0, 0.4j, 0.1 + 0.3j],
+                     [0.2, 1.0, 0.5 - 0.1j, 0.3j, 0.9]):
+            state = TwoModeState(len(amps) - 1, amps)
+            assert not state.is_symmetric()
+            cmat = build_likelihood_table(state, 0.6).matrix
+            assert _engine._pi_periodic(cmat)
+            thetas = np.array([0.7, 0.7 + math.pi])
+            vals = _engine.expected_sharpness_batch(
+                np.repeat(prior.coeffs[None], 2, axis=0), cmat, thetas)
+            assert vals[0] == pytest.approx(vals[1], rel=1e-14)
+
+
+# A single photon read out by detectors of unequal efficiency: a pi shift
+# maps port 0's fringe onto port 1's, which has another visibility, so this
+# table is the one kind here whose objective is not pi-periodic.
+ETA0, ETA1 = 0.9, 0.4
+UNBALANCED = np.array([
+    [ETA0 / 4, ETA0 / 2, ETA0 / 4],
+    [-ETA1 / 4, ETA1 / 2, -ETA1 / 4],
+    [(ETA1 - ETA0) / 4, 1.0 - (ETA0 + ETA1) / 2, (ETA1 - ETA0) / 4],
+], dtype=complex)
+
+
+class TestFullCircleFallback:
+    def test_unbalanced_detectors_are_not_pi_periodic(self):
+        assert not _engine._pi_periodic(UNBALANCED)
+
+    def test_finds_a_maximum_above_pi(self):
+        scan = 2.0 * math.pi * np.arange(4096) / 4096
+
+        def objective(prior):
+            rows = np.repeat(prior.coeffs[None], scan.size, axis=0)
+            return _engine.expected_sharpness_batch(rows, UNBALANCED, scan)
+
+        # A prior peaked near 4.3 rad puts the maximum above pi, and the
+        # twin point theta - pi is clearly worse.
+        prior = bayes_update(
+            flat_prior(), build_likelihood_table(make_single_photon(), 1.0),
+            Outcome(0, 0), 4.3)
+        prior = bayes_update(
+            prior, build_likelihood_table(make_loss_resistant(1, 1.7), 1.0),
+            Outcome(0, 0), 4.3)
+        vals = objective(prior)
+        best = scan[np.argmax(vals)]
+        assert math.pi < best < 2.0 * math.pi
+        twin = int(np.argmax(vals)) - 2048
+        assert vals[twin] < vals.max() * (1.0 - 1e-3)
+
+        theta = _engine.numeric_theta_batch(prior.coeffs[None], UNBALANCED)[0]
+        assert circular_gap(theta, best) <= 2.0 * math.pi / 4096
+        assert _engine.expected_sharpness_batch(
+            prior.coeffs[None], UNBALANCED, np.array([theta]))[0] \
+            >= vals.max() - 1e-12

@@ -216,8 +216,8 @@ class TestProperties:
         ss = np.random.SeedSequence(99)
         rng = np.random.default_rng(ss)
         from lossyphase.sequences import _plan_stages, _simulate_chunk
-        stages, width = _plan_stages(plan, lossless_singles=False)
-        res = _simulate_chunk(plan, stages, width, rng, report_trials)
+        stages = _plan_stages(plan, lossless_singles=False)
+        res = _simulate_chunk(stages, rng, report_trials)
         err = np.angle(res)
         mse = float(np.mean(err ** 2))
         se = float(np.std(err ** 2, ddof=1) / math.sqrt(report_trials))
