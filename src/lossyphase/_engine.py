@@ -10,6 +10,11 @@ decisions.
 
 All feedback objectives are scale-invariant, so rows may carry any positive
 overall factor (branch probabilities are folded into the coefficients).
+
+Likelihood matrices come from `OutcomeLikelihoodTable.matrix` (or are
+SINGLE_FRINGE), so they carry the table's port-swap symmetry: shifting
+theta by pi only permutes the outcomes, the expected sharpness has period
+pi, and the feedback grid covers [0, pi) alone.
 """
 
 from __future__ import annotations
@@ -18,11 +23,9 @@ import math
 
 import numpy as np
 
-from lossyphase.detection import OutcomeLikelihoodTable, Outcome
-
-GRID_POINTS = 64
-THETA_GRID = 2.0 * math.pi * np.arange(GRID_POINTS) / GRID_POINTS
-_GRID_STEP = 2.0 * math.pi / GRID_POINTS
+GRID_POINTS = 32
+THETA_GRID = math.pi * np.arange(GRID_POINTS) / GRID_POINTS
+_GRID_STEP = math.pi / GRID_POINTS
 _NEWTON_ITERS = 12
 _NEWTON_TOL = 1e-12
 # Relative slack for grid comparisons.  The refinement must behave as a
@@ -32,8 +35,7 @@ _NEWTON_TOL = 1e-12
 _SNAP = 1e-9
 
 
-def table_matrix(table: OutcomeLikelihoodTable,
-                 drop_zero_rows: bool = False) -> tuple[np.ndarray, list[Outcome]]:
+def table_matrix(table, drop_zero_rows: bool = False) -> tuple[np.ndarray, list]:
     """Outcome-major coefficient matrix padded to the full band d = -N..N.
 
     Returns (matrix, outcomes); with drop_zero_rows, outcomes whose
@@ -78,27 +80,12 @@ def _sharpness_from_weights(w: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return np.abs(np.einsum("bod,bd->bo", w, phases)).sum(axis=1)
 
 
-def _pi_periodic(cmat: np.ndarray) -> bool:
-    """Whether the expected sharpness has period pi in theta.
-
-    Shifting theta by pi multiplies column d by (-1)^d; when that only
-    permutes the outcome rows the summed objective is unchanged.  It does
-    for every detection table: a pi phase on one arm swaps the output
-    ports, relabelling k <-> N-L-k.  The test is exact; adding 0.0 turns
-    -0.0 into 0.0 before comparing.
-    """
-    order = (cmat.shape[1] - 1) // 2
-    sign = np.where(np.arange(-order, order + 1) % 2 == 0, 1.0, -1.0)
-    rows = sorted(r.tobytes() for r in cmat + 0.0)
-    return rows == sorted(r.tobytes() for r in cmat * sign + 0.0)
-
-
-def _sharpness_grid(w: np.ndarray, points: int) -> np.ndarray:
-    """(branches, points) objective values on the first `points` grid thetas."""
+def _sharpness_grid(w: np.ndarray) -> np.ndarray:
+    """(branches, GRID_POINTS) objective values on THETA_GRID."""
     order = (w.shape[2] - 1) // 2
     d = np.arange(-order, order + 1)
-    phases = np.exp(-1j * np.multiply.outer(d, THETA_GRID[:points]))
-    vals = np.zeros((w.shape[0], points))
+    phases = np.exp(-1j * np.multiply.outer(d, THETA_GRID))
+    vals = np.zeros((w.shape[0], GRID_POINTS))
     for o in range(w.shape[1]):
         vals += np.abs(w[:, o, :] @ phases)
     return vals
@@ -151,20 +138,19 @@ def numeric_theta_batch(batch: np.ndarray, cmat: np.ndarray) -> np.ndarray:
 
     Coarse grid search (ties within a small relative slack go to the
     smallest theta) followed by damped-Newton refinement inside the
-    winning bracket, converging well below 1e-6 rad.  The grid has 64
-    points on the full circle, or its first 32 on [0, pi) when the table
-    makes the objective pi-periodic; either way the winner is the same.
-    Plateaus skip refinement, so e.g. a flat prior returns exactly 0.
+    winning bracket, converging well below 1e-6 rad.  The grid has 32
+    points on [0, pi), one period of the objective for every table (see
+    the module docstring); the bracket wraps around that period.  Plateaus
+    skip refinement, so e.g. a flat prior returns exactly 0.
     """
     w = _g1_weights(batch, cmat)
-    points = GRID_POINTS // 2 if _pi_periodic(cmat) else GRID_POINTS
-    vals = _sharpness_grid(w, points)
+    vals = _sharpness_grid(w)
     top = vals.max(axis=1, keepdims=True)
     idx = np.argmax(vals >= top * (1.0 - _SNAP), axis=1)
     rows = np.arange(batch.shape[0])
     f_best = vals[rows, idx]
-    f_prev = vals[rows, (idx - 1) % points]
-    f_next = vals[rows, (idx + 1) % points]
+    f_prev = vals[rows, (idx - 1) % GRID_POINTS]
+    f_next = vals[rows, (idx + 1) % GRID_POINTS]
     theta = THETA_GRID[idx].copy()
     margin = 1.0 + _SNAP
     refine = (f_best > f_prev * margin) & (f_best > f_next * margin)
@@ -290,12 +276,15 @@ def advance_selected(batch: np.ndarray, cmat: np.ndarray, picks: np.ndarray,
 
 
 def outcome_probabilities(cmat: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """P[b, o] at per-row phase difference x = phi - theta, clamped >= 0."""
+    """P[b, o] at per-row phase difference x = phi - theta.
+
+    Returns the complex Fourier sums as they are; their real part is the
+    probability up to rounding, and callers decide how to check or clamp it.
+    """
     order = (cmat.shape[1] - 1) // 2
     d = np.arange(-order, order + 1)
     phases = np.exp(1j * np.multiply.outer(np.asarray(x, float), d))
-    p = (phases @ cmat.T).real
-    return np.clip(p, 0.0, None)
+    return phases @ cmat.T
 
 
 def first_harmonic(batch: np.ndarray) -> np.ndarray:

@@ -14,6 +14,11 @@ photons in the d2 port.  For the symmetric single-photon input this gives
 the fringes P(k=0) = eta (1 + cos x)/2 and P(k=1) = eta (1 - cos x)/2.
 The companion brute-force simulator `oracle_probabilities` uses the same
 convention and provides an independent check of the closed-form table.
+
+Invariant (port-swap symmetry): a pi phase before the final splitter only
+swaps its output ports, so row (L, N-L-k) equals row (L, k) times (-1)^d
+for every state and eta.  Every table checks this exactly when it is made,
+which lets the feedback search scan theta over [0, pi) only.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
+from lossyphase import _engine
 from lossyphase.states import TwoModeState
 
 __all__ = [
@@ -82,7 +88,8 @@ class OutcomeLikelihoodTable:
     matrix[i] holds outcome i of `iter_outcomes` over the full harmonic
     band d = -N..N; outcome (L, k) occupies only |d| <= N - L and is zero
     outside it.  Hermitian symmetry c_{-d} = conj(c_d) holds because
-    probabilities are real.  The matrix is stored read-only.
+    probabilities are real.  The matrix is stored read-only, and a matrix
+    without the port-swap symmetry of the module docstring is rejected.
     """
 
     n_photons: int
@@ -94,6 +101,12 @@ class OutcomeLikelihoodTable:
         n = self.n_photons
         if m.shape != (len(_row_index(n)), 2 * n + 1):
             raise ValueError(f"matrix shape {m.shape} does not fit N={n}")
+        swap, sign = _port_swap(n)
+        if not np.array_equal(m[swap], m * sign):
+            raise ValueError(
+                f"matrix breaks the port-swap symmetry: row (L, k) times "
+                f"(-1)^d must equal row (L, N-L-k) for N={n}"
+            )
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -153,6 +166,15 @@ def _row_index(n_photons: int) -> Mapping[Outcome, int]:
     return MappingProxyType({o: i for i, o in enumerate(iter_outcomes(n_photons))})
 
 
+@functools.lru_cache(maxsize=None)
+def _port_swap(n_photons: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row permutation (L, k) -> (L, N-L-k) and the column signs (-1)^d."""
+    index = _row_index(n_photons)
+    swap = np.array([index[Outcome(L, n_photons - L - k)] for L, k in index])
+    sign = (-1.0) ** np.arange(-n_photons, n_photons + 1)
+    return swap, sign
+
+
 def build_likelihood_table(state: TwoModeState, eta: float) -> OutcomeLikelihoodTable:
     """Closed-form detection probabilities grouped by harmonic d = s - r.
 
@@ -190,11 +212,13 @@ def build_likelihood_table(state: TwoModeState, eta: float) -> OutcomeLikelihood
 def evaluate_outcome(
     table: OutcomeLikelihoodTable, outcome: Outcome, phi: float, theta: float
 ) -> float:
-    """P_{L,k}(phi, theta) from the Fourier series, clamped to >= 0."""
+    """P_{L,k}(phi, theta): one entry of `_engine.outcome_probabilities`.
+
+    Raises on an imaginary part above 1e-10 or a value below -1e-12, and
+    clamps the rest to >= 0.
+    """
     c = table.row(outcome)
-    n_det = (len(c) - 1) // 2
-    d = np.arange(-n_det, n_det + 1)
-    val = np.sum(c * np.exp(1j * d * (phi - theta)))
+    val = _engine.outcome_probabilities(c[None, :], np.array([phi - theta]))[0, 0]
     if abs(val.imag) > 1e-10:
         raise ValueError(f"probability has imaginary part {val.imag}")
     p = val.real

@@ -4,9 +4,8 @@ The controlled phase for the next detection is the one maximizing the
 expected sharpness, i.e. the sum over outcomes of the magnitude of the
 predicted first-harmonic coefficient of the unnormalized posterior.  For
 single photons the three candidate phases are available in closed form;
-multi-photon states use a grid search with damped-Newton refinement: 32
-points on [0, pi) when the table makes the objective pi-periodic (every
-table `build_likelihood_table` makes), 64 on the full circle otherwise.
+multi-photon states use a 32-point grid on [0, pi), one period of the
+objective by the tables' port-swap symmetry, with damped-Newton refinement.
 Every function here is a one-row view over the batch kernels of `_engine`.
 """
 
@@ -44,11 +43,11 @@ def expected_sharpness(
 def optimal_theta_numeric(
     prior: PhaseDistribution, table: OutcomeLikelihoodTable
 ) -> float:
-    """Maximize the expected sharpness over theta in [0, 2pi).
+    """Maximize the expected sharpness over theta.
 
-    Coarse grid (32 points on [0, pi) for a pi-periodic objective, else
-    64 on the full circle), ties broken toward the smallest theta, then
-    damped-Newton refinement inside the winning grid bracket.
+    Coarse 32-point grid on [0, pi), ties broken toward the smallest theta,
+    then damped-Newton refinement inside the winning grid bracket; the
+    result lies in [0, 2pi) and theta + pi scores the same.
     """
     batch = prior.coeffs[None, :]
     return float(_engine.numeric_theta_batch(batch, table.matrix)[0])

@@ -27,6 +27,7 @@ __all__ = [
     "bayes_update",
     "sharpness",
     "holevo_variance",
+    "variance_from_sharpness",
 ]
 
 _HERMITIAN_TOL = 1e-12
@@ -116,7 +117,11 @@ def sharpness(dist: PhaseDistribution) -> float:
 
 def holevo_variance(dist: PhaseDistribution) -> float:
     """mu^-2 - 1, with +inf for a flat (mu = 0) distribution."""
-    mu = sharpness(dist)
+    return variance_from_sharpness(sharpness(dist))
+
+
+def variance_from_sharpness(mu: float) -> float:
+    """Holevo variance mu^-2 - 1 of sharpness mu; +inf below mu = 1e-15."""
     if mu < 1e-15:
         return math.inf
     return 1.0 / (mu * mu) - 1.0

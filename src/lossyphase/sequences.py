@@ -26,6 +26,7 @@ import numpy as np
 
 from lossyphase import _engine
 from lossyphase.detection import build_likelihood_table
+from lossyphase.posterior import variance_from_sharpness
 from lossyphase.states import make_loss_resistant, make_single_photon
 
 __all__ = [
@@ -101,10 +102,17 @@ class EvaluationReport:
         }
 
 
-def _variance_from_mu(mu: float) -> float:
-    if mu < 1e-15:
-        return math.inf
-    return 1.0 / (mu * mu) - 1.0
+def _report(mu: float, leaves: int, method: str, t0: float,
+            std_error: float | None = None) -> EvaluationReport:
+    return EvaluationReport(mu, variance_from_sharpness(mu), leaves, method,
+                            std_error, time.perf_counter() - t0)
+
+
+def _check_guard(plan: SequencePlan, total: int, branch_guard: int) -> None:
+    if total > branch_guard:
+        raise BranchGuardError(
+            f"{total} leaves exceed the branch guard {branch_guard} for {plan}"
+        )
 
 
 @dataclass(frozen=True)
@@ -112,6 +120,12 @@ class _Stage:
     count: int
     cmat: np.ndarray
     single_photon: bool  # closed-form feedback instead of numeric
+
+    def thetas(self, batch: np.ndarray) -> np.ndarray:
+        """Feedback phase per row; the kernels are looked up on every call."""
+        if self.single_photon:
+            return _engine.closed_form_theta_batch(batch)
+        return _engine.numeric_theta_batch(batch, self.cmat)
 
 
 def _plan_stages(plan: SequencePlan, lossless_singles: bool) -> list[_Stage]:
@@ -167,11 +181,7 @@ def _walk_tree(stages: list[_Stage]) -> tuple[float, int]:
             leaves += batch.shape[0]
             continue
         stage = stages[si]
-        if stage.single_photon:
-            thetas = _engine.closed_form_theta_batch(batch)
-        else:
-            thetas = _engine.numeric_theta_batch(batch, stage.cmat)
-        children = _engine.advance_batch(batch, stage.cmat, thetas)
+        children = _engine.advance_batch(batch, stage.cmat, stage.thetas(batch))
         children = children.reshape(-1, children.shape[2])
         alive = np.abs(children).max(axis=1) > 0.0
         n_dead = int((~alive).sum())
@@ -194,21 +204,9 @@ def evaluate_exact(
 ) -> EvaluationReport:
     """Exact mean sharpness by enumerating every outcome record."""
     t0 = time.perf_counter()
-    total = plan.exact_leaf_count()
-    if total > branch_guard:
-        raise BranchGuardError(
-            f"{total} leaves exceed the branch guard {branch_guard} for {plan}"
-        )
-    stages = _plan_stages(plan, lossless_singles=False)
-    mu, leaves = _walk_tree(stages)
-    return EvaluationReport(
-        mu=mu,
-        holevo_variance=_variance_from_mu(mu),
-        branches_evaluated=leaves,
-        method="exact",
-        mc_std_error=None,
-        wall_time_s=time.perf_counter() - t0,
-    )
+    _check_guard(plan, plan.exact_leaf_count(), branch_guard)
+    mu, leaves = _walk_tree(_plan_stages(plan, lossless_singles=False))
+    return _report(mu, leaves, "exact", t0)
 
 
 def evaluate_exact_with_speedup(
@@ -222,11 +220,7 @@ def evaluate_exact_with_speedup(
     Identical to evaluate_exact up to rounding.
     """
     t0 = time.perf_counter()
-    total = plan.speedup_leaf_count()
-    if total > branch_guard:
-        raise BranchGuardError(
-            f"{total} leaves exceed the branch guard {branch_guard} for {plan}"
-        )
+    _check_guard(plan, plan.speedup_leaf_count(), branch_guard)
     eta = plan.eta
     stages = _plan_stages(plan, lossless_singles=True)
     multi = stages[1:] if plan.n1 > 0 else stages
@@ -242,14 +236,7 @@ def evaluate_exact_with_speedup(
         )
         mu += weight * mu_n
         leaves += leaves_n
-    return EvaluationReport(
-        mu=mu,
-        holevo_variance=_variance_from_mu(mu),
-        branches_evaluated=leaves,
-        method="exact_with_speedup",
-        mc_std_error=None,
-        wall_time_s=time.perf_counter() - t0,
-    )
+    return _report(mu, leaves, "exact_with_speedup", t0)
 
 
 def _simulate_chunk(stages: list[_Stage], rng: np.random.Generator,
@@ -259,11 +246,10 @@ def _simulate_chunk(stages: list[_Stage], rng: np.random.Generator,
     batch = np.ones((n_trials, 1), dtype=complex)
     for stage in stages:
         for _ in range(stage.count):
-            if stage.single_photon:
-                thetas = _engine.closed_form_theta_batch(batch)
-            else:
-                thetas = _engine.numeric_theta_batch(batch, stage.cmat)
-            probs = _engine.outcome_probabilities(stage.cmat, phi - thetas)
+            thetas = stage.thetas(batch)
+            probs = np.clip(
+                _engine.outcome_probabilities(stage.cmat, phi - thetas).real,
+                0.0, None)
             cdf = np.cumsum(probs, axis=1)
             cdf /= cdf[:, -1:]
             u = rng.random(n_trials)
@@ -299,18 +285,10 @@ def evaluate_monte_carlo(
         n = min(_MC_CHUNK, trials - done)
         residuals[done: done + n] = _simulate_chunk(stages, rng, n)
         done += n
-    mu = abs(residuals.mean())
+    mu = float(abs(residuals.mean()))
     boot_rng = np.random.default_rng(ss_boot)
     boot = np.empty(200)
     for b in range(boot.size):
         idx = boot_rng.integers(0, trials, trials)
         boot[b] = abs(residuals[idx].mean())
-    std_error = float(boot.std(ddof=1))
-    return EvaluationReport(
-        mu=float(mu),
-        holevo_variance=_variance_from_mu(mu),
-        branches_evaluated=trials,
-        method="monte_carlo",
-        mc_std_error=std_error,
-        wall_time_s=time.perf_counter() - t0,
-    )
+    return _report(mu, trials, "monte_carlo", t0, float(boot.std(ddof=1)))

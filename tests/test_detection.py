@@ -180,6 +180,26 @@ class TestEvaluation:
         with pytest.raises(KeyError):
             evaluate_outcome(table, (5, 0), 0.0, 0.0)
 
+    @staticmethod
+    def hand_table(c0):
+        # N=1 rows (0,0), (0,1), (1,0): the second is the first times
+        # (-1)^d, so the table keeps the port-swap symmetry.
+        return OutcomeLikelihoodTable(1, 0.5, np.array([
+            [0.25, c0, 0.25], [-0.25, c0, -0.25], [0.0, 0.0, 0.0]]))
+
+    def test_imaginary_probability_rejected(self):
+        table = self.hand_table(0.5 + 1e-6j)
+        with pytest.raises(ValueError, match="imaginary"):
+            evaluate_outcome(table, (0, 0), 0.4, 0.0)
+        assert evaluate_outcome(self.hand_table(0.5 + 1e-11j), (0, 0),
+                                0.4, 0.0) == pytest.approx(0.5 + 0.5 * math.cos(0.4))
+
+    def test_negative_probability_rejected_beyond_tolerance(self):
+        with pytest.raises(ValueError, match="clamping"):
+            evaluate_outcome(self.hand_table(0.5 - 1e-9), (0, 0), math.pi, 0.0)
+        assert evaluate_outcome(
+            self.hand_table(0.5 - 1e-13), (0, 0), math.pi, 0.0) == 0.0
+
     def test_nonnegative_clamp(self):
         table = build_likelihood_table(make_loss_resistant(1, 0.0), 1.0)
         xs = np.linspace(0.0, 2.0 * math.pi, 512)
@@ -199,3 +219,23 @@ def test_json_round_trip():
     back = OutcomeLikelihoodTable.from_json_dict(doc)
     for o, c in table.coeffs.items():
         assert np.allclose(back.coeffs[o], c, atol=0.0)
+
+
+@pytest.mark.parametrize("eta", [0.15, 0.6, 1.0])
+def test_random_states_keep_port_swap_symmetry(eta):
+    # Construction checks the symmetry exactly, so building the table and
+    # reading it back from JSON must not raise for any input state.
+    rng = np.random.default_rng(int(eta * 100))
+    for n in range(1, 7):
+        table = build_likelihood_table(random_state(rng, n), eta)
+        doc = json.loads(json.dumps(table.to_json_dict()))
+        back = OutcomeLikelihoodTable.from_json_dict(doc)
+        np.testing.assert_array_equal(back.matrix, table.matrix)
+
+
+def test_table_without_port_swap_symmetry_rejected():
+    table = build_likelihood_table(make_loss_resistant(1, 1.3), 0.6)
+    broken = table.matrix.copy()
+    broken[0, 1] *= 1.0 + 1e-15  # its twin, row (0, 2), is untouched
+    with pytest.raises(ValueError, match="port-swap"):
+        OutcomeLikelihoodTable(2, 0.6, broken)

@@ -11,7 +11,11 @@ import numpy as np
 import pytest
 
 from lossyphase import _engine
-from lossyphase.detection import Outcome, build_likelihood_table
+from lossyphase.detection import (
+    Outcome,
+    OutcomeLikelihoodTable,
+    build_likelihood_table,
+)
 from lossyphase.posterior import PhaseDistribution, bayes_update, flat_prior
 from lossyphase.states import (
     TwoModeState,
@@ -82,6 +86,15 @@ def random_hermitian(rng, rows, harmonics):
     return 0.5 * (x + np.conj(x[:, ::-1]))
 
 
+def port_swap_holds(cmat, outcomes):
+    """Row (L, N-L-k) equals row (L, k) with column d times (-1)^d, exactly."""
+    order = (cmat.shape[1] - 1) // 2
+    sign = (-1.0) ** np.arange(-order, order + 1)
+    row = {tuple(o): r for o, r in zip(outcomes, cmat)}
+    return all(np.array_equal(row[(L, order - L - k)], r * sign)
+               for (L, k), r in row.items())
+
+
 def circular_gap(a, b):
     delta = np.mod(np.asarray(a) - np.asarray(b), 2.0 * math.pi)
     return np.minimum(delta, 2.0 * math.pi - delta)
@@ -148,14 +161,14 @@ class TestNumericFeedback:
     def test_chi_state_tables_are_pi_periodic(self, n, eta):
         for chi in CHI_GRID:
             table = build_likelihood_table(make_loss_resistant(n, chi), eta)
-            assert _engine._pi_periodic(table.matrix), chi
+            assert port_swap_holds(table.matrix, table.outcomes), chi
 
     def test_other_tables_are_pi_periodic(self):
-        assert _engine._pi_periodic(_engine.SINGLE_FRINGE)
+        assert port_swap_holds(_engine.SINGLE_FRINGE, [(0, 0), (0, 1)])
         for eta in (0.3, 1.0):
             for state in (make_single_photon(), make_exact_optimal4(0.4, 1.9)):
-                assert _engine._pi_periodic(
-                    build_likelihood_table(state, eta).matrix)
+                table = build_likelihood_table(state, eta)
+                assert port_swap_holds(table.matrix, table.outcomes)
 
     def test_asymmetric_states_are_pi_periodic_too(self):
         # A pi phase on one arm before the final 50:50 beam splitter is a
@@ -168,17 +181,17 @@ class TestNumericFeedback:
                      [0.2, 1.0, 0.5 - 0.1j, 0.3j, 0.9]):
             state = TwoModeState(len(amps) - 1, amps)
             assert not state.is_symmetric()
-            cmat = build_likelihood_table(state, 0.6).matrix
-            assert _engine._pi_periodic(cmat)
+            table = build_likelihood_table(state, 0.6)
+            assert port_swap_holds(table.matrix, table.outcomes)
             thetas = np.array([0.7, 0.7 + math.pi])
             vals = _engine.expected_sharpness_batch(
-                np.repeat(prior.coeffs[None], 2, axis=0), cmat, thetas)
+                np.repeat(prior.coeffs[None], 2, axis=0), table.matrix, thetas)
             assert vals[0] == pytest.approx(vals[1], rel=1e-14)
 
 
 # A single photon read out by detectors of unequal efficiency: a pi shift
-# maps port 0's fringe onto port 1's, which has another visibility, so this
-# table is the one kind here whose objective is not pi-periodic.
+# maps port 0's fringe onto port 1's, which has another visibility, so no
+# state makes this matrix and no likelihood table may hold it.
 ETA0, ETA1 = 0.9, 0.4
 UNBALANCED = np.array([
     [ETA0 / 4, ETA0 / 2, ETA0 / 4],
@@ -188,32 +201,43 @@ UNBALANCED = np.array([
 
 
 class TestFullCircleFallback:
+    """Why no full-circle search is needed: tables without the port-swap
+    symmetry are rejected, and maxima above pi have a twin below it."""
+
     def test_unbalanced_detectors_are_not_pi_periodic(self):
-        assert not _engine._pi_periodic(UNBALANCED)
+        assert not port_swap_holds(UNBALANCED, [(0, 0), (0, 1), (1, 0)])
+        with pytest.raises(ValueError, match="port-swap"):
+            OutcomeLikelihoodTable(1, 0.65, UNBALANCED)
+        doc = {"n_photons": 1, "eta": 0.65, "entries": [
+            {"L": L, "k": k, "re": list(row.real[L: 3 - L]),
+             "im": list(row.imag[L: 3 - L])}
+            for (L, k), row in zip([(0, 0), (0, 1), (1, 0)], UNBALANCED)]}
+        with pytest.raises(ValueError, match="port-swap"):
+            OutcomeLikelihoodTable.from_json_dict(doc)
 
     def test_finds_a_maximum_above_pi(self):
+        cmat = build_likelihood_table(make_loss_resistant(1, 1.7), 0.6).matrix
         scan = 2.0 * math.pi * np.arange(4096) / 4096
 
-        def objective(prior):
-            rows = np.repeat(prior.coeffs[None], scan.size, axis=0)
-            return _engine.expected_sharpness_batch(rows, UNBALANCED, scan)
-
-        # A prior peaked near 4.3 rad puts the maximum above pi, and the
-        # twin point theta - pi is clearly worse.
+        # For a prior peaked near 4.3 rad the objective has a maximum above
+        # pi, as high as the full-circle one; the engine searches [0, pi)
+        # and must return its twin there.
         prior = bayes_update(
             flat_prior(), build_likelihood_table(make_single_photon(), 1.0),
             Outcome(0, 0), 4.3)
         prior = bayes_update(
             prior, build_likelihood_table(make_loss_resistant(1, 1.7), 1.0),
             Outcome(0, 0), 4.3)
-        vals = objective(prior)
-        best = scan[np.argmax(vals)]
+        rows = np.repeat(prior.coeffs[None], scan.size, axis=0)
+        vals = _engine.expected_sharpness_batch(rows, cmat, scan)
+        upper = scan >= math.pi
+        best = scan[upper][np.argmax(vals[upper])]
         assert math.pi < best < 2.0 * math.pi
-        twin = int(np.argmax(vals)) - 2048
-        assert vals[twin] < vals.max() * (1.0 - 1e-3)
+        assert vals[upper].max() == pytest.approx(vals.max(), rel=1e-14)
 
-        theta = _engine.numeric_theta_batch(prior.coeffs[None], UNBALANCED)[0]
-        assert circular_gap(theta, best) <= 2.0 * math.pi / 4096
+        theta = _engine.numeric_theta_batch(prior.coeffs[None], cmat)[0]
+        assert 0.0 <= theta < math.pi
+        assert circular_gap(theta, best - math.pi) <= 2.0 * math.pi / 4096
         assert _engine.expected_sharpness_batch(
-            prior.coeffs[None], UNBALANCED, np.array([theta]))[0] \
+            prior.coeffs[None], cmat, np.array([theta]))[0] \
             >= vals.max() - 1e-12

@@ -1,0 +1,43 @@
+"""The benchmark's tracer wraps lossyphase functions by name.
+
+`perfbench/tracer.py` lists the entry points it wraps and, for the batch
+kernels, the position and name of the argument that carries the batch
+rows.  Renaming, deleting or reordering any of them breaks traced runs, so
+these tests read the tracer's tables (without changing the file) and check
+them against the package.
+"""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("_tracer_under_test", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+TRACER = load_tracer()
+
+
+@pytest.mark.parametrize("name", TRACER.NAMES)
+def test_entry_point_exists(name):
+    mod, fn = name.rsplit(".", 1)
+    module = importlib.import_module(f"lossyphase.{mod}")
+    assert callable(getattr(module, fn, None)), name
+
+
+@pytest.mark.parametrize("name", sorted(TRACER.ROW_ARG))
+def test_row_argument_position(name):
+    mod, fn = name.rsplit(".", 1)
+    pos, arg = TRACER.ROW_ARG[name]
+    params = list(inspect.signature(
+        getattr(importlib.import_module(f"lossyphase.{mod}"), fn)).parameters)
+    assert params[pos] == arg, (name, params)
