@@ -35,17 +35,11 @@ _NEWTON_TOL = 1e-12
 _SNAP = 1e-9
 
 
-def table_matrix(table, drop_zero_rows: bool = False) -> tuple[np.ndarray, list]:
-    """Outcome-major coefficient matrix padded to the full band d = -N..N.
-
-    Returns (matrix, outcomes); with drop_zero_rows, outcomes whose
-    likelihood vanishes identically (e.g. loss at eta = 1) are removed.
-    """
-    outs = table.outcomes
-    if not drop_zero_rows:
-        return table.matrix, outs
-    keep = np.any(table.matrix != 0.0, axis=1)
-    return table.matrix[keep], [o for o, k in zip(outs, keep) if k]
+def table_matrix(table) -> np.ndarray:
+    """The table's outcome-major matrix, padded to the full band d = -N..N,
+    without the outcomes whose likelihood vanishes identically (e.g. loss
+    at eta = 1)."""
+    return table.matrix[np.any(table.matrix != 0.0, axis=1)]
 
 
 def _harmonics(batch: np.ndarray, lo: int, hi: int) -> np.ndarray:

@@ -128,6 +128,9 @@ def optimize(
     which is exactly the enumeration order, so the first strict improvement
     wins.  Branch-guard violations identify the offending plan.
     """
+    if evaluator != "mc" and evaluator not in _EVALUATORS:
+        raise ValueError(
+            f"unknown evaluator {evaluator!r}: expected exact, speedup or mc")
     plans = enumerate_plans(total_photons, chi_grid_step, eta)
     table = []
     best_idx = None

@@ -8,12 +8,16 @@ averaging over the unknown phase, the mean sharpness of the whole record is
     mu = sum over outcome records |first harmonic of the unnormalized
          posterior at the leaf|,
 
-which the exact evaluator accumulates by walking the full outcome tree
-(3^N1 6^N2 15^N4 leaves).  The binomial speedup removes the loss branching
-of the single-photon stage: lost single photons never change the posterior,
-so the tree only needs the 2^n lossless records for each count n of
-surviving photons, reweighted binomially.  Plans beyond the enumeration
-guard are handled by a seeded Monte Carlo estimator.
+which the exact evaluator accumulates over the full outcome tree
+(3^N1 6^N2 15^N4 records).  The sum over the children of a row at the last
+detection is the expected sharpness that the feedback has just maximised
+for that row, so the walk ends at the last feedback and never builds the
+leaves; the reported record counts come from the plan in closed form.  The
+binomial speedup removes the loss branching of the single-photon stage:
+lost single photons never change the posterior, so the tree only needs the
+2^n lossless records for each count n of surviving photons, reweighted
+binomially.  Plans beyond the enumeration guard are handled by a seeded
+Monte Carlo estimator.
 """
 
 from __future__ import annotations
@@ -132,11 +136,9 @@ def _plan_stages(plan: SequencePlan, lossless_singles: bool) -> list[_Stage]:
     """One stage per state type, in the plan's detection order."""
     stages = []
     if plan.n1 > 0:
-        eta1 = 1.0 if lossless_singles else plan.eta
-        cmat, _ = _engine.table_matrix(
-            build_likelihood_table(make_single_photon(), eta1),
-            drop_zero_rows=lossless_singles,
-        )
+        table = build_likelihood_table(
+            make_single_photon(), 1.0 if lossless_singles else plan.eta)
+        cmat = _engine.table_matrix(table) if lossless_singles else table.matrix
         stages.append(_Stage(plan.n1, cmat, True))
     if plan.n2 > 0:
         table = build_likelihood_table(make_loss_resistant(1, plan.chi2), plan.eta)
@@ -147,56 +149,38 @@ def _plan_stages(plan: SequencePlan, lossless_singles: bool) -> list[_Stage]:
     return stages
 
 
-def _remaining_leaves(stages: list[_Stage]) -> list[list[int]]:
-    """remaining[s][j] = leaves below a node at detection j of stage s."""
-    remaining = []
-    after_stage = 1
-    for stage in reversed(stages):
-        n_out = stage.cmat.shape[0]
-        col = [after_stage * n_out ** (stage.count - j) for j in range(stage.count)]
-        remaining.insert(0, col)
-        after_stage = col[0] if col else after_stage
-    return remaining
-
-
-def _walk_tree(stages: list[_Stage]) -> tuple[float, int]:
+def _walk_tree(stages: list[_Stage]) -> float:
     """Sum of |leaf first harmonics| over the whole outcome tree.
 
-    Depth-first over (stage, step) with batches of posterior rows; branches
-    whose coefficients are exactly zero (structurally impossible outcomes)
-    are dropped but still counted with their subtree size, so the returned
-    leaf count always equals the closed-form product.  Batches are split to
-    a fixed row cap, which also fixes the summation order.  The band starts
-    at the flat prior's single coefficient and widens with each detection.
+    Depth-first over (stage, step) with batches of posterior rows.  At the
+    last detection the children are not built: their summed |first
+    harmonic| is the expected sharpness at the feedback phase just chosen.
+    Branches whose coefficients are exactly zero (structurally impossible
+    outcomes) are dropped.  Batches are split to a fixed row cap, which also
+    fixes the summation order.  The band starts at the flat prior's single
+    coefficient and widens with each detection.  An empty stage list
+    gives 0.
     """
-    remaining = _remaining_leaves(stages)
+    if not stages:
+        return 0.0
     root = np.ones((1, 1), dtype=complex)
     mu = 0.0
-    leaves = 0
     stack: list[tuple[np.ndarray, int, int]] = [(root, 0, 0)]
     while stack:
         batch, si, step = stack.pop()
-        if si == len(stages):
-            mu += float(np.abs(_engine.first_harmonic(batch)).sum())
-            leaves += batch.shape[0]
-            continue
         stage = stages[si]
-        children = _engine.advance_batch(batch, stage.cmat, stage.thetas(batch))
-        children = children.reshape(-1, children.shape[2])
-        alive = np.abs(children).max(axis=1) > 0.0
-        n_dead = int((~alive).sum())
-        next_si, next_step = (si, step + 1) if step + 1 < stage.count else (si + 1, 0)
-        if n_dead:
-            if next_si == len(stages):
-                leaves += n_dead
-            else:
-                leaves += n_dead * remaining[next_si][next_step]
-            children = children[alive]
-        if children.shape[0] == 0:
+        thetas = stage.thetas(batch)
+        if si == len(stages) - 1 and step == stage.count - 1:
+            mu += float(
+                _engine.expected_sharpness_batch(batch, stage.cmat, thetas).sum())
             continue
+        children = _engine.advance_batch(batch, stage.cmat, thetas)
+        children = children.reshape(-1, children.shape[2])
+        children = children[np.abs(children).max(axis=1) > 0.0]
+        next_si, next_step = (si, step + 1) if step + 1 < stage.count else (si + 1, 0)
         for lo in range(0, children.shape[0], _CHUNK_ROWS):
             stack.append((children[lo: lo + _CHUNK_ROWS], next_si, next_step))
-    return mu, leaves
+    return mu
 
 
 def evaluate_exact(
@@ -205,8 +189,8 @@ def evaluate_exact(
     """Exact mean sharpness by enumerating every outcome record."""
     t0 = time.perf_counter()
     _check_guard(plan, plan.exact_leaf_count(), branch_guard)
-    mu, leaves = _walk_tree(_plan_stages(plan, lossless_singles=False))
-    return _report(mu, leaves, "exact", t0)
+    mu = _walk_tree(_plan_stages(plan, lossless_singles=False))
+    return _report(mu, plan.exact_leaf_count(), "exact", t0)
 
 
 def evaluate_exact_with_speedup(
@@ -225,18 +209,16 @@ def evaluate_exact_with_speedup(
     stages = _plan_stages(plan, lossless_singles=True)
     multi = stages[1:] if plan.n1 > 0 else stages
     mu = 0.0
-    leaves = 0
     for n_alive in range(plan.n1 + 1):
         walk = [replace(stages[0], count=n_alive)] + multi if n_alive else multi
-        mu_n, leaves_n = _walk_tree(walk)
+        mu_n = _walk_tree(walk)
         weight = (
             math.comb(plan.n1, n_alive)
             * eta ** n_alive
             * (1.0 - eta) ** (plan.n1 - n_alive)
         )
         mu += weight * mu_n
-        leaves += leaves_n
-    return _report(mu, leaves, "exact_with_speedup", t0)
+    return _report(mu, plan.speedup_leaf_count(), "exact_with_speedup", t0)
 
 
 def _simulate_chunk(stages: list[_Stage], rng: np.random.Generator,

@@ -184,6 +184,14 @@ class TestConfigFile:
         assert doc["config"]["n1"] == 1         # config fills the rest
         assert doc["result"]["mu"] == pytest.approx(0.3, abs=1e-12)
 
+    def test_unknown_optimize_method_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n": 2, "eta": 0.6, "method": "bogus"}))
+        code, out, err = run(capsys, "--config", str(cfg), "optimize")
+        assert code == EXIT_USAGE
+        assert "bogus" in err
+        assert out == ""
+
     def test_missing_config_exits_2(self, capsys):
         code, _, err = run(capsys, "--config", "/nonexistent.json",
                            "evaluate", "--eta", "0.6")

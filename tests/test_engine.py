@@ -131,6 +131,27 @@ class TestAdvance:
                                    rtol=0.0, atol=atol)
 
 
+class TestLeafSharpness:
+    """The identity the exact walk ends on: the expected sharpness at theta
+    is the summed |first harmonic| of the children advance_batch builds."""
+
+    @pytest.mark.parametrize("eta", [0.6, 1.0])
+    @pytest.mark.parametrize("n_photons", [1, 2, 4])
+    @pytest.mark.parametrize("harmonics", [0, 3, 8])
+    def test_expected_sharpness_is_summed_child_harmonic(
+            self, n_photons, eta, harmonics):
+        rng = np.random.default_rng(300 + 10 * n_photons + harmonics)
+        cmat = build_likelihood_table(TABLE_STATES[n_photons], eta).matrix
+        batch = random_hermitian(rng, 40, harmonics)
+        thetas = rng.uniform(0.0, 2.0 * math.pi, 40)
+        children = _engine.advance_batch(batch, cmat, thetas)
+        summed = sum(np.abs(_engine.first_harmonic(children[:, o]))
+                     for o in range(cmat.shape[0]))
+        got = _engine.expected_sharpness_batch(batch, cmat, thetas)
+        np.testing.assert_allclose(got, summed, rtol=0.0,
+                                   atol=1e-14 * np.abs(batch).max())
+
+
 def random_posteriors(rng, count):
     """Posteriors after 2-5 detections of mixed states at random phases."""
     tables = [build_likelihood_table(s, 0.6) for s in TABLE_STATES.values()]

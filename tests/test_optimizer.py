@@ -72,6 +72,10 @@ class TestOptimize:
                        mc_trials=2_000, mc_seed=5)
         assert all(r.method == "monte_carlo" for _, r in res.pareto_table)
 
+    def test_unknown_evaluator_rejected(self):
+        with pytest.raises(ValueError, match="'bogus'.*exact, speedup or mc"):
+            optimize(2, 0.6, evaluator="bogus")
+
     def test_branch_guard_identifies_offending_plan(self):
         # N=17 all-single-photon needs 3^17 > 1e8 exact records; the error
         # must name the plan that tripped the guard.

@@ -1,15 +1,18 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from lossyphase import _engine
 from lossyphase.detection import build_likelihood_table, evaluate_outcome
 from lossyphase.feedback import optimal_theta_numeric, optimal_theta_single_photon
 from lossyphase.posterior import PhaseDistribution
 from lossyphase.sequences import (
     BranchGuardError,
     SequencePlan,
+    _plan_stages,
     evaluate_exact,
     evaluate_exact_with_speedup,
     evaluate_monte_carlo,
@@ -150,6 +153,90 @@ class TestSpeedupIdentity:
         report = evaluate_exact_with_speedup(plan)
         assert report.branches_evaluated == 22950
         assert 0.0 < report.mu < 1.0
+
+
+def reference_walk(stages):
+    """The leaf-summing walk: every leaf is built and its |first harmonic|
+    added; pruned zero rows count their whole subtree, so the returned leaf
+    count is an independent witness of the closed-form counts."""
+    remaining = []
+    after_stage = 1
+    for stage in reversed(stages):
+        n_out = stage.cmat.shape[0]
+        col = [after_stage * n_out ** (stage.count - j) for j in range(stage.count)]
+        remaining.insert(0, col)
+        after_stage = col[0]
+    mu, leaves = 0.0, 0
+    stack = [(np.ones((1, 1), dtype=complex), 0, 0)]
+    while stack:
+        batch, si, step = stack.pop()
+        if si == len(stages):
+            mu += float(np.abs(_engine.first_harmonic(batch)).sum())
+            leaves += batch.shape[0]
+            continue
+        stage = stages[si]
+        children = _engine.advance_batch(batch, stage.cmat, stage.thetas(batch))
+        children = children.reshape(-1, children.shape[2])
+        alive = np.abs(children).max(axis=1) > 0.0
+        next_si, next_step = (si, step + 1) if step + 1 < stage.count else (si + 1, 0)
+        subtree = 1 if next_si == len(stages) else remaining[next_si][next_step]
+        leaves += int((~alive).sum()) * subtree
+        if alive.any():
+            stack.append((children[alive], next_si, next_step))
+    return mu, leaves
+
+
+def reference_exact(plan):
+    return reference_walk(_plan_stages(plan, lossless_singles=False))
+
+
+def reference_speedup(plan):
+    stages = _plan_stages(plan, lossless_singles=True)
+    multi = stages[1:] if plan.n1 > 0 else stages
+    mu, leaves = 0.0, 0
+    for n_alive in range(plan.n1 + 1):
+        walk = [replace(stages[0], count=n_alive)] + multi if n_alive else multi
+        mu_n, leaves_n = reference_walk(walk)
+        mu += (math.comb(plan.n1, n_alive) * plan.eta ** n_alive
+               * (1.0 - plan.eta) ** (plan.n1 - n_alive)) * mu_n
+        leaves += leaves_n
+    return mu, leaves
+
+
+REFERENCE_SWEEP = [
+    SequencePlan(n1=n1, n2=n2, chi2=1.7, n4=n4, chi4=1.3, eta=eta)
+    for n1 in (0, 1, 2, 3) for n2 in (0, 1, 2) for n4 in (0, 1)
+    for eta in (0.0, 0.6, 1.0)
+]
+SWEEP_IDS = [f"{p.n1}-{p.n2}-{p.n4}-eta{p.eta}" for p in REFERENCE_SWEEP]
+
+
+class TestReferenceWalk:
+    """The walk that stops at the last feedback against one that builds
+    every leaf, including the empty plan, plans without single photons
+    and the dead loss branches of single photons at eta = 1."""
+
+    @pytest.mark.parametrize("plan", REFERENCE_SWEEP, ids=SWEEP_IDS)
+    def test_exact_matches_leaf_sum(self, plan):
+        mu, leaves = reference_exact(plan)
+        report = evaluate_exact(plan)
+        assert abs(report.mu - mu) <= 1e-14
+        assert leaves == plan.exact_leaf_count() == report.branches_evaluated
+
+    @pytest.mark.parametrize("plan", REFERENCE_SWEEP, ids=SWEEP_IDS)
+    def test_speedup_matches_leaf_sum(self, plan):
+        mu, leaves = reference_speedup(plan)
+        report = evaluate_exact_with_speedup(plan)
+        assert abs(report.mu - mu) <= 1e-14
+        assert leaves == plan.speedup_leaf_count() == report.branches_evaluated
+
+    def test_sweep_has_dead_branches(self):
+        plan = SequencePlan(n1=2, n2=1, chi2=1.7, n4=1, chi4=1.3, eta=1.0)
+        assert plan in REFERENCE_SWEEP
+        stages = _plan_stages(plan, lossless_singles=False)
+        children = _engine.advance_batch(
+            np.ones((1, 1), dtype=complex), stages[0].cmat, np.zeros(1))
+        assert not np.abs(children[0]).max(axis=1).all()
 
 
 class TestBranchGuard:
