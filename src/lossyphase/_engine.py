@@ -11,10 +11,13 @@ decisions.
 All feedback objectives are scale-invariant, so rows may carry any positive
 overall factor (branch probabilities are folded into the coefficients).
 
-Likelihood matrices come from `OutcomeLikelihoodTable.matrix` (or are
-SINGLE_FRINGE), so they carry the table's port-swap symmetry: shifting
-theta by pi only permutes the outcomes, the expected sharpness has period
-pi, and the feedback grid covers [0, pi) alone.
+Likelihoods are an (outcomes, d) matrix shared by all rows or, in
+numeric_theta_batch, advance_batch and expected_sharpness_batch, a
+(rows, outcomes, d) stack of per-row matrices.  They come from
+`OutcomeLikelihoodTable.matrix` (or are SINGLE_FRINGE), so they carry the
+table's port-swap symmetry: shifting theta by pi only permutes the
+outcomes, the expected sharpness has period pi, and the feedback grid
+covers [0, pi) alone.
 """
 
 from __future__ import annotations
@@ -55,9 +58,9 @@ def _harmonics(batch: np.ndarray, lo: int, hi: int) -> np.ndarray:
 def _g1_weights(batch: np.ndarray, cmat: np.ndarray) -> np.ndarray:
     """w[b,o,d] = c[o,d] * a_{1+d}[b]: everything the predicted first
     harmonic of the unnormalized posterior needs, before the theta phases."""
-    order = (cmat.shape[1] - 1) // 2
+    order = (cmat.shape[-1] - 1) // 2
     window = _harmonics(batch, 1 - order, 1 + order)
-    return cmat[None, :, :] * window[:, None, :]
+    return cmat * window[:, None, :]
 
 
 def expected_sharpness_batch(batch: np.ndarray, cmat: np.ndarray,
@@ -243,7 +246,7 @@ def _widen(batch: np.ndarray, coefs: np.ndarray) -> np.ndarray:
 
 
 def _likelihood_phases(cmat: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    order = (cmat.shape[1] - 1) // 2
+    order = (cmat.shape[-1] - 1) // 2
     d = np.arange(-order, order + 1)
     return np.exp(-1j * np.multiply.outer(np.asarray(thetas, float), d))
 
@@ -256,7 +259,7 @@ def advance_batch(batch: np.ndarray, cmat: np.ndarray,
     a band widened by the table's order on each side: (n_b, n_o, n_c + 2 order).
     """
     phases = _likelihood_phases(cmat, thetas)
-    return _widen(batch, cmat[None, :, :] * phases[:, None, :])
+    return _widen(batch, cmat * phases[:, None, :])
 
 
 def advance_selected(batch: np.ndarray, cmat: np.ndarray, picks: np.ndarray,

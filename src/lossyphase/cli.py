@@ -2,8 +2,9 @@
 
 Commands: state-prep, probs, fisher-scan, evaluate, optimize.  Every run
 writes a machine-readable artifact embedding the fully resolved
-configuration, the seed, the package version, and the wall time; rerunning
-with the same configuration and seed reproduces the numeric payload.
+configuration, the seed, the package version, the wall time and the
+requested BLAS threads (`environment`; in the one `#` line of CSV output);
+rerunning with the same configuration and seed reproduces the numeric payload.
 
 Exit codes: 0 success, 2 usage/validation error, 3 resource guard tripped,
 4 numeric divergence.
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -40,6 +42,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_GUARD = 3
 EXIT_DIVERGENCE = 4
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 _PI_TOKEN = re.compile(
     r"^(?P<sign>[+-]?)(?P<num>\d+(\.\d*)?)?\s*\*?\s*pi(\s*/\s*(?P<den>\d+(\.\d*)?))?$"
@@ -84,6 +87,8 @@ def _artifact(config: dict, payload: dict, t0: float) -> dict:
         "seed": config.get("seed"),
         "version": f"lossyphase {lossyphase.__version__}",
         "wall_time_ms": (time.perf_counter() - t0) * 1e3,
+        "environment": {**{k: os.environ.get(k) for k in _BLAS_THREAD_VARS},
+                        "cpu_count": os.cpu_count()},
         "result": payload,
     }
 

@@ -14,12 +14,12 @@ from dataclasses import dataclass
 
 from lossyphase.sequences import (
     DEFAULT_BRANCH_GUARD,
-    BranchGuardError,
     EvaluationReport,
     SequencePlan,
     evaluate_exact,
     evaluate_exact_with_speedup,
     evaluate_monte_carlo,
+    evaluate_plans_with_speedup,
 )
 
 __all__ = [
@@ -107,12 +107,6 @@ def enumerate_plans(
     return plans
 
 
-_EVALUATORS = {
-    "exact": evaluate_exact,
-    "speedup": evaluate_exact_with_speedup,
-}
-
-
 def optimize(
     total_photons: int,
     eta: float,
@@ -126,24 +120,21 @@ def optimize(
 
     Ties are broken toward larger N1, then smaller chi2, then smaller chi4,
     which is exactly the enumeration order, so the first strict improvement
-    wins.  Branch-guard violations identify the offending plan.
+    wins.  The speedup evaluator walks each split's plans as one tree.
+    Branch-guard violations name the first offending plan.
     """
-    if evaluator != "mc" and evaluator not in _EVALUATORS:
+    if evaluator not in ("exact", "speedup", "mc"):
         raise ValueError(
             f"unknown evaluator {evaluator!r}: expected exact, speedup or mc")
     plans = enumerate_plans(total_photons, chi_grid_step, eta)
-    table = []
+    if evaluator == "speedup":
+        reports = evaluate_plans_with_speedup(plans, branch_guard)
+    else:
+        reports = [evaluate_exact(p, branch_guard) if evaluator == "exact"
+                   else evaluate_monte_carlo(p, mc_trials, mc_seed) for p in plans]
     best_idx = None
     best_var = math.inf
-    for i, plan in enumerate(plans):
-        if evaluator == "mc":
-            report = evaluate_monte_carlo(plan, mc_trials, mc_seed)
-        else:
-            try:
-                report = _EVALUATORS[evaluator](plan, branch_guard)
-            except BranchGuardError as exc:
-                raise BranchGuardError(f"plan {plan}: {exc}") from exc
-        table.append((plan, report))
+    for i, report in enumerate(reports):
         if report.holevo_variance < best_var:
             best_var = report.holevo_variance
             best_idx = i
@@ -154,7 +145,7 @@ def optimize(
         eta=eta,
         best_plan=plans[best_idx],
         best_variance=best_var,
-        pareto_table=tuple(table),
+        pareto_table=tuple(zip(plans, reports)),
     )
 
 

@@ -16,15 +16,24 @@ leaves; the reported record counts come from the plan in closed form.  The
 binomial speedup removes the loss branching of the single-photon stage:
 lost single photons never change the posterior, so the tree only needs the
 2^n lossless records for each count n of surviving photons, reweighted
-binomially.  Plans beyond the enumeration guard are handled by a seeded
-Monte Carlo estimator.
+binomially.
+
+The speedup walks a whole split (N1, N2, N4, eta) as one tree.  Its
+lossless single-photon stage is a prefix: at every depth n = 0..N1 its
+records also leave, zero-padded to one band and tagged with their group
+n, and enter the multi-photon stages in shared chunks; at each stage a
+row fans out to the stage's chi values (its key records them) and uses
+its own table, via per-row likelihood stacks.  A plan's mu weights its
+key's (n, key) leaf sums binomially, in order of n.  evaluate_exact is
+the same walker with one key and one group.  Plans beyond the
+enumeration guard are handled by a seeded Monte Carlo estimator.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,11 +49,12 @@ __all__ = [
     "DEFAULT_BRANCH_GUARD",
     "evaluate_exact",
     "evaluate_exact_with_speedup",
+    "evaluate_plans_with_speedup",
     "evaluate_monte_carlo",
 ]
 
 DEFAULT_BRANCH_GUARD = 10 ** 8
-_CHUNK_ROWS = 8192
+_CHUNK_ROWS = 256
 _MC_CHUNK = 16384
 
 
@@ -86,6 +96,9 @@ class SequencePlan:
 
 @dataclass(frozen=True)
 class EvaluationReport:
+    """One plan's result; wall_time_s is shared equally by the plans of
+    one split walk (the split's wall time over its plan count)."""
+
     mu: float
     holevo_variance: float
     branches_evaluated: int
@@ -106,10 +119,10 @@ class EvaluationReport:
         }
 
 
-def _report(mu: float, leaves: int, method: str, t0: float,
+def _report(mu: float, leaves: int, method: str, wall_s: float,
             std_error: float | None = None) -> EvaluationReport:
     return EvaluationReport(mu, variance_from_sharpness(mu), leaves, method,
-                            std_error, time.perf_counter() - t0)
+                            std_error, wall_s)
 
 
 def _check_guard(plan: SequencePlan, total: int, branch_guard: int) -> None:
@@ -122,64 +135,100 @@ def _check_guard(plan: SequencePlan, total: int, branch_guard: int) -> None:
 @dataclass(frozen=True)
 class _Stage:
     count: int
-    cmat: np.ndarray
+    cmat: np.ndarray  # (outcomes, d), or (chi values, outcomes, d) in a split
     single_photon: bool  # closed-form feedback instead of numeric
+    prefix: bool = False  # the speedup's lossless singles, left at every depth
 
-    def thetas(self, batch: np.ndarray) -> np.ndarray:
-        """Feedback phase per row; the kernels are looked up on every call."""
+    def thetas(self, batch: np.ndarray, cmat: np.ndarray | None = None) -> np.ndarray:
+        """Feedback per row against cmat (default: own); kernels looked up per call."""
         if self.single_photon:
             return _engine.closed_form_theta_batch(batch)
-        return _engine.numeric_theta_batch(batch, self.cmat)
+        return _engine.numeric_theta_batch(batch, self.cmat if cmat is None else cmat)
+
+
+def _split_stages(plans: list[SequencePlan],
+                  lossless_singles: bool) -> tuple[list[_Stage], np.ndarray]:
+    """The stages of one split (n1, n2, n4, eta) in detection order, and
+    each plan's key: its index in the product of the multi-photon stages'
+    sorted distinct chi values.  Lossless singles form a prefix stage."""
+    first = plans[0]
+    stages, keys = [], np.zeros(len(plans), dtype=np.int64)
+    if first.n1 > 0:
+        table = build_likelihood_table(
+            make_single_photon(), 1.0 if lossless_singles else first.eta)
+        cmat = _engine.table_matrix(table) if lossless_singles else table.matrix
+        stages.append(_Stage(first.n1, cmat, True, lossless_singles))
+    for half_n, count, chi_of in ((1, first.n2, lambda p: p.chi2),
+                                  (2, first.n4, lambda p: p.chi4)):
+        if count:
+            chis = sorted({chi_of(p) for p in plans})
+            mats = [build_likelihood_table(make_loss_resistant(half_n, chi),
+                                           first.eta).matrix for chi in chis]
+            stages.append(_Stage(count, np.stack(mats) if mats[1:] else mats[0], False))
+            keys = keys * len(chis) + [chis.index(chi_of(p)) for p in plans]
+    return stages, keys
 
 
 def _plan_stages(plan: SequencePlan, lossless_singles: bool) -> list[_Stage]:
     """One stage per state type, in the plan's detection order."""
-    stages = []
-    if plan.n1 > 0:
-        table = build_likelihood_table(
-            make_single_photon(), 1.0 if lossless_singles else plan.eta)
-        cmat = _engine.table_matrix(table) if lossless_singles else table.matrix
-        stages.append(_Stage(plan.n1, cmat, True))
-    if plan.n2 > 0:
-        table = build_likelihood_table(make_loss_resistant(1, plan.chi2), plan.eta)
-        stages.append(_Stage(plan.n2, table.matrix, False))
-    if plan.n4 > 0:
-        table = build_likelihood_table(make_loss_resistant(2, plan.chi4), plan.eta)
-        stages.append(_Stage(plan.n4, table.matrix, False))
-    return stages
+    return _split_stages([plan], lossless_singles)[0]
 
 
-def _walk_tree(stages: list[_Stage]) -> float:
-    """Sum of |leaf first harmonics| over the whole outcome tree.
+def _walk_tree(stages: list[_Stage]) -> np.ndarray:
+    """Summed |leaf first harmonic| per (group, key) over the outcome tree.
 
-    Depth-first over (stage, step) with batches of posterior rows.  At the
-    last detection the children are not built: their summed |first
-    harmonic| is the expected sharpness at the feedback phase just chosen.
-    Branches whose coefficients are exactly zero (structurally impossible
-    outcomes) are dropped.  Batches are split to a fixed row cap, which also
-    fixes the summation order.  The band starts at the flat prior's single
-    coefficient and widens with each detection.  An empty stage list
-    gives 0.
+    Each row carries its flat (group, key) cell.  Entering a stage with m
+    chi values a row fans out to m rows, each with its own chi value's
+    matrix; keys number the chi choices, first stage outermost.  A prefix
+    stage is left at every depth k = 0..count as group k: rows go on
+    zero-padded to the band of depth count, gathered into shared batches
+    (with no next stage, group k sums the sharpness at depth k).
+    Depth-first in batches of at most _CHUNK_ROWS rows, fan-outs made a
+    chunk at a time: this fixes the summation order and holds only a few
+    chunks per depth.  At the last detection the children are not built:
+    their summed |first harmonic| is the expected sharpness at the
+    feedback just chosen.  Exactly zero rows (impossible outcomes) are
+    dropped.  With no stages the sum is a single zero.
     """
-    if not stages:
-        return 0.0
-    root = np.ones((1, 1), dtype=complex)
-    mu = 0.0
-    stack: list[tuple[np.ndarray, int, int]] = [(root, 0, 0)]
-    while stack:
-        batch, si, step = stack.pop()
-        stage = stages[si]
-        thetas = stage.thetas(batch)
-        if si == len(stages) - 1 and step == stage.count - 1:
-            mu += float(
-                _engine.expected_sharpness_batch(batch, stage.cmat, thetas).sum())
+    fans = [s.cmat.shape[0] if s.cmat.ndim == 3 else 1 for s in stages]
+    strides = [math.prod(fans[si + 1:]) for si in range(len(fans))]
+    mu = np.zeros((stages[0].count + 1 if stages and stages[0].prefix else 1,
+                   math.prod(fans)))
+    # (rows, flat index into mu per row, first fanned-out row to walk, stage, step)
+    pending = [(np.ones((1, 1), dtype=complex), np.zeros(1, dtype=np.int64), 0, 0, 0)]
+    leaving: list[tuple[np.ndarray, np.ndarray]] = []  # prefix rows for stage 1
+    while stages and (pending or leaving):
+        if leaving and (not pending or sum(c.size for _, c in leaving) >= _CHUNK_ROWS):
+            pending.append((*map(np.concatenate, zip(*leaving)), 0, 1, 0))
+            leaving = []
+        rows, cells, lo, si, step = pending.pop()
+        fan = fans[si] if step == 0 else 1
+        end = min(lo + _CHUNK_ROWS, rows.shape[0] * fan)
+        if end < rows.shape[0] * fan:
+            pending.append((rows, cells, end, si, step))
+        flat = np.arange(lo, end)
+        batch, cells = rows[flat // fan], cells[flat // fan] + flat % fan * strides[si]
+        stage, last = stages[si], si == len(stages) - 1
+        if stage.prefix and not last:
+            pad = ((0, 0), ((stage.count - step) * (stage.cmat.shape[-1] // 2),) * 2)
+            leaving.append((np.pad(batch, pad), cells + step * mu.shape[1]))
+        if step == stage.count:
             continue
-        children = _engine.advance_batch(batch, stage.cmat, thetas)
+        cmat = stage.cmat if fans[si] == 1 else stage.cmat[cells // strides[si] % fans[si]]
+        thetas = stage.thetas(batch, cmat)
+        if last and (stage.prefix or step == stage.count - 1):
+            sharp = _engine.expected_sharpness_batch(batch, cmat, thetas)
+            leaf_cells = cells + (step + 1) * mu.shape[1] if stage.prefix else cells
+            mu += np.bincount(leaf_cells, sharp, mu.size).reshape(mu.shape)
+            if step == stage.count - 1:
+                continue
+        children = _engine.advance_batch(batch, cmat, thetas)
+        n_out = children.shape[1]
         children = children.reshape(-1, children.shape[2])
-        children = children[np.abs(children).max(axis=1) > 0.0]
-        next_si, next_step = (si, step + 1) if step + 1 < stage.count else (si + 1, 0)
-        for lo in range(0, children.shape[0], _CHUNK_ROWS):
-            stack.append((children[lo: lo + _CHUNK_ROWS], next_si, next_step))
+        alive = np.flatnonzero(np.abs(children).max(axis=1) > 0.0)
+        more = stage.prefix or step + 1 < stage.count
+        next_si, next_step = (si, step + 1) if more else (si + 1, 0)
+        pending.append((children[alive], cells[alive // n_out], 0, next_si, next_step))
     return mu
 
 
@@ -189,36 +238,47 @@ def evaluate_exact(
     """Exact mean sharpness by enumerating every outcome record."""
     t0 = time.perf_counter()
     _check_guard(plan, plan.exact_leaf_count(), branch_guard)
-    mu = _walk_tree(_plan_stages(plan, lossless_singles=False))
-    return _report(mu, plan.exact_leaf_count(), "exact", t0)
+    mu = _walk_tree(_plan_stages(plan, lossless_singles=False))[0, 0]
+    return _report(float(mu), plan.exact_leaf_count(), "exact", time.perf_counter() - t0)
+
+
+def evaluate_plans_with_speedup(
+    plans: list[SequencePlan], branch_guard: int = DEFAULT_BRANCH_GUARD
+) -> list[EvaluationReport]:
+    """evaluate_exact_with_speedup for many plans, reports in input order.
+
+    The plans of one split (n1, n2, n4, eta) walk as one tree over the
+    product of their chi values; splits go in order of first appearance,
+    each after a branch guard check naming its first plan.  A report's
+    wall_time_s is its split's wall time divided by the split's plan count.
+    """
+    splits: dict[tuple, list[int]] = {}
+    for i, p in enumerate(plans):
+        splits.setdefault((p.n1, p.n2, p.n4, p.eta), []).append(i)
+    reports: list[EvaluationReport] = [None] * len(plans)
+    for idx in splits.values():
+        t0 = time.perf_counter()
+        first = plans[idx[0]]
+        _check_guard(first, first.speedup_leaf_count(), branch_guard)
+        stages, keys = _split_stages([plans[i] for i in idx], lossless_singles=True)
+        mu_n = _walk_tree(stages)
+        n1, eta, mu = first.n1, first.eta, 0.0
+        for n in range(n1 + 1):
+            mu = mu + math.comb(n1, n) * eta ** n * (1.0 - eta) ** (n1 - n) * mu_n[n]
+        wall_s = (time.perf_counter() - t0) / len(idx)
+        for i, key in zip(idx, keys):
+            reports[i] = _report(float(mu[key]), first.speedup_leaf_count(),
+                                 "exact_with_speedup", wall_s)
+    return reports
 
 
 def evaluate_exact_with_speedup(
     plan: SequencePlan, branch_guard: int = DEFAULT_BRANCH_GUARD
 ) -> EvaluationReport:
-    """Exact evaluation with the single-photon loss branching removed.
-
-    For each count n of surviving single photons, evaluates the sharpness
-    mu_n of the record with n lossless single photons followed by the lossy
-    multi-photon stages, then combines them with binomial loss weights.
-    Identical to evaluate_exact up to rounding.
-    """
-    t0 = time.perf_counter()
-    _check_guard(plan, plan.speedup_leaf_count(), branch_guard)
-    eta = plan.eta
-    stages = _plan_stages(plan, lossless_singles=True)
-    multi = stages[1:] if plan.n1 > 0 else stages
-    mu = 0.0
-    for n_alive in range(plan.n1 + 1):
-        walk = [replace(stages[0], count=n_alive)] + multi if n_alive else multi
-        mu_n = _walk_tree(walk)
-        weight = (
-            math.comb(plan.n1, n_alive)
-            * eta ** n_alive
-            * (1.0 - eta) ** (plan.n1 - n_alive)
-        )
-        mu += weight * mu_n
-    return _report(mu, plan.speedup_leaf_count(), "exact_with_speedup", t0)
+    """Exact evaluation with the single-photon loss branching removed: the
+    2^n lossless records of each count n of surviving single photons are
+    weighted binomially.  Identical to evaluate_exact up to rounding."""
+    return evaluate_plans_with_speedup([plan], branch_guard)[0]
 
 
 def _simulate_chunk(stages: list[_Stage], rng: np.random.Generator,
@@ -273,4 +333,5 @@ def evaluate_monte_carlo(
     for b in range(boot.size):
         idx = boot_rng.integers(0, trials, trials)
         boot[b] = abs(residuals[idx].mean())
-    return _report(mu, trials, "monte_carlo", t0, float(boot.std(ddof=1)))
+    return _report(mu, trials, "monte_carlo", time.perf_counter() - t0,
+                   float(boot.std(ddof=1)))

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import pytest
 
@@ -171,6 +172,36 @@ class TestOptimize:
                 first["plan"]["n4"]) == (26, 0, 0)
         assert doc["sql_baseline"] == first["report"]["holevo_variance"]
 
+
+    def test_csv_rerun_is_byte_identical(self, capsys):
+        argv = ("--format", "csv", "optimize", "--n", "5", "--eta", "0.6",
+                "--chi-step", "0.5")
+        runs = []
+        for _ in range(2):
+            code, out, _ = run(capsys, *argv)
+            assert code == EXIT_OK
+            runs.append([l for l in out.splitlines() if not l.startswith("#")])
+        assert len(runs[0]) == 17
+        assert runs[0] == runs[1]
+
+
+class TestEnvironment:
+    def test_blas_threads_recorded_outside_result(self, capsys, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        want = {"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": None,
+                "cpu_count": os.cpu_count()}
+        code, out, _ = run(capsys, "evaluate", "--n1", "1", "--eta", "0.6")
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["environment"] == want
+        assert "environment" not in doc["result"]
+        code, out, _ = run(capsys, "--format", "csv", "optimize", "--n", "2",
+                           "--eta", "0.9", "--chi-step", "1.0")
+        assert code == EXIT_OK
+        meta = [l for l in out.splitlines() if l.startswith("#")]
+        assert len(meta) == 1
+        assert json.loads(meta[0][1:])["environment"] == want
 
 class TestConfigFile:
     def test_flags_override_config(self, capsys, tmp_path):

@@ -262,3 +262,47 @@ class TestFullCircleFallback:
         assert _engine.expected_sharpness_batch(
             prior.coeffs[None], cmat, np.array([theta]))[0] \
             >= vals.max() - 1e-12
+
+
+class TestPerRowStacks:
+    """A (rows, outcomes, d) stack gives every row what its own table gives:
+    each row picks one of the chi in {0.5, 1.3, 1.7} tables at random."""
+
+    STACK_CHIS = (0.5, 1.3, 1.7)
+
+    def stack(self, rng, half_n, eta, rows):
+        mats = np.stack([build_likelihood_table(make_loss_resistant(half_n, chi),
+                                                eta).matrix
+                         for chi in self.STACK_CHIS])
+        return mats[rng.integers(0, len(self.STACK_CHIS), rows)]
+
+    @pytest.mark.parametrize("eta", [0.6, 1.0])
+    @pytest.mark.parametrize("half_n", [1, 2])
+    def test_numeric_theta_matches_row_by_row(self, half_n, eta):
+        rng = np.random.default_rng(500 + 10 * half_n + int(10 * eta))
+        batch = random_posteriors(rng, 60)
+        per_row = self.stack(rng, half_n, eta, batch.shape[0])
+        got = _engine.numeric_theta_batch(batch, per_row)
+        want = [_engine.numeric_theta_batch(batch[i:i + 1], per_row[i])[0]
+                for i in range(batch.shape[0])]
+        assert circular_gap(got, want).max() <= 1e-9
+
+    @pytest.mark.parametrize("eta", [0.6, 1.0])
+    @pytest.mark.parametrize("half_n", [1, 2])
+    def test_advance_and_sharpness_match_row_by_row(self, half_n, eta):
+        rng = np.random.default_rng(600 + 10 * half_n + int(10 * eta))
+        batch = random_hermitian(rng, 50, 5)
+        per_row = self.stack(rng, half_n, eta, batch.shape[0])
+        thetas = rng.uniform(0.0, 2.0 * math.pi, batch.shape[0])
+        atol = 1e-14 * np.abs(batch).max()
+
+        out = _engine.advance_batch(batch, per_row, thetas)
+        sharp = _engine.expected_sharpness_batch(batch, per_row, thetas)
+        for i in range(batch.shape[0]):
+            row, t = batch[i:i + 1], thetas[i:i + 1]
+            np.testing.assert_allclose(
+                out[i], _engine.advance_batch(row, per_row[i], t)[0],
+                rtol=0.0, atol=atol)
+            np.testing.assert_allclose(
+                sharp[i], _engine.expected_sharpness_batch(row, per_row[i], t)[0],
+                rtol=0.0, atol=atol)

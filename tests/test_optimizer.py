@@ -84,6 +84,15 @@ class TestOptimize:
             optimize(17, 0.6, chi_grid_step=2.0, evaluator="exact")
 
 
+    def test_speedup_branch_guard_identifies_offending_plan(self):
+        # The first split, all 27 photons single, needs 2^28 - 1 > 1e8
+        # records; the split walk must refuse it before walking, naming
+        # the plan once.
+        from lossyphase.sequences import BranchGuardError
+        with pytest.raises(BranchGuardError, match="n1=27") as info:
+            optimize(27, 0.6, chi_grid_step=2.0)
+        assert str(info.value).count("n1=27") == 1
+
 class TestSqlBaseline:
     def test_single_photon_value(self):
         assert sql_baseline(1, 0.6) == pytest.approx(

@@ -1,13 +1,15 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from lossyphase import _engine
+from lossyphase import _engine, sequences
 from lossyphase.detection import build_likelihood_table, evaluate_outcome
 from lossyphase.feedback import optimal_theta_numeric, optimal_theta_single_photon
+from lossyphase.optimizer import enumerate_plans
 from lossyphase.posterior import PhaseDistribution
 from lossyphase.sequences import (
     BranchGuardError,
@@ -16,6 +18,7 @@ from lossyphase.sequences import (
     evaluate_exact,
     evaluate_exact_with_speedup,
     evaluate_monte_carlo,
+    evaluate_plans_with_speedup,
 )
 from lossyphase.states import make_loss_resistant, make_single_photon
 
@@ -237,6 +240,87 @@ class TestReferenceWalk:
         children = _engine.advance_batch(
             np.ones((1, 1), dtype=complex), stages[0].cmat, np.zeros(1))
         assert not np.abs(children[0]).max(axis=1).all()
+
+
+SPLIT_PLANS = [plan for eta in (0.0, 0.6, 1.0) for total in (5, 6)
+               for plan in enumerate_plans(total, 0.5, eta)]
+
+
+class TestSplitWalk:
+    """Each split's chi grid walked as one tree against the one-plan walks.
+    N=6 adds a split without single photons whose keys span two chi
+    stages, (n1, n2, n4) = (0, 1, 1)."""
+
+    @pytest.fixture(scope="class")
+    def batched(self):
+        return evaluate_plans_with_speedup(SPLIT_PLANS)
+
+    def test_matches_unbatched_walks(self, batched):
+        for plan, report in zip(SPLIT_PLANS, batched):
+            mu, leaves = reference_speedup(plan)
+            assert abs(report.mu - mu) <= 1e-14, plan
+            assert abs(report.mu - evaluate_exact(plan).mu) <= 1e-13, plan
+            assert report.branches_evaluated == leaves == plan.speedup_leaf_count()
+            assert report.method == "exact_with_speedup"
+
+    @pytest.mark.parametrize("cap", [1, 7])
+    def test_row_cap_does_not_change_mu(self, batched, cap, monkeypatch):
+        # Chunks of 1 or 7 rows split keys and cut fan-outs part way.
+        monkeypatch.setattr(sequences, "_CHUNK_ROWS", cap)
+        plans = [p for p in SPLIT_PLANS if p.eta == 0.6]
+        capped = evaluate_plans_with_speedup(plans)
+        want = [r.mu for p, r in zip(SPLIT_PLANS, batched) if p.eta == 0.6]
+        assert np.abs(np.array([r.mu for r in capped]) - want).max() <= 1e-14
+
+    def test_reports_come_back_in_input_order(self, batched):
+        order = np.random.default_rng(8).permutation(len(SPLIT_PLANS))
+        shuffled = evaluate_plans_with_speedup([SPLIT_PLANS[i] for i in order])
+        assert [r.mu for r in shuffled] == [batched[i].mu for i in order]
+        assert [r.branches_evaluated for r in shuffled] == [
+            SPLIT_PLANS[i].speedup_leaf_count() for i in order]
+
+    def test_split_wall_time_is_shared(self):
+        plans = enumerate_plans(4, 0.5, 0.6)[1:6]
+        assert len({(p.n1, p.n2, p.n4) for p in plans}) == 1
+        assert len({r.wall_time_s for r in evaluate_plans_with_speedup(plans)}) == 1
+
+
+class TestBoundedPrefix:
+    """The lossless single-photon prefix is walked a chunk at a time, so
+    plans rich in single photons never hold a whole level of 2^n1 rows."""
+
+    HEAVY = [SequencePlan(n1=12, eta=0.6),
+             SequencePlan(n1=10, n2=1, chi2=1.0, n4=1, chi4=1.3, eta=0.6)]
+    KERNELS = ("closed_form_theta_batch", "numeric_theta_batch",
+               "advance_batch", "expected_sharpness_batch")
+
+    def test_kernel_calls_stay_within_row_cap(self, monkeypatch):
+        want = [evaluate_exact_with_speedup(p).mu for p in self.HEAVY]
+        seen = []
+
+        def counted(kernel):
+            def call(batch, *args):
+                seen.append(batch.shape[0])
+                return kernel(batch, *args)
+            return call
+
+        for name in self.KERNELS:
+            monkeypatch.setattr(_engine, name, counted(getattr(_engine, name)))
+        monkeypatch.setattr(sequences, "_CHUNK_ROWS", 16)
+        got = [evaluate_exact_with_speedup(p).mu for p in self.HEAVY]
+        assert max(seen) <= 16
+        assert np.abs(np.array(got) - want).max() <= 1e-14
+
+    def test_peak_memory_does_not_grow_with_levels(self):
+        # Level by level, n1 = 16 holds 2^17 rows of 33 complex coefficients
+        # (69 MB per copy); a chunked walk holds a few chunks per depth.
+        tracemalloc.start()
+        try:
+            evaluate_exact_with_speedup(SequencePlan(n1=16, eta=0.6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2 ** 20
 
 
 class TestBranchGuard:
