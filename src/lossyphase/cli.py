@@ -6,6 +6,14 @@ configuration, the seed, the package version, the wall time and the
 requested BLAS threads (`environment`; in the one `#` line of CSV output);
 rerunning with the same configuration and seed reproduces the numeric payload.
 
+Each command's parameters are declared once, in `_PARAMS`, which makes the
+flags, reads the config file and fills the defaults.  A parameter comes
+from its flag, else from the `--config` JSON object, else from its default.
+Config keys may be spelled as the flag (`chi-step`) or as the artifact's
+`config` records them (`chi_step`), so an artifact's `config` fed back
+through `--config` reruns it.  `command` and `seed` are accepted too; any
+other key exits 2, naming the key.
+
 Exit codes: 0 success, 2 usage/validation error, 3 resource guard tripped,
 4 numeric divergence.
 """
@@ -49,9 +57,9 @@ _PI_TOKEN = re.compile(
 )
 
 
-def parse_angle(text: str) -> float:
-    """Radians from a float literal or a pi token like 'pi/4' or '3*pi/2'."""
-    text = text.strip()
+def parse_angle(text: str | float) -> float:
+    """Radians from a float, a float literal or a pi token like 'pi/4' or '3*pi/2'."""
+    text = str(text).strip()
     m = _PI_TOKEN.match(text)
     if m:
         val = math.pi * float(m.group("num") or 1.0)
@@ -61,27 +69,65 @@ def parse_angle(text: str) -> float:
     return float(text)
 
 
+# Each command's (flag, cast, default) in the order its artifact's config
+# lists them; a None default marks a required parameter.
+_PARAMS = {
+    "state-prep": [("chi", float, None), ("half-n", int, 1)],
+    "probs": [("n-photons", int, None), ("chi", float, 0.0), ("eta", float, None)],
+    "fisher-scan": [
+        ("n-photons", int, None), ("eta", float, None),
+        ("phi", parse_angle, "pi/4"), ("theta", parse_angle, "0.0"),
+        ("chi-min", float, 0.0), ("chi-max", float, 2.0), ("chi-step", float, 0.02),
+    ],
+    "evaluate": [
+        ("n1", int, 0), ("n2", int, 0), ("chi2", float, 0.0), ("n4", int, 0),
+        ("chi4", float, 0.0), ("eta", float, None),
+        ("method", str, "speedup"), ("trials", int, 10 ** 5),
+    ],
+    "optimize": [
+        ("n", int, None), ("eta", float, None), ("chi-step", float, 0.1),
+        ("method", str, "speedup"), ("trials", int, 10 ** 5),
+    ],
+}
+_METHODS = ("exact", "speedup", "mc")
+
+
 class UsageError(ValueError):
     pass
 
 
-def _resolve(args: argparse.Namespace, config: dict, key: str, default=None):
-    """Command-line flag wins, then config file, then the default."""
-    val = getattr(args, key.replace("-", "_"), None)
-    if val is not None:
-        return val
-    if key in config:
-        return config[key]
-    return default
+def _resolve(args: argparse.Namespace) -> dict:
+    """The artifact's config: command, the command's parameters, seed.
+    Command-line flag wins, then config file, then the default."""
+    config = {}
+    if args.config:
+        try:
+            with open(args.config) as fh:
+                config = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise UsageError(f"cannot read config: {exc}") from exc
+    if not isinstance(config, dict):
+        raise UsageError("config must be a JSON object")
+    params = _PARAMS[args.command] + [("seed", int, 0)]
+    known = {"command"} | {k for p in params for k in (p[0], p[0].replace("-", "_"))}
+    for key in config:
+        if key not in known:
+            raise UsageError(f"config key {key!r} is not a parameter of {args.command}")
+    cfg = {"command": args.command}
+    for flag, cast, default in params:
+        key = flag.replace("-", "_")
+        val = getattr(args, key)
+        if val is None:
+            val = config.get(flag, config.get(key))
+        if val is None:
+            val = default
+        if val is None:
+            raise UsageError(f"missing required parameter --{flag}")
+        cfg[key] = cast(val)
+    return cfg
 
 
-def _require(value, name: str):
-    if value is None:
-        raise UsageError(f"missing required parameter --{name}")
-    return value
-
-
-def _artifact(config: dict, payload: dict, t0: float) -> dict:
+def _artifact(config: dict, t0: float, **result) -> dict:
     return {
         "config": config,
         "seed": config.get("seed"),
@@ -89,7 +135,7 @@ def _artifact(config: dict, payload: dict, t0: float) -> dict:
         "wall_time_ms": (time.perf_counter() - t0) * 1e3,
         "environment": {**{k: os.environ.get(k) for k in _BLAS_THREAD_VARS},
                         "cpu_count": os.cpu_count()},
-        "result": payload,
+        **result,
     }
 
 
@@ -101,16 +147,6 @@ def _emit(text: str, output_path: str | None):
         sys.stdout.write(text)
 
 
-def _emit_json(doc: dict, output_path: str | None):
-    _emit(json.dumps(doc, indent=2) + "\n", output_path)
-
-
-def _csv_meta_lines(config: dict, t0: float) -> str:
-    meta = _artifact(config, None, t0)
-    del meta["result"]
-    return f"# {json.dumps(meta)}\n"
-
-
 def _state_for(n_photons: int, chi: float):
     if n_photons == 1:
         return make_single_photon()
@@ -119,17 +155,13 @@ def _state_for(n_photons: int, chi: float):
     raise UsageError("n-photons must be 1, 2, or 4")
 
 
-def cmd_state_prep(args, config) -> int:
-    t0 = time.perf_counter()
-    chi = float(_require(_resolve(args, config, "chi"), "chi"))
-    half_n = int(_resolve(args, config, "half-n", 1))
-    state = make_loss_resistant(half_n, chi)
-    triport = synthesize_triport(chi)
-    simulated = forward_simulate_triport(triport, half_n)
-    fidelity = simulated.fidelity(state)
-    resolved = {"command": "state-prep", "chi": chi, "half_n": half_n,
-                "seed": _resolve(args, config, "seed", 0)}
-    payload = {
+# Each command returns (JSON result or None, CSV body or None).
+
+def cmd_state_prep(cfg: dict):
+    state = make_loss_resistant(cfg["half_n"], cfg["chi"])
+    triport = synthesize_triport(cfg["chi"])
+    simulated = forward_simulate_triport(triport, cfg["half_n"])
+    return {
         "n_photons": state.n_photons,
         "amplitudes_re": [a.real for a in state.amplitudes],
         "amplitudes_im": [a.imag for a in state.amplitudes],
@@ -137,136 +169,65 @@ def cmd_state_prep(args, config) -> int:
             "r1": triport.r1, "r2": triport.r2, "r3": triport.r3,
             "phi1": triport.phi1, "phi2": triport.phi2,
         },
-        "forward_fidelity": fidelity,
-    }
-    _emit_json(_artifact(resolved, payload, t0), args.output)
-    return EXIT_OK
+        "forward_fidelity": simulated.fidelity(state),
+    }, None
 
 
-def cmd_probs(args, config) -> int:
-    t0 = time.perf_counter()
-    n_photons = int(_require(_resolve(args, config, "n-photons"), "n-photons"))
-    chi = float(_resolve(args, config, "chi", 0.0))
-    eta = float(_require(_resolve(args, config, "eta"), "eta"))
-    table = build_likelihood_table(_state_for(n_photons, chi), eta)
-    resolved = {"command": "probs", "n_photons": n_photons, "chi": chi,
-                "eta": eta, "seed": _resolve(args, config, "seed", 0)}
-    _emit_json(_artifact(resolved, table.to_json_dict(), t0), args.output)
-    return EXIT_OK
+def cmd_probs(cfg: dict):
+    state = _state_for(cfg["n_photons"], cfg["chi"])
+    return build_likelihood_table(state, cfg["eta"]).to_json_dict(), None
 
 
-def cmd_fisher_scan(args, config) -> int:
-    t0 = time.perf_counter()
-    n_photons = int(_require(_resolve(args, config, "n-photons"), "n-photons"))
-    eta = float(_require(_resolve(args, config, "eta"), "eta"))
-    phi = parse_angle(str(_resolve(args, config, "phi", "pi/4")))
-    theta = parse_angle(str(_resolve(args, config, "theta", "0.0")))
-    chi_min = float(_resolve(args, config, "chi-min", 0.0))
-    chi_max = float(_resolve(args, config, "chi-max", 2.0))
-    chi_step = float(_resolve(args, config, "chi-step", 0.02))
-    if chi_step <= 0 or chi_max < chi_min:
+def cmd_fisher_scan(cfg: dict):
+    if cfg["chi_step"] <= 0 or cfg["chi_max"] < cfg["chi_min"]:
         raise UsageError("need chi-step > 0 and chi-max >= chi-min")
-    resolved = {"command": "fisher-scan", "n_photons": n_photons, "eta": eta,
-                "phi": phi, "theta": theta, "chi_min": chi_min,
-                "chi_max": chi_max, "chi_step": chi_step,
-                "seed": _resolve(args, config, "seed", 0)}
     lines = ["chi,fisher\n"]
-    chi = chi_min
-    while chi <= chi_max + 1e-12:
-        table = build_likelihood_table(_state_for(n_photons, chi), eta)
+    chi = cfg["chi_min"]
+    while chi <= cfg["chi_max"] + 1e-12:
+        table = build_likelihood_table(_state_for(cfg["n_photons"], chi), cfg["eta"])
         try:
-            f = fisher_from_table(table, phi, theta)
+            f = fisher_from_table(table, cfg["phi"], cfg["theta"])
             lines.append(f"{chi:.10g},{f!r}\n")
         except FisherDivergenceError as exc:
             print(f"warning: divergence at chi={chi:.10g}: {exc}",
                   file=sys.stderr)
             lines.append(f"{chi:.10g},nan\n")
-        chi = round(chi + chi_step, 12)
-    _emit(_csv_meta_lines(resolved, t0) + "".join(lines), args.output)
-    return EXIT_OK
+        chi = round(chi + cfg["chi_step"], 12)
+    return None, "".join(lines)
 
 
-def _build_plan(args, config) -> SequencePlan:
-    return SequencePlan(
-        n1=int(_resolve(args, config, "n1", 0)),
-        n2=int(_resolve(args, config, "n2", 0)),
-        chi2=float(_resolve(args, config, "chi2", 0.0)),
-        n4=int(_resolve(args, config, "n4", 0)),
-        chi4=float(_resolve(args, config, "chi4", 0.0)),
-        eta=float(_require(_resolve(args, config, "eta"), "eta")),
-    )
-
-
-def cmd_evaluate(args, config) -> int:
-    t0 = time.perf_counter()
-    plan = _build_plan(args, config)
-    method = _resolve(args, config, "method", "speedup")
-    seed = int(_resolve(args, config, "seed", 0))
-    trials = int(_resolve(args, config, "trials", 10 ** 5))
+def cmd_evaluate(cfg: dict):
+    plan = SequencePlan(cfg["n1"], cfg["n2"], cfg["chi2"], cfg["n4"],
+                        cfg["chi4"], cfg["eta"])
+    method = cfg["method"]
     if method == "exact":
         report = evaluate_exact(plan)
     elif method == "speedup":
         report = evaluate_exact_with_speedup(plan)
     elif method == "mc":
-        report = evaluate_monte_carlo(plan, trials, seed)
+        report = evaluate_monte_carlo(plan, cfg["trials"], cfg["seed"])
     else:
         raise UsageError(f"unknown method {method!r}")
-    resolved = {"command": "evaluate", "n1": plan.n1, "n2": plan.n2,
-                "chi2": plan.chi2, "n4": plan.n4, "chi4": plan.chi4,
-                "eta": plan.eta, "method": method, "trials": trials,
-                "seed": seed}
-    _emit_json(_artifact(resolved, report.to_json_dict(), t0), args.output)
-    return EXIT_OK
+    return report.to_json_dict(), None
 
 
-def cmd_optimize(args, config) -> int:
-    t0 = time.perf_counter()
-    total = int(_require(_resolve(args, config, "n"), "n"))
-    eta = float(_require(_resolve(args, config, "eta"), "eta"))
-    chi_step = float(_resolve(args, config, "chi-step", 0.1))
-    method = _resolve(args, config, "method", "speedup")
-    seed = int(_resolve(args, config, "seed", 0))
-    trials = int(_resolve(args, config, "trials", 10 ** 5))
-    result = optimize(total, eta, chi_step, evaluator=method,
-                      mc_trials=trials, mc_seed=seed)
-    resolved = {"command": "optimize", "n": total, "eta": eta,
-                "chi_step": chi_step, "method": method, "seed": seed,
-                "trials": trials}
-    doc = _artifact(resolved, result.to_json_dict(), t0)
+def cmd_optimize(cfg: dict):
+    result = optimize(cfg["n"], cfg["eta"], cfg["chi_step"],
+                      evaluator=cfg["method"], mc_trials=cfg["trials"],
+                      mc_seed=cfg["seed"])
+    payload = result.to_json_dict()
     # enumerate_plans puts the all-single-photon (SQL) plan first.
-    doc["result"]["sql_baseline"] = result.pareto_table[0][1].holevo_variance
-    csv_text = _csv_meta_lines(resolved, t0) + pareto_csv(result)
-    if args.format == "csv":
-        _emit(csv_text, args.output)
-    else:
-        _emit_json(doc, args.output)
-        if args.output:
-            _emit(csv_text, args.output + ".csv")
-    return EXIT_OK
+    payload["sql_baseline"] = result.pareto_table[0][1].holevo_variance
+    return payload, pareto_csv(result)
 
 
 _COMMANDS = {
-    "state-prep": cmd_state_prep,
-    "probs": cmd_probs,
-    "fisher-scan": cmd_fisher_scan,
-    "evaluate": cmd_evaluate,
-    "optimize": cmd_optimize,
+    "state-prep": (cmd_state_prep, "chi state, triport parameters, fidelity"),
+    "probs": (cmd_probs, "dump the outcome-likelihood table"),
+    "fisher-scan": (cmd_fisher_scan, "CSV of Fisher information over chi"),
+    "evaluate": (cmd_evaluate, "evaluate one sequence plan"),
+    "optimize": (cmd_optimize, "search plans at fixed photon budget"),
 }
-
-
-def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool):
-    # Subparsers re-declare the global flags with SUPPRESS defaults so they
-    # may appear on either side of the subcommand without clobbering.
-    def dfl(value):
-        return argparse.SUPPRESS if suppress else value
-
-    parser.add_argument("--config", default=dfl(None),
-                        help="JSON config file; flags override it")
-    parser.add_argument("--output", default=dfl(None),
-                        help="artifact path (stdout when absent)")
-    parser.add_argument("--format", choices=("json", "csv"),
-                        default=dfl("json"))
-    parser.add_argument("--seed", type=int, default=dfl(None))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -274,66 +235,35 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lossyphase",
         description="Loss-resistant adaptive phase estimation toolkit",
     )
-    _add_global_flags(parser, suppress=False)
     common = argparse.ArgumentParser(add_help=False)
-    _add_global_flags(common, suppress=True)
+    # Subparsers re-declare the global flags with SUPPRESS defaults so they
+    # may appear on either side of the subcommand without clobbering.
+    for p, dfl in ((parser, lambda v: v), (common, lambda v: argparse.SUPPRESS)):
+        p.add_argument("--config", default=dfl(None),
+                       help="JSON config file; flags override it")
+        p.add_argument("--output", default=dfl(None),
+                       help="artifact path (stdout when absent)")
+        p.add_argument("--format", choices=("json", "csv"), default=dfl("json"))
+        p.add_argument("--seed", type=int, default=dfl(None))
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("state-prep", parents=[common],
-                       help="chi state, triport parameters, fidelity")
-    p.add_argument("--chi", type=float)
-    p.add_argument("--half-n", type=int)
-
-    p = sub.add_parser("probs", parents=[common], help="dump the outcome-likelihood table")
-    p.add_argument("--n-photons", type=int)
-    p.add_argument("--chi", type=float)
-    p.add_argument("--eta", type=float)
-
-    p = sub.add_parser("fisher-scan", parents=[common], help="CSV of Fisher information over chi")
-    p.add_argument("--n-photons", type=int)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--phi", type=str)
-    p.add_argument("--theta", type=str)
-    p.add_argument("--chi-min", type=float)
-    p.add_argument("--chi-max", type=float)
-    p.add_argument("--chi-step", type=float)
-
-    p = sub.add_parser("evaluate", parents=[common], help="evaluate one sequence plan")
-    p.add_argument("--n1", type=int)
-    p.add_argument("--n2", type=int)
-    p.add_argument("--chi2", type=float)
-    p.add_argument("--n4", type=int)
-    p.add_argument("--chi4", type=float)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--method", choices=("exact", "speedup", "mc"))
-    p.add_argument("--trials", type=int)
-
-    p = sub.add_parser("optimize", parents=[common], help="search plans at fixed photon budget")
-    p.add_argument("--n", type=int)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--chi-step", type=float)
-    p.add_argument("--method", choices=("exact", "speedup", "mc"))
-    p.add_argument("--trials", type=int)
-
+    for command, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(command, parents=[common], help=help_text)
+        for flag, cast, _ in _PARAMS[command]:
+            # Angles stay text here; the resolver parses them.
+            p.add_argument(f"--{flag}", type=cast if cast in (int, float) else str,
+                           choices=_METHODS if flag == "method" else None)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    config = {}
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                config = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+    t0 = time.perf_counter()
     try:
-        return _COMMANDS[args.command](args, config)
+        cfg = _resolve(args)
+        payload, csv_body = _COMMANDS[args.command][0](cfg)
     except BranchGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
@@ -343,6 +273,15 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    csv_text = csv_body and f"# {json.dumps(_artifact(cfg, t0))}\n" + csv_body
+    if payload is None or (csv_text and args.format == "csv"):
+        _emit(csv_text, args.output)
+    else:
+        _emit(json.dumps(_artifact(cfg, t0, result=payload), indent=2) + "\n",
+              args.output)
+        if csv_text and args.output:
+            _emit(csv_text, args.output + ".csv")
+    return EXIT_OK
 
 
 if __name__ == "__main__":

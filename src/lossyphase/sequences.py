@@ -15,18 +15,19 @@ for that row, so the walk ends at the last feedback and never builds the
 leaves; the reported record counts come from the plan in closed form.  The
 binomial speedup removes the loss branching of the single-photon stage:
 lost single photons never change the posterior, so the tree only needs the
-2^n lossless records for each count n of surviving photons, reweighted
-binomially.
+2^n lossless records for each count n of surviving photons, each weighted
+by the binomial probability that n of the N1 photons survive.
 
 The speedup walks a whole split (N1, N2, N4, eta) as one tree.  Its
 lossless single-photon stage is a prefix: at every depth n = 0..N1 its
-records also leave, zero-padded to one band and tagged with their group
-n, and enter the multi-photon stages in shared chunks; at each stage a
-row fans out to the stage's chi values (its key records them) and uses
-its own table, via per-row likelihood stacks.  A plan's mu weights its
-key's (n, key) leaf sums binomially, in order of n.  evaluate_exact is
-the same walker with one key and one group.  Plans beyond the
-enumeration guard are handled by a seeded Monte Carlo estimator.
+records also leave, scaled by their binomial weight and zero-padded to
+one band, and enter the multi-photon stages in shared chunks; at each
+stage a row fans out to the stage's chi values (its key records them)
+and uses its own table, via per-row likelihood stacks.  The weights live
+in the rows, as every branch probability does, so the walk sums one mu
+per key.  evaluate_exact is the same walker with one key and no weights.
+Plans beyond the enumeration guard are handled by a seeded Monte Carlo
+estimator.
 """
 
 from __future__ import annotations
@@ -137,7 +138,7 @@ class _Stage:
     count: int
     cmat: np.ndarray  # (outcomes, d), or (chi values, outcomes, d) in a split
     single_photon: bool  # closed-form feedback instead of numeric
-    prefix: bool = False  # the speedup's lossless singles, left at every depth
+    weights: tuple[float, ...] = ()  # lossless prefix: the weight of each depth
 
     def thetas(self, batch: np.ndarray, cmat: np.ndarray | None = None) -> np.ndarray:
         """Feedback per row against cmat (default: own); kernels looked up per call."""
@@ -150,14 +151,18 @@ def _split_stages(plans: list[SequencePlan],
                   lossless_singles: bool) -> tuple[list[_Stage], np.ndarray]:
     """The stages of one split (n1, n2, n4, eta) in detection order, and
     each plan's key: its index in the product of the multi-photon stages'
-    sorted distinct chi values.  Lossless singles form a prefix stage."""
+    sorted distinct chi values.  Lossless singles form a prefix stage whose
+    weight k, C(n1, k) eta^k (1 - eta)^(n1 - k), is the probability that
+    exactly k of the n1 single photons survive."""
     first = plans[0]
     stages, keys = [], np.zeros(len(plans), dtype=np.int64)
     if first.n1 > 0:
-        table = build_likelihood_table(
-            make_single_photon(), 1.0 if lossless_singles else first.eta)
+        n1, eta = first.n1, first.eta
+        table = build_likelihood_table(make_single_photon(), 1.0 if lossless_singles else eta)
         cmat = _engine.table_matrix(table) if lossless_singles else table.matrix
-        stages.append(_Stage(first.n1, cmat, True, lossless_singles))
+        weights = tuple(math.comb(n1, k) * eta ** k * (1.0 - eta) ** (n1 - k)
+                        for k in range(n1 + 1)) if lossless_singles else ()
+        stages.append(_Stage(n1, cmat, True, weights))
     for half_n, count, chi_of in ((1, first.n2, lambda p: p.chi2),
                                   (2, first.n4, lambda p: p.chi4)):
         if count:
@@ -175,14 +180,16 @@ def _plan_stages(plan: SequencePlan, lossless_singles: bool) -> list[_Stage]:
 
 
 def _walk_tree(stages: list[_Stage]) -> np.ndarray:
-    """Summed |leaf first harmonic| per (group, key) over the outcome tree.
+    """Summed |leaf first harmonic| per key over the outcome tree.
 
-    Each row carries its flat (group, key) cell.  Entering a stage with m
-    chi values a row fans out to m rows, each with its own chi value's
-    matrix; keys number the chi choices, first stage outermost.  A prefix
-    stage is left at every depth k = 0..count as group k: rows go on
-    zero-padded to the band of depth count, gathered into shared batches
-    (with no next stage, group k sums the sharpness at depth k).
+    Each row carries its key.  Entering a stage with m chi values a row
+    fans out to m rows, each with its own chi value's matrix; keys number
+    the chi choices, first stage outermost.  A prefix stage (one with
+    weights) is left at every depth k = 0..count: its rows go on scaled by
+    weights[k] and zero-padded to the band of depth count, gathered into
+    shared batches (with no next stage, the sharpness a depth-k row adds
+    is scaled by weights[k + 1]).  So the weights live in the rows, as
+    every branch probability does (see _engine).
     Depth-first in batches of at most _CHUNK_ROWS rows, fan-outs made a
     chunk at a time: this fixes the summation order and holds only a few
     chunks per depth.  At the last detection the children are not built:
@@ -192,9 +199,8 @@ def _walk_tree(stages: list[_Stage]) -> np.ndarray:
     """
     fans = [s.cmat.shape[0] if s.cmat.ndim == 3 else 1 for s in stages]
     strides = [math.prod(fans[si + 1:]) for si in range(len(fans))]
-    mu = np.zeros((stages[0].count + 1 if stages and stages[0].prefix else 1,
-                   math.prod(fans)))
-    # (rows, flat index into mu per row, first fanned-out row to walk, stage, step)
+    mu = np.zeros(math.prod(fans))
+    # (rows, key per row, first fanned-out row to walk, stage, step)
     pending = [(np.ones((1, 1), dtype=complex), np.zeros(1, dtype=np.int64), 0, 0, 0)]
     leaving: list[tuple[np.ndarray, np.ndarray]] = []  # prefix rows for stage 1
     while stages and (pending or leaving):
@@ -209,24 +215,25 @@ def _walk_tree(stages: list[_Stage]) -> np.ndarray:
         flat = np.arange(lo, end)
         batch, cells = rows[flat // fan], cells[flat // fan] + flat % fan * strides[si]
         stage, last = stages[si], si == len(stages) - 1
-        if stage.prefix and not last:
+        if stage.weights and not last:
             pad = ((0, 0), ((stage.count - step) * (stage.cmat.shape[-1] // 2),) * 2)
-            leaving.append((np.pad(batch, pad), cells + step * mu.shape[1]))
+            leaving.append((np.pad(batch * stage.weights[step], pad), cells))
         if step == stage.count:
             continue
         cmat = stage.cmat if fans[si] == 1 else stage.cmat[cells // strides[si] % fans[si]]
         thetas = stage.thetas(batch, cmat)
-        if last and (stage.prefix or step == stage.count - 1):
+        if last and (stage.weights or step == stage.count - 1):
             sharp = _engine.expected_sharpness_batch(batch, cmat, thetas)
-            leaf_cells = cells + (step + 1) * mu.shape[1] if stage.prefix else cells
-            mu += np.bincount(leaf_cells, sharp, mu.size).reshape(mu.shape)
+            if stage.weights:
+                sharp *= stage.weights[step + 1]
+            mu += np.bincount(cells, sharp, mu.size)
             if step == stage.count - 1:
                 continue
         children = _engine.advance_batch(batch, cmat, thetas)
         n_out = children.shape[1]
         children = children.reshape(-1, children.shape[2])
         alive = np.flatnonzero(np.abs(children).max(axis=1) > 0.0)
-        more = stage.prefix or step + 1 < stage.count
+        more = bool(stage.weights) or step + 1 < stage.count
         next_si, next_step = (si, step + 1) if more else (si + 1, 0)
         pending.append((children[alive], cells[alive // n_out], 0, next_si, next_step))
     return mu
@@ -238,7 +245,7 @@ def evaluate_exact(
     """Exact mean sharpness by enumerating every outcome record."""
     t0 = time.perf_counter()
     _check_guard(plan, plan.exact_leaf_count(), branch_guard)
-    mu = _walk_tree(_plan_stages(plan, lossless_singles=False))[0, 0]
+    mu = _walk_tree(_plan_stages(plan, lossless_singles=False))[0]
     return _report(float(mu), plan.exact_leaf_count(), "exact", time.perf_counter() - t0)
 
 
@@ -261,10 +268,7 @@ def evaluate_plans_with_speedup(
         first = plans[idx[0]]
         _check_guard(first, first.speedup_leaf_count(), branch_guard)
         stages, keys = _split_stages([plans[i] for i in idx], lossless_singles=True)
-        mu_n = _walk_tree(stages)
-        n1, eta, mu = first.n1, first.eta, 0.0
-        for n in range(n1 + 1):
-            mu = mu + math.comb(n1, n) * eta ** n * (1.0 - eta) ** (n1 - n) * mu_n[n]
+        mu = _walk_tree(stages)
         wall_s = (time.perf_counter() - t0) / len(idx)
         for i, key in zip(idx, keys):
             reports[i] = _report(float(mu[key]), first.speedup_leaf_count(),

@@ -236,6 +236,102 @@ class TestConfigFile:
         doc = json.loads(out_path.read_text())
         assert doc["result"]["mu"] == pytest.approx(0.3, abs=1e-12)
 
+    @pytest.mark.parametrize("argv, n_rows", [
+        (("optimize", "--n", "4", "--eta", "0.6", "--chi-step", "1.0"), 10),
+        (("probs", "--n-photons", "2", "--chi", "1.0", "--eta", "0.6"), None),
+    ], ids=["optimize", "probs"])
+    def test_artifact_config_reruns(self, capsys, tmp_path, argv, n_rows):
+        # The artifact records chi_step / n_photons; fed back, they must be
+        # read, not skipped in favour of the defaults.
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        first = json.loads(out)
+        cfg = tmp_path / "artifact_config.json"
+        cfg.write_text(json.dumps(first["config"]))
+        code, out, err = run(capsys, "--config", str(cfg), argv[0])
+        assert code == EXIT_OK, err
+        again = json.loads(out)
+        assert again["config"] == first["config"]
+        assert _drop_wall_time(again["result"]) == _drop_wall_time(first["result"])
+        if n_rows is not None:
+            assert len(again["result"]["pareto_table"]) == n_rows
+
+    @pytest.mark.parametrize("text, needle", [
+        (json.dumps({"n": 2, "eta": 0.6, "chi_stp": 1.0}), "chi_stp"),
+        (json.dumps({"n": 2, "eta": 0.6, "n1": 1}), "'n1'"),
+        ("[1, 2]", "JSON object"),
+    ], ids=["misspelt", "other-command", "not-an-object"])
+    def test_bad_config_key_exits_2(self, capsys, tmp_path, text, needle):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(text)
+        code, out, err = run(capsys, "--config", str(cfg), "optimize")
+        assert code == EXIT_USAGE
+        assert needle in err
+        assert out == ""
+
+
+def _drop_wall_time(obj):
+    if isinstance(obj, dict):
+        return {k: _drop_wall_time(v) for k, v in obj.items() if k != "wall_time_ms"}
+    if isinstance(obj, list):
+        return [_drop_wall_time(v) for v in obj]
+    return obj
+
+
+def _artifact_config(out: str) -> dict:
+    if out.startswith("#"):
+        return json.loads(out.splitlines()[0][1:])["config"]
+    return json.loads(out)["config"]
+
+
+# Per command: flags (integer-valued floats check the casts) and the
+# artifact config's parameter keys and types, in order.
+CONFIG_CONTRACT = {
+    "state-prep": (("--chi", "1"), (("chi", float), ("half_n", int))),
+    "probs": (("--n-photons", "2", "--eta", "1"),
+              (("n_photons", int), ("chi", float), ("eta", float))),
+    "fisher-scan": (
+        ("--n-photons", "2", "--eta", "1", "--phi", "1", "--chi-step", "1"),
+        (("n_photons", int), ("eta", float), ("phi", float), ("theta", float),
+         ("chi_min", float), ("chi_max", float), ("chi_step", float))),
+    "evaluate": (("--n1", "2", "--chi2", "1", "--eta", "1", "--trials", "7"),
+                 (("n1", int), ("n2", int), ("chi2", float), ("n4", int),
+                  ("chi4", float), ("eta", float), ("method", str),
+                  ("trials", int))),
+    "optimize": (("--n", "2", "--eta", "1", "--chi-step", "1"),
+                 (("n", int), ("eta", float), ("chi_step", float),
+                  ("method", str), ("trials", int))),
+}
+
+
+@pytest.mark.parametrize("command", list(CONFIG_CONTRACT))
+def test_config_contract(capsys, tmp_path, command):
+    flags, params = CONFIG_CONTRACT[command]
+    code, out, err = run(capsys, command, *flags, "--seed", "3")
+    assert code == EXIT_OK, err
+    from_flags = _artifact_config(out)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({**{flag[2:]: json.loads(value) for flag, value
+                                  in zip(flags[::2], flags[1::2])}, "seed": 3}))
+    code, out, err = run(capsys, "--config", str(cfg), command)
+    assert code == EXIT_OK, err
+    from_file = _artifact_config(out)
+    for config in (from_flags, from_file):
+        assert list(config) == ["command", *(k for k, _ in params), "seed"]
+        assert config["command"] == command and config["seed"] == 3
+        for key, kind in params:
+            assert type(config[key]) is kind, key
+    assert from_file == from_flags
+
+
+def test_csv_format_on_evaluate_still_emits_json(capsys):
+    code, out, _ = run(capsys, "--format", "csv", "evaluate", "--n1", "1",
+                       "--eta", "0.6", "--method", "exact")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["config"]["command"] == "evaluate"
+    assert doc["result"]["mu"] == pytest.approx(0.3, abs=1e-12)
+
 
 def test_missing_required_parameter(capsys):
     code, _, err = run(capsys, "probs", "--chi", "1.0", "--eta", "0.5")
