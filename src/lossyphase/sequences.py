@@ -26,8 +26,19 @@ stage a row fans out to the stage's chi values (its key records them)
 and uses its own table, via per-row likelihood stacks.  The weights live
 in the rows, as every branch probability does, so the walk sums one mu
 per key.  evaluate_exact is the same walker with one key and no weights.
-Plans beyond the enumeration guard are handled by a seeded Monte Carlo
-estimator.
+
+The prefix root is flat, so its feedback is theta = 0 and its two
+children are twins: the second is the first rotated by pi (odd harmonics
+negated).  Every table has the port-swap symmetry (see _engine), so a pi
+rotation leaves each feedback choice as it is and only rotates and
+permutes the children: the two subtrees add the same sharpness up to
+rounding, and the speedup walks the first at twice its weight, half the
+prefix rows.  The twin premise is checked exactly on every walk.  The
+tree's other symmetry, the mirror phi -> -phi, is not merged: numeric
+feedback breaks near-ties toward the smallest theta, which is not
+mirror-covariant, and merging mirror twins moved mu by 2e-10 on an N=13
+split.  evaluate_exact merges nothing and stays the reference.  Plans
+beyond the enumeration guard are handled by a seeded Monte Carlo estimator.
 """
 
 from __future__ import annotations
@@ -179,6 +190,24 @@ def _plan_stages(plan: SequencePlan, lossless_singles: bool) -> list[_Stage]:
     return _split_stages([plan], lossless_singles)[0]
 
 
+def _merge_root_twins(children: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """The flat root's first child at twice its weight, for both.
+
+    At theta = 0 the second child is the first with its odd harmonics
+    negated: the same posterior rotated by pi.  Every kernel is covariant
+    under that rotation, so the second subtree adds the sharpness of the
+    first; scaling by 2 is exact, so the kept subtree's feedback is
+    unchanged bit for bit.  Both premises are checked, not assumed.
+    """
+    d = np.arange(children.shape[2]) - (children.shape[2] - 1) // 2
+    if not (children.shape[:2] == (1, 2) and np.all(thetas == 0.0)
+            and np.array_equal(children[:, 1], children[:, 0] * (-1.0) ** d)):
+        raise RuntimeError(
+            "prefix root twins broken: at theta = 0 the second child of the "
+            "flat root must be the first rotated by pi (odd harmonics negated)")
+    return 2.0 * children[:, :1]
+
+
 def _walk_tree(stages: list[_Stage]) -> np.ndarray:
     """Summed |leaf first harmonic| per key over the outcome tree.
 
@@ -189,7 +218,10 @@ def _walk_tree(stages: list[_Stage]) -> np.ndarray:
     weights[k] and zero-padded to the band of depth count, gathered into
     shared batches (with no next stage, the sharpness a depth-k row adds
     is scaled by weights[k + 1]).  So the weights live in the rows, as
-    every branch probability does (see _engine).
+    every branch probability does (see _engine).  At its step 0, the flat
+    root, the prefix keeps one of its two pi-twin children at twice the
+    weight (_merge_root_twins; only the pi half of the tree's symmetry is
+    exact, see the module docstring).
     Depth-first in batches of at most _CHUNK_ROWS rows, fan-outs made a
     chunk at a time: this fixes the summation order and holds only a few
     chunks per depth.  At the last detection the children are not built:
@@ -230,6 +262,8 @@ def _walk_tree(stages: list[_Stage]) -> np.ndarray:
             if step == stage.count - 1:
                 continue
         children = _engine.advance_batch(batch, cmat, thetas)
+        if stage.weights and step == 0:
+            children = _merge_root_twins(children, thetas)
         n_out = children.shape[1]
         children = children.reshape(-1, children.shape[2])
         alive = np.flatnonzero(np.abs(children).max(axis=1) > 0.0)

@@ -323,6 +323,53 @@ class TestBoundedPrefix:
         assert peak <= 16 * 2 ** 20
 
 
+class TestRootTwins:
+    """The speedup walk keeps one of the flat root's two children, which
+    at theta = 0 are pi-rotation twins, at twice the weight.  The mirror
+    half of the tree's symmetry is not merged: numeric feedback breaks
+    near-ties toward the smallest theta, which is not mirror-covariant."""
+
+    def test_merge_stays_within_exact_on_a_near_tie_plan(self):
+        # A mirror merge drifts 2.3e-11 on this plan, the pi merge ~7e-16.
+        plan = SequencePlan(9, 1, 0.1, 0, 0.0, 0.6)
+        assert plan.exact_leaf_count() == 118_098
+        exact = evaluate_exact(plan)
+        assert abs(evaluate_exact_with_speedup(plan).mu - exact.mu) <= 1e-12
+
+    def test_row_counts(self, monkeypatch):
+        rows = []
+        kernel = _engine.closed_form_theta_batch
+
+        def counted(batch):
+            rows.append(batch.shape[0])
+            return kernel(batch)
+
+        monkeypatch.setattr(_engine, "closed_form_theta_batch", counted)
+        plan = SequencePlan(n1=5, eta=0.6)
+        report = evaluate_exact_with_speedup(plan)
+        assert sum(rows) == 2 ** (plan.n1 - 1)
+        assert report.branches_evaluated == plan.speedup_leaf_count()
+        rows.clear()
+        evaluate_exact(plan)
+        assert sum(rows) == (3 ** plan.n1 - 1) // 2
+
+    def test_broken_twin_raises(self, monkeypatch):
+        kernel = _engine.advance_batch
+
+        def perturbed(batch, cmat, thetas):
+            out = kernel(batch, cmat, thetas)
+            if batch.shape == (1, 1):
+                out[0, 1, 0] += 1e-15
+            return out
+
+        plan = SequencePlan(n1=3, n2=1, chi2=1.7, eta=0.6)
+        report = evaluate_exact_with_speedup(plan)
+        assert report.branches_evaluated == plan.speedup_leaf_count()
+        monkeypatch.setattr(_engine, "advance_batch", perturbed)
+        with pytest.raises(RuntimeError, match="root twins"):
+            evaluate_exact_with_speedup(plan)
+
+
 class TestBranchGuard:
     def test_exact_guard_trips(self):
         plan = SequencePlan(n1=2, n2=2, chi2=1.8, n4=6, chi4=1.3, eta=0.6)
