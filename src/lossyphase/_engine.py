@@ -38,6 +38,17 @@ _NEWTON_TOL = 1e-12
 _SNAP = 1e-9
 
 
+def _band(width: int) -> np.ndarray:
+    """Harmonic indices d = -order..order of a band of width 2 order + 1."""
+    order = (width - 1) // 2
+    return np.arange(-order, order + 1)
+
+
+def _phases(x, width: int) -> np.ndarray:
+    """e^{-i x d} over the band, one row per entry of x."""
+    return np.exp(-1j * np.multiply.outer(np.asarray(x, dtype=float), _band(width)))
+
+
 def table_matrix(table) -> np.ndarray:
     """The table's outcome-major matrix, padded to the full band d = -N..N,
     without the outcomes whose likelihood vanishes identically (e.g. loss
@@ -71,17 +82,13 @@ def expected_sharpness_batch(batch: np.ndarray, cmat: np.ndarray,
 
 
 def _sharpness_from_weights(w: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    order = (w.shape[2] - 1) // 2
-    d = np.arange(-order, order + 1)
-    phases = np.exp(-1j * np.multiply.outer(thetas, d))
+    phases = _phases(thetas, w.shape[2])
     return np.abs(np.einsum("bod,bd->bo", w, phases)).sum(axis=1)
 
 
 def _sharpness_grid(w: np.ndarray) -> np.ndarray:
     """(branches, GRID_POINTS) objective values on THETA_GRID."""
-    order = (w.shape[2] - 1) // 2
-    d = np.arange(-order, order + 1)
-    phases = np.exp(-1j * np.multiply.outer(d, THETA_GRID))
+    phases = _phases(THETA_GRID, w.shape[2]).T
     vals = np.zeros((w.shape[0], GRID_POINTS))
     for o in range(w.shape[1]):
         vals += np.abs(w[:, o, :] @ phases)
@@ -98,8 +105,7 @@ def _refine_newton(w: np.ndarray, theta0: np.ndarray, lo: np.ndarray,
     bracket around the coarse grid winner; a row stops once its step is
     below _NEWTON_TOL, the rest after _NEWTON_ITERS steps.
     """
-    order = (w.shape[2] - 1) // 2
-    d = np.arange(-order, order + 1)
+    d = _band(w.shape[2])
     # Columns 0, 1, 2 give g and its first and second theta derivatives.
     deriv = np.stack([np.ones(d.size), -1j * d, -(d * d.astype(float))], axis=1)
     scale = np.abs(w).sum(axis=(1, 2)) + 1e-300
@@ -109,7 +115,7 @@ def _refine_newton(w: np.ndarray, theta0: np.ndarray, lo: np.ndarray,
     rows = np.arange(theta.size)
     t = theta.copy()
     for _ in range(_NEWTON_ITERS):
-        phases = np.exp(-1j * np.multiply.outer(t, d))
+        phases = _phases(t, d.size)
         g, g1, g2 = np.moveaxis(w @ (phases[:, :, None] * deriv), 2, 0)
         safe = np.abs(g) + mag_floor
         inner = np.real(np.conj(g) * g1)
@@ -131,14 +137,17 @@ def _refine_newton(w: np.ndarray, theta0: np.ndarray, lo: np.ndarray,
 
 
 def numeric_theta_batch(batch: np.ndarray, cmat: np.ndarray) -> np.ndarray:
-    """Per-row argmax of the expected sharpness over the controlled phase.
+    """Per-row feedback phase: the best of 32 grid brackets, refined.
 
-    Coarse grid search (ties within a small relative slack go to the
-    smallest theta) followed by damped-Newton refinement inside the
-    winning bracket, converging well below 1e-6 rad.  The grid has 32
-    points on [0, pi), one period of the objective for every table (see
-    the module docstring); the bracket wraps around that period.  Plateaus
-    skip refinement, so e.g. a flat prior returns exactly 0.
+    The expected sharpness is scanned on 32 points of [0, pi), one period
+    of the objective for every table (see the module docstring); ties
+    within a small relative slack go to the smallest theta.  Damped Newton
+    then climbs inside the winner's bracket (which wraps around the
+    period), converging well below 1e-6 rad.  This is not a guaranteed
+    argmax: when two near-equal peaks lie in different brackets the grid
+    can pick the lower one (1.5% of the rows of the N=13 (7,1,1) split,
+    short of the best peak by at most 7.7e-5 relative).  Plateaus skip
+    refinement, so e.g. a flat prior returns exactly 0.
     """
     w = _g1_weights(batch, cmat)
     vals = _sharpness_grid(w)
@@ -206,7 +215,7 @@ def closed_form_candidates(batch: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def closed_form_theta_batch(batch: np.ndarray) -> np.ndarray:
-    """Locally optimal controlled phase for a single-photon detection.
+    """Best one-step controlled phase for a single-photon detection.
 
     Keeps the closed-form candidate with the largest expected sharpness.
     A flat posterior returns 0 by convention; the rare degenerate case
@@ -245,12 +254,6 @@ def _widen(batch: np.ndarray, coefs: np.ndarray) -> np.ndarray:
     return coefs @ window
 
 
-def _likelihood_phases(cmat: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    order = (cmat.shape[-1] - 1) // 2
-    d = np.arange(-order, order + 1)
-    return np.exp(-1j * np.multiply.outer(np.asarray(thetas, float), d))
-
-
 def advance_batch(batch: np.ndarray, cmat: np.ndarray,
                   thetas: np.ndarray) -> np.ndarray:
     """Unnormalized posteriors after one detection, for every outcome.
@@ -258,7 +261,7 @@ def advance_batch(batch: np.ndarray, cmat: np.ndarray,
     Returns out[b, o, :] = coefficients of posterior_b * likelihood_o(theta_b),
     a band widened by the table's order on each side: (n_b, n_o, n_c + 2 order).
     """
-    phases = _likelihood_phases(cmat, thetas)
+    phases = _phases(thetas, cmat.shape[-1])
     return _widen(batch, cmat * phases[:, None, :])
 
 
@@ -268,7 +271,7 @@ def advance_selected(batch: np.ndarray, cmat: np.ndarray, picks: np.ndarray,
 
     Returns (n_b, n_c + 2 order).
     """
-    coefs = cmat[picks] * _likelihood_phases(cmat, thetas)
+    coefs = cmat[picks] * _phases(thetas, cmat.shape[-1])
     return _widen(batch, coefs[:, None, :])[:, 0, :]
 
 
@@ -278,10 +281,7 @@ def outcome_probabilities(cmat: np.ndarray, x: np.ndarray) -> np.ndarray:
     Returns the complex Fourier sums as they are; their real part is the
     probability up to rounding, and callers decide how to check or clamp it.
     """
-    order = (cmat.shape[1] - 1) // 2
-    d = np.arange(-order, order + 1)
-    phases = np.exp(1j * np.multiply.outer(np.asarray(x, float), d))
-    return phases @ cmat.T
+    return _phases(-x, cmat.shape[1]) @ cmat.T
 
 
 def first_harmonic(batch: np.ndarray) -> np.ndarray:

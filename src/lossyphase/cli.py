@@ -217,7 +217,7 @@ def cmd_optimize(cfg: dict):
                       mc_seed=cfg["seed"])
     payload = result.to_json_dict()
     # enumerate_plans puts the all-single-photon (SQL) plan first.
-    payload["sql_baseline"] = result.pareto_table[0][1].holevo_variance
+    payload["sql_baseline"] = payload["pareto_table"][0]["report"]["holevo_variance"]
     return payload, pareto_csv(result)
 
 

@@ -171,7 +171,7 @@ def _port_swap(n_photons: int) -> tuple[np.ndarray, np.ndarray]:
     """Row permutation (L, k) -> (L, N-L-k) and the column signs (-1)^d."""
     index = _row_index(n_photons)
     swap = np.array([index[Outcome(L, n_photons - L - k)] for L, k in index])
-    sign = (-1.0) ** np.arange(-n_photons, n_photons + 1)
+    sign = (-1.0) ** _engine._band(2 * n_photons + 1)
     return swap, sign
 
 

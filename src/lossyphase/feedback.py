@@ -1,11 +1,13 @@
-"""Locally optimal choice of the controlled phase.
+"""One-step (greedy) choice of the controlled phase.
 
-The controlled phase for the next detection is the one maximizing the
-expected sharpness, i.e. the sum over outcomes of the magnitude of the
-predicted first-harmonic coefficient of the unnormalized posterior.  For
-single photons the three candidate phases are available in closed form;
-multi-photon states use a 32-point grid on [0, pi), one period of the
-objective by the tables' port-swap symmetry, with damped-Newton refinement.
+The controlled phase for the next detection aims at the largest expected
+sharpness, i.e. the sum over outcomes of the magnitude of the predicted
+first-harmonic coefficient of the unnormalized posterior.  For single
+photons the three candidate phases are available in closed form and the
+best is kept.  Multi-photon states take the best of the 32 grid brackets
+on [0, pi), one period of the objective by the tables' port-swap symmetry,
+refined by damped Newton inside that bracket; a near-equal peak in another
+bracket can be missed (see `_engine.numeric_theta_batch`).
 Every function here is a one-row view over the batch kernels of `_engine`.
 """
 
@@ -43,11 +45,11 @@ def expected_sharpness(
 def optimal_theta_numeric(
     prior: PhaseDistribution, table: OutcomeLikelihoodTable
 ) -> float:
-    """Maximize the expected sharpness over theta.
+    """The numeric feedback phase: the best 32-point grid bracket on [0, pi).
 
-    Coarse 32-point grid on [0, pi), ties broken toward the smallest theta,
-    then damped-Newton refinement inside the winning grid bracket; the
-    result lies in [0, 2pi) and theta + pi scores the same.
+    Ties are broken toward the smallest theta, then damped Newton refines
+    inside the winning grid bracket; the result lies in [0, 2pi) and
+    theta + pi scores the same.
     """
     batch = prior.coeffs[None, :]
     return float(_engine.numeric_theta_batch(batch, table.matrix)[0])

@@ -14,6 +14,7 @@ import math
 import numpy as np
 from scipy.optimize import minimize
 
+from lossyphase import _engine
 from lossyphase.detection import OutcomeLikelihoodTable, build_likelihood_table
 from lossyphase.states import TwoModeState, make_exact_optimal4, make_loss_resistant
 
@@ -27,6 +28,8 @@ __all__ = [
 
 _P_FLOOR = 1e-12
 _SLOPE_FLOOR = 1e-9
+_PHI_GRID = 2.0 * math.pi * np.arange(256) / 256
+_CHI_GRID = np.minimum(np.arange(0.0, 2.01, 0.02), 2.0)
 
 
 class FisherDivergenceError(ArithmeticError):
@@ -36,8 +39,7 @@ class FisherDivergenceError(ArithmeticError):
 def _p_and_slope(table: OutcomeLikelihoodTable,
                  x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """P and dP/dphi per outcome (rows) at each phase difference (columns)."""
-    n = table.n_photons
-    d = np.arange(-n, n + 1)
+    d = _engine._band(table.matrix.shape[1])
     phases = np.exp(1j * np.multiply.outer(d, x))
     p = (table.matrix @ phases).real
     dp = ((table.matrix * (1j * d)) @ phases).real
@@ -78,56 +80,53 @@ def fisher_information(
     return fisher_from_table(build_likelihood_table(state, eta), phi, theta)
 
 
-def _golden_max(f, lo: float, hi: float,
-                iters: int) -> list[tuple[float, float]]:
-    """Golden-section search for a maximum of f on [lo, hi].
+def _grid_golden_max(f, grid: np.ndarray, vals: np.ndarray, lo: float,
+                     hi: float, iters: int) -> tuple[float, float]:
+    """Best (x, f(x)) of the grid winner and a golden-section search for a
+    maximum of f within one grid step of it, clipped to [lo, hi].
 
-    Returns the two final interior points with their values.
+    vals holds f on the (evenly spaced) grid; ties go to the grid winner.
     """
+    i = int(np.argmax(vals))
+    step = grid[1] - grid[0]
+    a, b = max(lo, grid[i] - step), min(hi, grid[i] + step)
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1, x2 = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+    x1, x2 = b - invphi * (b - a), a + invphi * (b - a)
     f1, f2 = f(x1), f(x2)
     for _ in range(iters):
         if f1 > f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
+            b, x2, f2 = x2, x1, f1
+            x1 = b - invphi * (b - a)
             f1 = f(x1)
         else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * (b - a)
             f2 = f(x2)
-    return [(x1, f1), (x2, f2)]
+    return max([(grid[i], vals[i]), (x1, f1), (x2, f2)], key=lambda c: c[1])
 
 
-def _max_over_phi(table: OutcomeLikelihoodTable, theta: float,
-                  grid_points: int = 256) -> float:
-    """max_phi F(phi, theta) on a grid with golden-section refinement.
+def _max_over_phi(table: OutcomeLikelihoodTable) -> float:
+    """max over phi of F(phi, theta), by grid and golden-section search.
 
+    F depends on phi - theta only, so the search runs at theta = 0.
     Divergent grid points are stepped around (they correspond to
     probability zeros crossed transversally, where the Fisher information
     is not defined).
     """
-    phis = theta + 2.0 * math.pi * np.arange(grid_points) / grid_points
-
-    def safe_f(phi):
-        return float(_fisher_sum(*_p_and_slope(table, np.array([phi - theta])))[0])
-
-    vals = _fisher_sum(*_p_and_slope(table, phis - theta))
-    i = int(np.argmax(vals))
-    best_val, best_phi = vals[i], phis[i]
-    if not math.isfinite(best_val):
+    vals = _fisher_sum(*_p_and_slope(table, _PHI_GRID))
+    if not math.isfinite(vals.max()):
         return 0.0
-    step = 2.0 * math.pi / grid_points
-    ends = _golden_max(safe_f, best_phi - step, best_phi + step, 30)
-    return max(best_val, *(f for _, f in ends))
+
+    def f(phi):
+        return float(_fisher_sum(*_p_and_slope(table, np.array([phi])))[0])
+
+    return _grid_golden_max(f, _PHI_GRID, vals, -math.inf, math.inf, 30)[1]
 
 
-def max_fisher_over_chi(
-    n_photons: int, eta: float, theta: float = 0.0, chi_step: float = 0.02
-) -> tuple[float, float]:
+def max_fisher_over_chi(n_photons: int, eta: float) -> tuple[float, float]:
     """Best (chi, F) of the loss-resistant family at a given photon number.
 
-    Scans chi over [0, 2] at `chi_step`, maximizing F over phi for each
+    Scans chi over [0, 2] in steps of 0.02, maximizing F over phi for each
     table, then refines chi around the grid winner.
     """
     if n_photons not in (2, 4):
@@ -136,24 +135,14 @@ def max_fisher_over_chi(
 
     def objective(chi):
         table = build_likelihood_table(make_loss_resistant(half_n, chi), eta)
-        return _max_over_phi(table, theta)
+        return _max_over_phi(table)
 
-    chis = np.arange(0.0, 2.0 + 0.5 * chi_step, chi_step)
-    chis[-1] = min(chis[-1], 2.0)
-    vals = np.array([objective(c) for c in chis])
-    i = int(np.argmax(vals))
-    best_chi, best_val = float(chis[i]), float(vals[i])
-    lo = max(0.0, best_chi - chi_step)
-    hi = min(2.0, best_chi + chi_step)
-    for x, f in _golden_max(objective, lo, hi, 25):
-        if f > best_val:
-            best_chi, best_val = float(x), float(f)
-    return best_chi, best_val
+    vals = np.array([objective(c) for c in _CHI_GRID])
+    chi, f = _grid_golden_max(objective, _CHI_GRID, vals, 0.0, 2.0, 25)
+    return float(chi), float(f)
 
 
-def max_fisher_exact_optimal4(
-    eta: float, theta: float = 0.0
-) -> tuple[float, float, float]:
+def max_fisher_exact_optimal4(eta: float) -> tuple[float, float, float]:
     """Best (chi1p, chi2p, F) over the two-parameter four-photon family.
 
     Coarse grid over both parameters, seeded additionally with the
@@ -165,7 +154,7 @@ def max_fisher_exact_optimal4(
         table = build_likelihood_table(
             make_exact_optimal4(params[0], params[1]), eta
         )
-        return _max_over_phi(table, theta)
+        return _max_over_phi(table)
 
     seeds = [
         (c1, c2)

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from lossyphase.sequences import (
-    DEFAULT_BRANCH_GUARD,
     EvaluationReport,
     SequencePlan,
     evaluate_exact,
@@ -45,26 +44,15 @@ class OptimizationResult:
         return {
             "total_photons": self.total_photons,
             "eta": self.eta,
-            "best_plan": _plan_dict(self.best_plan),
+            "best_plan": asdict(self.best_plan),
             "best_variance": (
                 "inf" if math.isinf(self.best_variance) else self.best_variance
             ),
             "pareto_table": [
-                {"plan": _plan_dict(p), "report": r.to_json_dict()}
+                {"plan": asdict(p), "report": r.to_json_dict()}
                 for p, r in self.pareto_table
             ],
         }
-
-
-def _plan_dict(plan: SequencePlan) -> dict:
-    return {
-        "n1": plan.n1,
-        "n2": plan.n2,
-        "chi2": plan.chi2,
-        "n4": plan.n4,
-        "chi4": plan.chi4,
-        "eta": plan.eta,
-    }
 
 
 def _chi_grid(step: float) -> list[float]:
@@ -112,15 +100,15 @@ def optimize(
     eta: float,
     chi_grid_step: float = 0.1,
     evaluator: str = "speedup",
-    branch_guard: int = DEFAULT_BRANCH_GUARD,
     mc_trials: int = 10 ** 5,
     mc_seed: int = 0,
 ) -> OptimizationResult:
     """Evaluate every candidate plan and return the variance minimizer.
 
     Ties are broken toward larger N1, then smaller chi2, then smaller chi4,
-    which is exactly the enumeration order, so the first strict improvement
-    wins.  The speedup evaluator walks each split's plans as one tree.
+    which is exactly the enumeration order, so the first minimum wins (the
+    all-single-photon plan when every variance is infinite, as at eta = 0).
+    The speedup evaluator walks each split's plans as one tree.
     Branch-guard violations name the first offending plan.
     """
     if evaluator not in ("exact", "speedup", "mc"):
@@ -128,36 +116,27 @@ def optimize(
             f"unknown evaluator {evaluator!r}: expected exact, speedup or mc")
     plans = enumerate_plans(total_photons, chi_grid_step, eta)
     if evaluator == "speedup":
-        reports = evaluate_plans_with_speedup(plans, branch_guard)
+        reports = evaluate_plans_with_speedup(plans)
     else:
-        reports = [evaluate_exact(p, branch_guard) if evaluator == "exact"
+        reports = [evaluate_exact(p) if evaluator == "exact"
                    else evaluate_monte_carlo(p, mc_trials, mc_seed) for p in plans]
-    best_idx = None
-    best_var = math.inf
-    for i, report in enumerate(reports):
-        if report.holevo_variance < best_var:
-            best_var = report.holevo_variance
-            best_idx = i
-    if best_idx is None:
-        raise RuntimeError("no plans evaluated")
+    table = tuple(zip(plans, reports))
+    best_plan, best = min(table, key=lambda row: row[1].holevo_variance)
     return OptimizationResult(
         total_photons=total_photons,
         eta=eta,
-        best_plan=plans[best_idx],
-        best_variance=best_var,
-        pareto_table=tuple(zip(plans, reports)),
+        best_plan=best_plan,
+        best_variance=best.holevo_variance,
+        pareto_table=table,
     )
 
 
-def sql_baseline(
-    total_photons: int, eta: float,
-    branch_guard: int = DEFAULT_BRANCH_GUARD,
-) -> float:
+def sql_baseline(total_photons: int, eta: float) -> float:
     """Holevo variance of the all-single-photon plan (the SQL reference)."""
     if total_photons < 1:
         raise ValueError("total_photons must be >= 1")
     plan = SequencePlan(n1=total_photons, eta=eta)
-    return evaluate_exact_with_speedup(plan, branch_guard).holevo_variance
+    return evaluate_exact_with_speedup(plan).holevo_variance
 
 
 def pareto_csv(result: OptimizationResult) -> str:

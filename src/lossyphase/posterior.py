@@ -58,9 +58,7 @@ class PhaseDistribution:
 
     def density(self, phi) -> np.ndarray:
         """P(phi) evaluated pointwise (phi may be an array)."""
-        phi = np.asarray(phi, dtype=float)
-        j = np.arange(-self.max_harmonic, self.max_harmonic + 1)
-        vals = np.tensordot(self.coeffs, np.exp(-1j * np.multiply.outer(j, phi)), 1)
+        vals = _engine._phases(phi, self.coeffs.size) @ self.coeffs
         return vals.real / (2.0 * math.pi)
 
     def hermitian_defect(self) -> float:

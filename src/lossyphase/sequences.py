@@ -2,8 +2,10 @@
 
 A sequence plan uses N1 single photons, then N2 two-photon and N4
 four-photon loss-resistant states (grouped in that order).  The controlled
-phase before each detection comes from the locally optimal feedback rule;
-averaging over the unknown phase, the mean sharpness of the whole record is
+phase before each detection comes from the one-step feedback rule (closed
+form for single photons; otherwise the best of 32 grid brackets on [0, pi),
+refined by damped Newton inside that bracket, see `_engine`); averaging
+over the unknown phase, the mean sharpness of the whole record is
 
     mu = sum over outcome records |first harmonic of the unnormalized
          posterior at the leaf|,
@@ -88,9 +90,9 @@ class SequencePlan:
     def __post_init__(self):
         if min(self.n1, self.n2, self.n4) < 0:
             raise ValueError("state counts must be non-negative")
-        if self.n2 > 0 and not 0.0 <= self.chi2 <= 2.0:
+        if not 0.0 <= self.chi2 <= 2.0:
             raise ValueError(f"chi2={self.chi2} outside [0, 2]")
-        if self.n4 > 0 and not 0.0 <= self.chi4 <= 2.0:
+        if not 0.0 <= self.chi4 <= 2.0:
             raise ValueError(f"chi4={self.chi4} outside [0, 2]")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta={self.eta} outside [0, 1]")
@@ -199,7 +201,7 @@ def _merge_root_twins(children: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     first; scaling by 2 is exact, so the kept subtree's feedback is
     unchanged bit for bit.  Both premises are checked, not assumed.
     """
-    d = np.arange(children.shape[2]) - (children.shape[2] - 1) // 2
+    d = _engine._band(children.shape[2])
     if not (children.shape[:2] == (1, 2) and np.all(thetas == 0.0)
             and np.array_equal(children[:, 1], children[:, 0] * (-1.0) ** d)):
         raise RuntimeError(

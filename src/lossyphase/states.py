@@ -58,9 +58,9 @@ class TwoModeState:
             return 0.0
         return abs(np.vdot(self.amplitudes, other.amplitudes))
 
-    def is_symmetric(self, tol: float = 0.0) -> bool:
-        """Whether psi_k == psi_{N-k} (exactly by default)."""
-        return bool(np.all(np.abs(self.amplitudes - self.amplitudes[::-1]) <= tol))
+    def is_symmetric(self) -> bool:
+        """Whether psi_k == psi_{N-k} exactly."""
+        return bool(np.array_equal(self.amplitudes, self.amplitudes[::-1]))
 
     def norm_error(self) -> float:
         return abs(np.vdot(self.amplitudes, self.amplitudes).real - 1.0)

@@ -131,7 +131,7 @@ def test_criterion_3_fisher_peak_location():
 
     peak_paper_point = argmax_at(math.pi / 2.0)
     peak_literal = argmax_at(math.pi / 4.0)
-    vals_maxphi = [_max_over_phi(t, 0.0) for t in tables]
+    vals_maxphi = [_max_over_phi(t) for t in tables]
     peak_invariant = float(chis[int(np.argmax(vals_maxphi))])
     ok = (0.7 <= peak_paper_point <= 0.9) and (0.7 <= peak_invariant <= 0.9) \
         and peak_literal < 0.1

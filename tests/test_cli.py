@@ -4,7 +4,14 @@ import os
 
 import pytest
 
-from lossyphase.cli import EXIT_GUARD, EXIT_OK, EXIT_USAGE, main, parse_angle
+from lossyphase.cli import (
+    EXIT_DIVERGENCE,
+    EXIT_GUARD,
+    EXIT_OK,
+    EXIT_USAGE,
+    main,
+    parse_angle,
+)
 
 
 def run(capsys, *argv):
@@ -133,6 +140,13 @@ class TestEvaluate:
         assert code == EXIT_GUARD
         assert "guard" in err
 
+    def test_out_of_range_chi_of_absent_state_exits_2(self, capsys):
+        code, out, err = run(capsys, "evaluate", "--n1", "1", "--chi2", "7",
+                             "--eta", "0.6")
+        assert code == EXIT_USAGE
+        assert "chi2" in err
+        assert out == ""
+
     def test_mc_is_seeded(self, capsys):
         argv = ("evaluate", "--n1", "1", "--eta", "0.6", "--method", "mc",
                 "--trials", "2000", "--seed", "9")
@@ -172,6 +186,16 @@ class TestOptimize:
                 first["plan"]["n4"]) == (26, 0, 0)
         assert doc["sql_baseline"] == first["report"]["holevo_variance"]
 
+
+    @pytest.mark.parametrize("method", ["speedup", "exact"])
+    def test_eta_zero_reports_inf(self, capsys, method):
+        code, out, err = run(capsys, "optimize", "--n", "2", "--eta", "0",
+                             "--chi-step", "1", "--method", method)
+        assert code == EXIT_OK, err
+        doc = json.loads(out)["result"]
+        assert doc["best_variance"] == "inf"
+        assert doc["sql_baseline"] == "inf"
+        assert doc["best_plan"]["n1"] == 2
 
     def test_csv_rerun_is_byte_identical(self, capsys):
         argv = ("--format", "csv", "optimize", "--n", "5", "--eta", "0.6",
@@ -337,3 +361,34 @@ def test_missing_required_parameter(capsys):
     code, _, err = run(capsys, "probs", "--chi", "1.0", "--eta", "0.5")
     assert code == EXIT_USAGE
     assert "n-photons" in err
+
+
+# Edge inputs: each either runs or fails with a documented exit code and a
+# one-line `error:` message, never an uncaught exception.
+EDGE_ARGVS = {
+    "optimize-eta-0": ("optimize", "--n", "2", "--eta", "0", "--chi-step", "1"),
+    "optimize-n-0": ("optimize", "--n", "0", "--eta", "0.6"),
+    "optimize-eta-1.5": ("optimize", "--n", "2", "--eta", "1.5"),
+    "optimize-chi-step-0": ("optimize", "--n", "2", "--eta", "0.6",
+                            "--chi-step", "0"),
+    "evaluate-no-photons": ("evaluate", "--eta", "0.6"),
+    "evaluate-eta-0": ("evaluate", "--n1", "2", "--eta", "0"),
+    "evaluate-trials-0": ("evaluate", "--n1", "1", "--eta", "0.6",
+                          "--method", "mc", "--trials", "0"),
+    "evaluate-n1-negative": ("evaluate", "--n1", "-1", "--eta", "0.6"),
+    "evaluate-chi2-3": ("evaluate", "--n1", "1", "--chi2", "3", "--eta", "0.6"),
+    "probs-n-photons-3": ("probs", "--n-photons", "3", "--eta", "0.6"),
+    "probs-chi-3": ("probs", "--n-photons", "2", "--chi", "3", "--eta", "0.6"),
+    "fisher-scan-eta-0": ("fisher-scan", "--n-photons", "2", "--eta", "0"),
+    "state-prep-chi-3": ("state-prep", "--chi", "3"),
+    "state-prep-half-n-0": ("state-prep", "--chi", "1", "--half-n", "0"),
+}
+
+
+@pytest.mark.parametrize("argv", EDGE_ARGVS.values(), ids=EDGE_ARGVS.keys())
+def test_edge_inputs_exit_cleanly(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_GUARD, EXIT_DIVERGENCE)
+    assert "Traceback" not in err
+    if code == EXIT_USAGE:
+        assert err.startswith("error:"), err

@@ -9,6 +9,7 @@ from lossyphase.optimizer import (
     pareto_csv,
     sql_baseline,
 )
+from lossyphase.sequences import SequencePlan
 
 
 class TestEnumeration:
@@ -71,6 +72,16 @@ class TestOptimize:
         res = optimize(2, 0.8, chi_grid_step=1.0, evaluator="mc",
                        mc_trials=2_000, mc_seed=5)
         assert all(r.method == "monte_carlo" for _, r in res.pareto_table)
+
+    @pytest.mark.parametrize("evaluator", ["speedup", "exact"])
+    def test_all_variances_infinite_picks_first_plan(self, evaluator):
+        # At eta = 0 every plan keeps a flat posterior: V_H is inf for all,
+        # and the first plan in enumeration order (all single photons) wins.
+        res = optimize(2, 0.0, chi_grid_step=1.0, evaluator=evaluator)
+        assert all(math.isinf(r.holevo_variance) for _, r in res.pareto_table)
+        assert res.best_plan == SequencePlan(n1=2, eta=0.0)
+        assert res.best_variance == math.inf
+        assert res.to_json_dict()["best_variance"] == "inf"
 
     def test_unknown_evaluator_rejected(self):
         with pytest.raises(ValueError, match="'bogus'.*exact, speedup or mc"):

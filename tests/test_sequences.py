@@ -32,6 +32,11 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             SequencePlan(n1=1, eta=1.2)
 
+    @pytest.mark.parametrize("kwargs", [{"chi2": 7.0}, {"chi4": -0.1}])
+    def test_chi_checked_when_its_count_is_zero(self, kwargs):
+        with pytest.raises(ValueError, match="outside"):
+            SequencePlan(1, **kwargs)
+
     def test_budget_and_leaf_counts(self):
         plan = SequencePlan(n1=7, n2=1, chi2=1.7, n4=1, chi4=1.3, eta=0.6)
         assert plan.total_photons == 13
