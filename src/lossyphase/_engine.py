@@ -6,18 +6,20 @@ harmonic band; each Bayes update returns the band widened by the
 likelihood's order.  The public feedback functions and the sequence
 evaluators are thin wrappers; keeping a single implementation guarantees
 the scalar API and the tree traversal make bit-identical feedback
-decisions.
+decisions.  The one exception is the last detection of a tree walk, whose
+theta builds no children: there Newton may also stop on the gradient
+(_theta_and_sharpness with settle), moving theta by far less than 1e-6.
 
 All feedback objectives are scale-invariant, so rows may carry any positive
 overall factor (branch probabilities are folded into the coefficients).
 
 Likelihoods are an (outcomes, d) matrix shared by all rows or, in
-numeric_theta_batch, advance_batch and expected_sharpness_batch, a
-(rows, outcomes, d) stack of per-row matrices.  They come from
-`OutcomeLikelihoodTable.matrix` (or are SINGLE_FRINGE), so they carry the
-table's port-swap symmetry: shifting theta by pi only permutes the
-outcomes, the expected sharpness has period pi, and the feedback grid
-covers [0, pi) alone.
+numeric_theta_batch, _theta_and_sharpness, advance_batch and
+expected_sharpness_batch, a (rows, outcomes, d) stack of per-row
+matrices.  They come from `OutcomeLikelihoodTable.matrix` (or are
+SINGLE_FRINGE), so they carry the table's port-swap symmetry: shifting
+theta by pi only permutes the outcomes, the expected sharpness has period
+pi, and the feedback grid covers [0, pi) alone.
 """
 
 from __future__ import annotations
@@ -31,6 +33,11 @@ THETA_GRID = math.pi * np.arange(GRID_POINTS) / GRID_POINTS
 _GRID_STEP = math.pi / GRID_POINTS
 _NEWTON_ITERS = 12
 _NEWTON_TOL = 1e-12
+# The settled stop of a feedback whose theta builds no children: a row
+# also stops once its gradient is below _SETTLE_GRAD times the objective
+# and its step below _SETTLE_STEP rad (see _refine_newton).
+_SETTLE_GRAD = 1e-6
+_SETTLE_STEP = 1e-6
 # Relative slack for grid comparisons.  The refinement must behave as a
 # smooth function of the posterior: the exact and binomial-speedup
 # evaluators feed it inputs differing in the last bits, and any
@@ -96,14 +103,20 @@ def _sharpness_grid(w: np.ndarray) -> np.ndarray:
 
 
 def _refine_newton(w: np.ndarray, theta0: np.ndarray, lo: np.ndarray,
-                   hi: np.ndarray) -> np.ndarray:
+                   hi: np.ndarray, settle: bool) -> np.ndarray:
     """Curvature-damped ascent to the local objective maximum.
 
     Unlike bracketing searches this is a smooth map of the weights: runs on
     inputs that agree to rounding stay together instead of diverging once
     comparisons drop below the noise floor.  Steps are clamped to the
     bracket around the coarse grid winner; a row stops once its step is
-    below _NEWTON_TOL, the rest after _NEWTON_ITERS steps.
+    below _NEWTON_TOL, the rest after _NEWTON_ITERS steps.  With settle a
+    row also stops, after taking its step, once the gradient before it was
+    at most _SETTLE_GRAD times the objective and the step at most
+    _SETTLE_STEP: the objective is then within about S'^2 / (2|S''|) of
+    the maximum.  The gradient keeps a row going where a near-vanishing
+    outcome harmonic makes the steps shrink faster than the gradient; the
+    step bound keeps it going on a flat-topped maximum.
     """
     d = _band(w.shape[2])
     # Columns 0, 1, 2 give g and its first and second theta derivatives.
@@ -117,7 +130,8 @@ def _refine_newton(w: np.ndarray, theta0: np.ndarray, lo: np.ndarray,
     for _ in range(_NEWTON_ITERS):
         phases = _phases(t, d.size)
         g, g1, g2 = np.moveaxis(w @ (phases[:, :, None] * deriv), 2, 0)
-        safe = np.abs(g) + mag_floor
+        mag = np.abs(g)
+        safe = mag + mag_floor
         inner = np.real(np.conj(g) * g1)
         mu1 = (inner / safe).sum(axis=1)
         mu2 = (
@@ -126,7 +140,11 @@ def _refine_newton(w: np.ndarray, theta0: np.ndarray, lo: np.ndarray,
         ).sum(axis=1)
         stepped = np.clip(t + mu1 / (np.abs(mu2) + curv_floor), lo, hi)
         theta[rows] = stepped
-        moving = np.abs(stepped - t) > _NEWTON_TOL
+        step = np.abs(stepped - t)
+        moving = step > _NEWTON_TOL
+        if settle:
+            moving &= ((np.abs(mu1) > _SETTLE_GRAD * mag.sum(axis=1))
+                       | (step > _SETTLE_STEP))
         if not moving.all():
             rows, w, lo, hi = rows[moving], w[moving], lo[moving], hi[moving]
             curv_floor, mag_floor = curv_floor[moving], mag_floor[moving]
@@ -136,24 +154,12 @@ def _refine_newton(w: np.ndarray, theta0: np.ndarray, lo: np.ndarray,
     return theta
 
 
-def numeric_theta_batch(batch: np.ndarray, cmat: np.ndarray) -> np.ndarray:
-    """Per-row feedback phase: the best of 32 grid brackets, refined.
-
-    The expected sharpness is scanned on 32 points of [0, pi), one period
-    of the objective for every table (see the module docstring); ties
-    within a small relative slack go to the smallest theta.  Damped Newton
-    then climbs inside the winner's bracket (which wraps around the
-    period), converging well below 1e-6 rad.  This is not a guaranteed
-    argmax: when two near-equal peaks lie in different brackets the grid
-    can pick the lower one (1.5% of the rows of the N=13 (7,1,1) split,
-    short of the best peak by at most 7.7e-5 relative).  Plateaus skip
-    refinement, so e.g. a flat prior returns exactly 0.
-    """
-    w = _g1_weights(batch, cmat)
+def _theta_from_weights(w: np.ndarray, settle: bool) -> np.ndarray:
+    """numeric_theta_batch on the weights _g1_weights built."""
     vals = _sharpness_grid(w)
     top = vals.max(axis=1, keepdims=True)
     idx = np.argmax(vals >= top * (1.0 - _SNAP), axis=1)
-    rows = np.arange(batch.shape[0])
+    rows = np.arange(w.shape[0])
     f_best = vals[rows, idx]
     f_prev = vals[rows, (idx - 1) % GRID_POINTS]
     f_next = vals[rows, (idx + 1) % GRID_POINTS]
@@ -163,9 +169,35 @@ def numeric_theta_batch(batch: np.ndarray, cmat: np.ndarray) -> np.ndarray:
     if np.any(refine):
         center = theta[refine]
         theta[refine] = _refine_newton(
-            w[refine], center, center - _GRID_STEP, center + _GRID_STEP
+            w[refine], center, center - _GRID_STEP, center + _GRID_STEP, settle
         )
     return np.mod(theta, 2.0 * math.pi)
+
+
+def numeric_theta_batch(batch: np.ndarray, cmat: np.ndarray) -> np.ndarray:
+    """Per-row feedback phase: the best of 32 grid brackets, refined.
+
+    The expected sharpness is scanned on 32 points of [0, pi), one period
+    of the objective for every table (see the module docstring); ties
+    within a small relative slack go to the smallest theta.  Damped Newton
+    then climbs inside the winner's bracket (which wraps around the
+    period) until its step falls below 1e-12 rad.  This is not a
+    guaranteed argmax: when two near-equal peaks lie in different brackets
+    the grid can pick the lower one (1.5% of the rows of the N=13 (7,1,1)
+    split, short of the best peak by at most 7.7e-5 relative).  Plateaus
+    skip refinement, so e.g. a flat prior returns exactly 0.
+    """
+    return _theta_from_weights(_g1_weights(batch, cmat), False)
+
+
+def _theta_and_sharpness(batch: np.ndarray, cmat: np.ndarray,
+                         settle: bool) -> tuple[np.ndarray, np.ndarray]:
+    """numeric_theta_batch and the expected sharpness at its theta, from
+    one set of weights.  With settle, for a feedback whose theta builds
+    no children, Newton also stops on the gradient (see _refine_newton)."""
+    w = _g1_weights(batch, cmat)
+    theta = _theta_from_weights(w, settle)
+    return theta, _sharpness_from_weights(w, theta)
 
 
 # Single-photon fringe coefficients over d = -1..1 for the two detection

@@ -124,6 +124,8 @@ def _resolve(args: argparse.Namespace) -> dict:
         if val is None:
             raise UsageError(f"missing required parameter --{flag}")
         cfg[key] = cast(val)
+    if cfg.get("trials", 1) < 1:
+        raise UsageError("trials must be >= 1")
     return cfg
 
 

@@ -14,33 +14,44 @@ which the exact evaluator accumulates over the full outcome tree
 (3^N1 6^N2 15^N4 records).  The sum over the children of a row at the last
 detection is the expected sharpness that the feedback has just maximised
 for that row, so the walk ends at the last feedback and never builds the
-leaves; the reported record counts come from the plan in closed form.  The
-binomial speedup removes the loss branching of the single-photon stage:
-lost single photons never change the posterior, so the tree only needs the
-2^n lossless records for each count n of surviving photons, each weighted
-by the binomial probability that n of the N1 photons survive.
+leaves; since that feedback builds no children, its Newton refinement may
+stop on the gradient instead of the step (see `_engine._refine_newton`).
+The reported record counts come from the plan in closed form.
 
-The speedup walks a whole split (N1, N2, N4, eta) as one tree.  Its
-lossless single-photon stage is a prefix: at every depth n = 0..N1 its
-records also leave, scaled by their binomial weight and zero-padded to
-one band, and enter the multi-photon stages in shared chunks; at each
-stage a row fans out to the stage's chi values (its key records them)
-and uses its own table, via per-row likelihood stacks.  The weights live
-in the rows, as every branch probability does, so the walk sums one mu
-per key.  evaluate_exact is the same walker with one key and no weights.
+The binomial speedup removes the all-lost branching of every stage: a
+detection that loses all N of its photons multiplies the posterior by the
+constant p0 = (1 - eta)^N alone, so it changes no later feedback.  A
+record with j phase-carrying outcomes among the c detections of a stage
+stands for the C(c, j) records that differ only in where its c - j
+all-lost outcomes fall, each scaled by p0^(c - j).  So each stage
+branches only on the outcomes whose likelihood depends on phase, and its
+rows leave for the next stage at every depth j with that binomial weight.
+For the single photons this is the familiar reduction to the 2^n records
+of the n surviving photons, weighted by C(N1, n) eta^n (1 - eta)^(N1 - n).
+p0 is read off each table's all-lost row, which is checked to carry no
+phase, and the feedback is still chosen against the whole table.
 
-The prefix root is flat, so its feedback is theta = 0 and its two
-children are twins: the second is the first rotated by pi (odd harmonics
-negated).  Every table has the port-swap symmetry (see _engine), so a pi
-rotation leaves each feedback choice as it is and only rotates and
-permutes the children: the two subtrees add the same sharpness up to
-rounding, and the speedup walks the first at twice its weight, half the
-prefix rows.  The twin premise is checked exactly on every walk.  The
-tree's other symmetry, the mirror phi -> -phi, is not merged: numeric
-feedback breaks near-ties toward the smallest theta, which is not
-mirror-covariant, and merging mirror twins moved mu by 2e-10 on an N=13
-split.  evaluate_exact merges nothing and stays the reference.  Plans
-beyond the enumeration guard are handled by a seeded Monte Carlo estimator.
+The speedup walks a whole split (N1, N2, N4, eta) as one tree.  Rows
+leaving a stage are zero-padded to one band and enter the next stage in
+shared chunks; at each stage a row fans out to the stage's chi values
+(its key records them) and uses its own table, via per-row likelihood
+stacks.  The weights live in the rows, as every branch probability does,
+so the walk sums one mu per key.  evaluate_exact is the same walker with
+one key and unmerged stages, which branch on every outcome.
+
+The root of the single-photon stage is flat, so its feedback is
+theta = 0 and its two children are twins: the second is the first
+rotated by pi (odd harmonics negated).  Every table has the port-swap
+symmetry (see _engine), so a pi rotation leaves each feedback choice as
+it is and only rotates and permutes the children: the two subtrees add
+the same sharpness up to rounding, and the speedup walks the first at
+twice its weight, half the single-photon rows.  The twin premise is
+checked exactly on every walk.  The tree's other symmetry, the mirror
+phi -> -phi, is not merged: numeric feedback breaks near-ties toward the
+smallest theta, which is not mirror-covariant, and merging mirror twins
+moved mu by 2e-10 on an N=13 split.  evaluate_exact merges nothing and
+stays the reference.  Plans beyond the enumeration guard are handled by
+a seeded Monte Carlo estimator.
 """
 
 from __future__ import annotations
@@ -151,7 +162,10 @@ class _Stage:
     count: int
     cmat: np.ndarray  # (outcomes, d), or (chi values, outcomes, d) in a split
     single_photon: bool  # closed-form feedback instead of numeric
-    weights: tuple[float, ...] = ()  # lossless prefix: the weight of each depth
+    # Merged stages only: the all-lost probability p0 of each chi value.
+    # The all-lost outcome (the table's last row) is not branched on; its
+    # records leave as binomial weights instead (see _walk_tree).
+    lost: np.ndarray | None = None
 
     def thetas(self, batch: np.ndarray, cmat: np.ndarray | None = None) -> np.ndarray:
         """Feedback per row against cmat (default: own); kernels looked up per call."""
@@ -159,37 +173,60 @@ class _Stage:
             return _engine.closed_form_theta_batch(batch)
         return _engine.numeric_theta_batch(batch, self.cmat if cmat is None else cmat)
 
+    def sharpened(self, batch: np.ndarray, cmat: np.ndarray,
+                  settle: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Feedback per row and the expected sharpness at it; settle for a
+        feedback whose theta builds no children."""
+        if self.single_photon:
+            thetas = _engine.closed_form_theta_batch(batch)
+            return thetas, _engine.expected_sharpness_batch(batch, cmat, thetas)
+        return _engine._theta_and_sharpness(batch, cmat, settle)
+
+
+def _all_lost(mats: np.ndarray) -> np.ndarray:
+    """p0 of each table: the (L = N, k = 0) row, the last, at d = 0.
+
+    Losing every photon multiplies the posterior by p0 alone, which is
+    what lets a merged stage turn that outcome into weights; a row that
+    is not p0 at d = 0 and zero elsewhere is rejected, not assumed away.
+    """
+    rows = mats[:, -1, :]
+    p0 = rows[:, rows.shape[1] // 2].real
+    expect = np.zeros_like(rows)
+    expect[:, rows.shape[1] // 2] = p0
+    if not np.array_equal(rows, expect):
+        raise RuntimeError(
+            "all-lost row broken: the (L = N, k = 0) outcome must be a real "
+            "constant p0 at d = 0 and zero elsewhere")
+    return p0
+
 
 def _split_stages(plans: list[SequencePlan],
-                  lossless_singles: bool) -> tuple[list[_Stage], np.ndarray]:
+                  merge_lost: bool) -> tuple[list[_Stage], np.ndarray]:
     """The stages of one split (n1, n2, n4, eta) in detection order, and
     each plan's key: its index in the product of the multi-photon stages'
-    sorted distinct chi values.  Lossless singles form a prefix stage whose
-    weight k, C(n1, k) eta^k (1 - eta)^(n1 - k), is the probability that
-    exactly k of the n1 single photons survive."""
+    sorted distinct chi values.  merge_lost makes every stage merged:
+    each carries the all-lost probability of each of its chi values."""
     first = plans[0]
     stages, keys = [], np.zeros(len(plans), dtype=np.int64)
-    if first.n1 > 0:
-        n1, eta = first.n1, first.eta
-        table = build_likelihood_table(make_single_photon(), 1.0 if lossless_singles else eta)
-        cmat = _engine.table_matrix(table) if lossless_singles else table.matrix
-        weights = tuple(math.comb(n1, k) * eta ** k * (1.0 - eta) ** (n1 - k)
-                        for k in range(n1 + 1)) if lossless_singles else ()
-        stages.append(_Stage(n1, cmat, True, weights))
-    for half_n, count, chi_of in ((1, first.n2, lambda p: p.chi2),
-                                  (2, first.n4, lambda p: p.chi4)):
+    for n_photons, count, chi_of in ((1, first.n1, lambda p: 0.0),
+                                     (2, first.n2, lambda p: p.chi2),
+                                     (4, first.n4, lambda p: p.chi4)):
         if count:
             chis = sorted({chi_of(p) for p in plans})
-            mats = [build_likelihood_table(make_loss_resistant(half_n, chi),
-                                           first.eta).matrix for chi in chis]
-            stages.append(_Stage(count, np.stack(mats) if mats[1:] else mats[0], False))
+            mats = np.stack([build_likelihood_table(
+                make_single_photon() if n_photons == 1
+                else make_loss_resistant(n_photons // 2, chi), first.eta).matrix
+                for chi in chis])
+            stages.append(_Stage(count, mats if chis[1:] else mats[0], n_photons == 1,
+                                 _all_lost(mats) if merge_lost else None))
             keys = keys * len(chis) + [chis.index(chi_of(p)) for p in plans]
     return stages, keys
 
 
-def _plan_stages(plan: SequencePlan, lossless_singles: bool) -> list[_Stage]:
-    """One stage per state type, in the plan's detection order."""
-    return _split_stages([plan], lossless_singles)[0]
+def _plan_stages(plan: SequencePlan) -> list[_Stage]:
+    """One unmerged stage per state type, in the plan's detection order."""
+    return _split_stages([plan], merge_lost=False)[0]
 
 
 def _merge_root_twins(children: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -205,8 +242,9 @@ def _merge_root_twins(children: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     if not (children.shape[:2] == (1, 2) and np.all(thetas == 0.0)
             and np.array_equal(children[:, 1], children[:, 0] * (-1.0) ** d)):
         raise RuntimeError(
-            "prefix root twins broken: at theta = 0 the second child of the "
-            "flat root must be the first rotated by pi (odd harmonics negated)")
+            "single-photon root twins broken: at theta = 0 the second child "
+            "of the flat root must be the first rotated by pi (odd harmonics "
+            "negated)")
     return 2.0 * children[:, :1]
 
 
@@ -215,32 +253,45 @@ def _walk_tree(stages: list[_Stage]) -> np.ndarray:
 
     Each row carries its key.  Entering a stage with m chi values a row
     fans out to m rows, each with its own chi value's matrix; keys number
-    the chi choices, first stage outermost.  A prefix stage (one with
-    weights) is left at every depth k = 0..count: its rows go on scaled by
-    weights[k] and zero-padded to the band of depth count, gathered into
-    shared batches (with no next stage, the sharpness a depth-k row adds
-    is scaled by weights[k + 1]).  So the weights live in the rows, as
-    every branch probability does (see _engine).  At its step 0, the flat
-    root, the prefix keeps one of its two pi-twin children at twice the
-    weight (_merge_root_twins; only the pi half of the tree's symmetry is
-    exact, see the module docstring).
+    the chi choices, first stage outermost.  A row's depth j in a stage
+    of count c is the number of detections it has branched on there.
+    An unmerged stage branches on every outcome, so its rows all reach
+    depth c and leave for the next stage there.  A merged stage does not
+    branch on the all-lost outcome, which only scales the posterior by its
+    row's p0: the c - j all-lost detections of a depth-j record can fall
+    in C(c, j) places, so its rows leave at every depth j, scaled by
+    C(c, j) p0^(c - j) and zero-padded to the band of depth c, and are
+    gathered into shared batches per stage.  A zero weight (eta = 1)
+    leaves no row.  So the weights live in the rows, as every branch
+    probability does (see _engine).  The feedback is still chosen against
+    the whole table, all-lost row included, as in the unmerged walk.
+
+    At the last detection the children are not built: their summed |first
+    harmonic| is the expected sharpness S at the feedback just chosen,
+    and that feedback stops on its gradient (the settled kernel).  In a
+    merged last stage every depth j < c counts S, scaled by C(c - 1, j)
+    p0^(c - 1 - j): the number and weight of the unmerged nodes at the
+    last detection that a depth-j row stands for.  At the flat root of a
+    merged first single-photon stage the walk keeps one of its two pi-twin
+    children at twice the weight (_merge_root_twins; only the pi half of
+    the tree's symmetry is exact, see the module docstring).
     Depth-first in batches of at most _CHUNK_ROWS rows, fan-outs made a
     chunk at a time: this fixes the summation order and holds only a few
-    chunks per depth.  At the last detection the children are not built:
-    their summed |first harmonic| is the expected sharpness at the
-    feedback just chosen.  Exactly zero rows (impossible outcomes) are
+    chunks per depth.  Exactly zero rows (impossible outcomes) are
     dropped.  With no stages the sum is a single zero.
     """
     fans = [s.cmat.shape[0] if s.cmat.ndim == 3 else 1 for s in stages]
     strides = [math.prod(fans[si + 1:]) for si in range(len(fans))]
+    lost = [np.zeros(fan) if s.lost is None else s.lost for s, fan in zip(stages, fans)]
     mu = np.zeros(math.prod(fans))
-    # (rows, key per row, first fanned-out row to walk, stage, step)
+    # (rows, key per row, first fanned-out row to walk, stage, depth)
     pending = [(np.ones((1, 1), dtype=complex), np.zeros(1, dtype=np.int64), 0, 0, 0)]
-    leaving: list[tuple[np.ndarray, np.ndarray]] = []  # prefix rows for stage 1
-    while stages and (pending or leaving):
-        if leaving and (not pending or sum(c.size for _, c in leaving) >= _CHUNK_ROWS):
-            pending.append((*map(np.concatenate, zip(*leaving)), 0, 1, 0))
-            leaving = []
+    leaving: list[list] = [[] for _ in stages]  # rows that left stage si
+    while stages and (pending or any(leaving)):
+        for si, out in enumerate(leaving):
+            if out and (not pending or sum(c.size for _, c in out) >= _CHUNK_ROWS):
+                pending.append((*map(np.concatenate, zip(*out)), 0, si + 1, 0))
+                leaving[si] = []
         rows, cells, lo, si, step = pending.pop()
         fan = fans[si] if step == 0 else 1
         end = min(lo + _CHUNK_ROWS, rows.shape[0] * fan)
@@ -248,30 +299,36 @@ def _walk_tree(stages: list[_Stage]) -> np.ndarray:
             pending.append((rows, cells, end, si, step))
         flat = np.arange(lo, end)
         batch, cells = rows[flat // fan], cells[flat // fan] + flat % fan * strides[si]
-        stage, last = stages[si], si == len(stages) - 1
-        if stage.weights and not last:
-            pad = ((0, 0), ((stage.count - step) * (stage.cmat.shape[-1] // 2),) * 2)
-            leaving.append((np.pad(batch * stage.weights[step], pad), cells))
-        if step == stage.count:
-            continue
-        cmat = stage.cmat if fans[si] == 1 else stage.cmat[cells // strides[si] % fans[si]]
-        thetas = stage.thetas(batch, cmat)
-        if last and (stage.weights or step == stage.count - 1):
-            sharp = _engine.expected_sharpness_batch(batch, cmat, thetas)
-            if stage.weights:
-                sharp *= stage.weights[step + 1]
-            mu += np.bincount(cells, sharp, mu.size)
-            if step == stage.count - 1:
+        stage, count, last = stages[si], stages[si].count, si == len(stages) - 1
+        chi = cells // strides[si] % fans[si]
+        if not last:
+            weight = math.comb(count, step) * lost[si][chi] ** (count - step)
+            keep = np.flatnonzero(weight)
+            if keep.size:
+                pad = ((0, 0), ((count - step) * (stage.cmat.shape[-1] // 2),) * 2)
+                leaving[si].append((np.pad(batch[keep] * weight[keep, None], pad),
+                                    cells[keep]))
+            if step == count:
                 continue
-        children = _engine.advance_batch(batch, cmat, thetas)
-        if stage.weights and step == 0:
+        cmat = stage.cmat if fans[si] == 1 else stage.cmat[chi]
+        settle = last and step == count - 1
+        if last and (settle or lost[si].any()):
+            thetas, sharp = stage.sharpened(batch, cmat, settle)
+            weight = math.comb(count - 1, step) * lost[si][chi] ** (count - 1 - step)
+            mu += np.bincount(cells, sharp * weight, mu.size)
+            if settle:
+                continue
+        else:
+            thetas = stage.thetas(batch, cmat)
+        merged = stage.lost is not None
+        children = _engine.advance_batch(batch, cmat[..., :-1, :] if merged else cmat,
+                                         thetas)
+        if merged and stage.single_photon and si == step == 0:
             children = _merge_root_twins(children, thetas)
         n_out = children.shape[1]
         children = children.reshape(-1, children.shape[2])
         alive = np.flatnonzero(np.abs(children).max(axis=1) > 0.0)
-        more = bool(stage.weights) or step + 1 < stage.count
-        next_si, next_step = (si, step + 1) if more else (si + 1, 0)
-        pending.append((children[alive], cells[alive // n_out], 0, next_si, next_step))
+        pending.append((children[alive], cells[alive // n_out], 0, si, step + 1))
     return mu
 
 
@@ -281,7 +338,7 @@ def evaluate_exact(
     """Exact mean sharpness by enumerating every outcome record."""
     t0 = time.perf_counter()
     _check_guard(plan, plan.exact_leaf_count(), branch_guard)
-    mu = _walk_tree(_plan_stages(plan, lossless_singles=False))[0]
+    mu = _walk_tree(_plan_stages(plan))[0]
     return _report(float(mu), plan.exact_leaf_count(), "exact", time.perf_counter() - t0)
 
 
@@ -303,7 +360,7 @@ def evaluate_plans_with_speedup(
         t0 = time.perf_counter()
         first = plans[idx[0]]
         _check_guard(first, first.speedup_leaf_count(), branch_guard)
-        stages, keys = _split_stages([plans[i] for i in idx], lossless_singles=True)
+        stages, keys = _split_stages([plans[i] for i in idx], merge_lost=True)
         mu = _walk_tree(stages)
         wall_s = (time.perf_counter() - t0) / len(idx)
         for i, key in zip(idx, keys):
@@ -315,9 +372,10 @@ def evaluate_plans_with_speedup(
 def evaluate_exact_with_speedup(
     plan: SequencePlan, branch_guard: int = DEFAULT_BRANCH_GUARD
 ) -> EvaluationReport:
-    """Exact evaluation with the single-photon loss branching removed: the
-    2^n lossless records of each count n of surviving single photons are
-    weighted binomially.  Identical to evaluate_exact up to rounding."""
+    """Exact evaluation with the all-lost outcome of every stage folded
+    into binomial weights (see the module docstring).  Identical to
+    evaluate_exact up to rounding; branches_evaluated is the record count
+    with the single-photon loss branching removed, speedup_leaf_count."""
     return evaluate_plans_with_speedup([plan], branch_guard)[0]
 
 
@@ -360,7 +418,7 @@ def evaluate_monte_carlo(
     t0 = time.perf_counter()
     ss_sim, ss_boot = np.random.SeedSequence(rng_seed).spawn(2)
     rng = np.random.default_rng(ss_sim)
-    stages = _plan_stages(plan, lossless_singles=False)
+    stages = _plan_stages(plan)
     residuals = np.empty(trials, dtype=complex)
     done = 0
     while done < trials:

@@ -147,6 +147,20 @@ class TestEvaluate:
         assert "chi2" in err
         assert out == ""
 
+    @pytest.mark.parametrize("method", ["exact", "speedup", "mc"])
+    def test_zero_trials_exits_2_for_every_method(self, capsys, method):
+        # The artifact records trials for every method, so it is checked for
+        # every method, not only where Monte Carlo reads it.
+        code, out, err = run(capsys, "evaluate", "--n1", "1", "--eta", "0.6",
+                             "--method", method, "--trials", "0")
+        assert code == EXIT_USAGE
+        assert err == "error: trials must be >= 1\n"
+        assert out == ""
+        code, _, err = run(capsys, "optimize", "--n", "1", "--eta", "0.6",
+                           "--method", method, "--trials", "-3")
+        assert code == EXIT_USAGE
+        assert err == "error: trials must be >= 1\n"
+
     def test_mc_is_seeded(self, capsys):
         argv = ("evaluate", "--n1", "1", "--eta", "0.6", "--method", "mc",
                 "--trials", "2000", "--seed", "9")

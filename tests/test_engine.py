@@ -306,3 +306,74 @@ class TestPerRowStacks:
             np.testing.assert_allclose(
                 sharp[i], _engine.expected_sharpness_batch(row, per_row[i], t)[0],
                 rtol=0.0, atol=atol)
+
+
+def settled_rows(plans):
+    """(batch, per-row cmat) of every last-detection call of real walks."""
+    from lossyphase.sequences import evaluate_plans_with_speedup
+
+    seen = []
+    kernel = _engine._theta_and_sharpness
+
+    def spy(batch, cmat, settle):
+        if settle:
+            seen.append((batch, np.broadcast_to(
+                cmat, batch.shape[:1] + cmat.shape[-2:])))
+        return kernel(batch, cmat, settle)
+
+    _engine._theta_and_sharpness = spy
+    try:
+        evaluate_plans_with_speedup(plans)
+    finally:
+        _engine._theta_and_sharpness = kernel
+    # Zero-padding a posterior band symmetrically leaves it as it is.
+    width = max(b.shape[1] for b, _ in seen)
+    return (np.concatenate([np.pad(b, ((0, 0), ((width - b.shape[1]) // 2,) * 2))
+                            for b, _ in seen]),
+            np.concatenate([c for _, c in seen]))
+
+
+class TestSettledFeedback:
+    """The last detection's fused kernel, which stops Newton on the gradient
+    and returns the sharpness at its theta, against numeric_theta_batch and
+    expected_sharpness_batch on the rows of two real walks.  Both bounds
+    of the settled stop are needed: plan (1, 2, 0.4, 1, 0.8) has a
+    flat-topped maximum, where a gradient-only stop lands 1.4e-4 rad
+    short, and plan (1, 4, 1.2, 1, 1.2) has a row where one outcome's
+    first harmonic nearly vanishes and the Newton steps shrink while the
+    gradient does not, so a step-only stop falls 1.4e-4 short in S."""
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        from lossyphase.sequences import SequencePlan
+
+        return settled_rows([SequencePlan(1, 2, 0.4, 1, 0.8, 0.6),
+                             SequencePlan(1, 4, 1.2, 1, 1.2, 0.6)])
+
+    @staticmethod
+    def step_rule_sharpness(rows):
+        batch, cmat = rows
+        return _engine.expected_sharpness_batch(
+            batch, cmat, _engine.numeric_theta_batch(batch, cmat))
+
+    def test_matches_sharpness_at_the_step_rule_theta(self, rows):
+        batch, cmat = rows
+        want = self.step_rule_sharpness(rows)
+        theta, got = _engine._theta_and_sharpness(batch, cmat, True)
+        assert np.all(np.abs(got - want) <= 1e-15 * want)
+        assert np.array_equal(got, _engine.expected_sharpness_batch(batch, cmat, theta))
+
+    def test_rows_hold_a_nearly_vanishing_harmonic(self, rows):
+        batch, cmat = rows
+        theta = _engine.numeric_theta_batch(batch, cmat)
+        w = _engine._g1_weights(batch, cmat)
+        g = np.abs(np.einsum("bod,bd->bo", w, _engine._phases(theta, w.shape[2])))
+        share = g.min(axis=1) / g.sum(axis=1)
+        assert np.any((share > 1e-12) & (share < 1e-4))
+
+    @pytest.mark.parametrize("dropped", ["_SETTLE_STEP", "_SETTLE_GRAD"])
+    def test_each_bound_is_needed(self, rows, monkeypatch, dropped):
+        want = self.step_rule_sharpness(rows)
+        monkeypatch.setattr(_engine, dropped, math.inf)
+        _, loose = _engine._theta_and_sharpness(*rows, True)
+        assert np.max((want - loose) / want) > 1e-12

@@ -7,7 +7,11 @@ import numpy as np
 import pytest
 
 from lossyphase import _engine, sequences
-from lossyphase.detection import build_likelihood_table, evaluate_outcome
+from lossyphase.detection import (
+    OutcomeLikelihoodTable,
+    build_likelihood_table,
+    evaluate_outcome,
+)
 from lossyphase.feedback import optimal_theta_numeric, optimal_theta_single_photon
 from lossyphase.optimizer import enumerate_plans
 from lossyphase.posterior import PhaseDistribution
@@ -195,15 +199,20 @@ def reference_walk(stages):
 
 
 def reference_exact(plan):
-    return reference_walk(_plan_stages(plan, lossless_singles=False))
+    return reference_walk(_plan_stages(plan))
 
 
 def reference_speedup(plan):
-    stages = _plan_stages(plan, lossless_singles=True)
+    """The binomial walk without merges: for each number n of surviving
+    single photons, n lossless single photons and then the exact
+    multi-photon stages, weighted C(n1, n) eta^n (1 - eta)^(n1 - n)."""
+    stages = _plan_stages(plan)
     multi = stages[1:] if plan.n1 > 0 else stages
+    lossless = _engine.table_matrix(build_likelihood_table(make_single_photon(), 1.0))
     mu, leaves = 0.0, 0
     for n_alive in range(plan.n1 + 1):
-        walk = [replace(stages[0], count=n_alive)] + multi if n_alive else multi
+        walk = ([replace(stages[0], count=n_alive, cmat=lossless)] + multi
+                if n_alive else multi)
         mu_n, leaves_n = reference_walk(walk)
         mu += (math.comb(plan.n1, n_alive) * plan.eta ** n_alive
                * (1.0 - plan.eta) ** (plan.n1 - n_alive)) * mu_n
@@ -241,20 +250,22 @@ class TestReferenceWalk:
     def test_sweep_has_dead_branches(self):
         plan = SequencePlan(n1=2, n2=1, chi2=1.7, n4=1, chi4=1.3, eta=1.0)
         assert plan in REFERENCE_SWEEP
-        stages = _plan_stages(plan, lossless_singles=False)
+        stages = _plan_stages(plan)
         children = _engine.advance_batch(
             np.ones((1, 1), dtype=complex), stages[0].cmat, np.zeros(1))
         assert not np.abs(children[0]).max(axis=1).all()
 
 
-SPLIT_PLANS = [plan for eta in (0.0, 0.6, 1.0) for total in (5, 6)
+SPLIT_PLANS = [plan for eta in (0.0, 0.6, 1.0) for total in (5, 6, 8)
                for plan in enumerate_plans(total, 0.5, eta)]
 
 
 class TestSplitWalk:
     """Each split's chi grid walked as one tree against the one-plan walks.
     N=6 adds a split without single photons whose keys span two chi
-    stages, (n1, n2, n4) = (0, 1, 1)."""
+    stages, (n1, n2, n4) = (0, 1, 1); N=8 adds merged multi-photon stages
+    of count 2 to 4, e.g. (0, 0, 2), (0, 2, 1) and (0, 4, 0), and
+    three-stage splits such as (2, 1, 1)."""
 
     @pytest.fixture(scope="class")
     def batched(self):
@@ -297,7 +308,7 @@ class TestBoundedPrefix:
     HEAVY = [SequencePlan(n1=12, eta=0.6),
              SequencePlan(n1=10, n2=1, chi2=1.0, n4=1, chi4=1.3, eta=0.6)]
     KERNELS = ("closed_form_theta_batch", "numeric_theta_batch",
-               "advance_batch", "expected_sharpness_batch")
+               "advance_batch", "expected_sharpness_batch", "_theta_and_sharpness")
 
     def test_kernel_calls_stay_within_row_cap(self, monkeypatch):
         want = [evaluate_exact_with_speedup(p).mu for p in self.HEAVY]
@@ -375,6 +386,51 @@ class TestRootTwins:
             evaluate_exact_with_speedup(plan)
 
 
+class TestAllLostMerge:
+    """Every merged stage turns its all-lost outcome into binomial weights,
+    reading p0 off the table's (L = N, k = 0) row."""
+
+    def test_p0_is_the_all_lost_probability(self):
+        stages, _ = sequences._split_stages(
+            [SequencePlan(1, 1, 1.7, 1, 1.3, 0.6)], merge_lost=True)
+        for stage, n in zip(stages, (1, 2, 4)):
+            assert stage.lost == pytest.approx([0.4 ** n], rel=1e-14)
+
+    def test_doctored_all_lost_row_raises(self, monkeypatch):
+        # A d = +-2 entry keeps the port-swap symmetry, so the table
+        # accepts it, but the all-lost outcome would then carry phase.
+        real = sequences.build_likelihood_table
+
+        def doctored(state, eta):
+            table = real(state, eta)
+            n, m = table.n_photons, table.matrix.copy()
+            if n == 2:
+                m[-1, n - 2] = m[-1, n + 2] = 1e-17
+            return OutcomeLikelihoodTable(n, eta, m)
+
+        plan = SequencePlan(n1=1, n2=1, chi2=1.7, eta=0.6)
+        monkeypatch.setattr(sequences, "build_likelihood_table", doctored)
+        with pytest.raises(RuntimeError, match="all-lost row"):
+            evaluate_exact_with_speedup(plan)
+        assert evaluate_exact(plan).branches_evaluated == plan.exact_leaf_count()
+
+    def test_lossless_stages_leave_only_at_full_depth(self, monkeypatch):
+        # At eta = 1 every weight below full depth is zero: no row leaves
+        # early, so the multi-photon stage sees only the 2^(n1-1) records
+        # the twin-merged single-photon stage ends with.
+        rows = []
+        kernel = _engine.numeric_theta_batch
+
+        def counted(batch, cmat):
+            rows.append(batch.shape[0])
+            return kernel(batch, cmat)
+
+        monkeypatch.setattr(_engine, "numeric_theta_batch", counted)
+        plan = SequencePlan(n1=4, n2=2, chi2=1.7, eta=1.0)
+        evaluate_exact_with_speedup(plan)
+        assert sum(rows) == 2 ** (plan.n1 - 1)
+
+
 class TestBranchGuard:
     def test_exact_guard_trips(self):
         plan = SequencePlan(n1=2, n2=2, chi2=1.8, n4=6, chi4=1.3, eta=0.6)
@@ -439,7 +495,7 @@ class TestProperties:
         ss = np.random.SeedSequence(99)
         rng = np.random.default_rng(ss)
         from lossyphase.sequences import _plan_stages, _simulate_chunk
-        stages = _plan_stages(plan, lossless_singles=False)
+        stages = _plan_stages(plan)
         res = _simulate_chunk(stages, rng, report_trials)
         err = np.angle(res)
         mse = float(np.mean(err ** 2))
