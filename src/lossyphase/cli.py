@@ -5,6 +5,8 @@ writes a machine-readable artifact embedding the fully resolved
 configuration, the seed, the package version, the wall time and the
 requested BLAS threads (`environment`; in the one `#` line of CSV output);
 rerunning with the same configuration and seed reproduces the numeric payload.
+When neither `OPENBLAS_NUM_THREADS` nor `OMP_NUM_THREADS` is set, the CLI
+runs numpy's bundled OpenBLAS on one thread (see `_cap_blas_threads`).
 
 Each command's parameters are declared once, in `_PARAMS`, which makes the
 flags, reads the config file and fills the defaults.  A parameter comes
@@ -21,12 +23,16 @@ Exit codes: 0 success, 2 usage/validation error, 3 resource guard tripped,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
 import os
 import re
 import sys
 import time
+from pathlib import Path
+
+import numpy as np
 
 import lossyphase
 from lossyphase.detection import build_likelihood_table
@@ -127,6 +133,26 @@ def _resolve(args: argparse.Namespace) -> dict:
     if cfg.get("trials", 1) < 1:
         raise UsageError("trials must be >= 1")
     return cfg
+
+
+def _cap_blas_threads() -> int | None:
+    """One thread for numpy's bundled OpenBLAS, unless the environment asks.
+
+    The kernels' matrix products are small: on a 2-core host two threads
+    made `optimize --n 9` 1.8x slower while the other core was busy and
+    gained nothing while it was idle (README, "Performance notes").  Acts
+    only when no variable of _BLAS_THREAD_VARS is set and the bundled
+    library exports its setter; returns the thread count it set.
+    """
+    if any(os.environ.get(k) is not None for k in _BLAS_THREAD_VARS):
+        return None
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas*")):
+        setter = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_set_num_threads64_", None)
+        if setter is not None:
+            setter(1)
+            return 1
+    return None
 
 
 def _artifact(config: dict, t0: float, **result) -> dict:
@@ -262,6 +288,7 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    _cap_blas_threads()
     t0 = time.perf_counter()
     try:
         cfg = _resolve(args)

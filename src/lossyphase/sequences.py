@@ -52,6 +52,15 @@ smallest theta, which is not mirror-covariant, and merging mirror twins
 moved mu by 2e-10 on an N=13 split.  evaluate_exact merges nothing and
 stays the reference.  Plans beyond the enumeration guard are handled by
 a seeded Monte Carlo estimator.
+
+The Monte Carlo walks the distinct outcome records it samples: a trial's
+posterior, and so its feedback, depends only on its record, so the
+feedback and the Bayes update run once per distinct record and each
+trial looks its row up (3, 9, 54, 324 and about 3,900 records after the
+first five detections of 16,384 N=30-row trials).  The draws stay per
+trial.  Results match the per-trial walk to rounding, not bit for bit:
+numpy's complex products of a strided column round differently at
+different row counts (residuals within 1e-11 on the N=30 SQL row).
 """
 
 from __future__ import annotations
@@ -381,24 +390,36 @@ def evaluate_exact_with_speedup(
 
 def _simulate_chunk(stages: list[_Stage], rng: np.random.Generator,
                     n_trials: int) -> np.ndarray:
-    """Per-trial residuals exp(i(phi_hat - phi)) for one batch of trials."""
+    """Per-trial residuals exp(i(phi_hat - phi)) for one batch of trials.
+
+    A trial's posterior, and so its feedback, depends only on its outcome
+    record, so the walk keeps one row per distinct record drawn so far
+    (nodes) and each trial's index into them (node).  The feedback runs
+    once per node; the outcome probabilities and draws stay per trial, in
+    the same order of rng calls.  The drawn children are numbered by
+    np.unique, and only the distinct ones are updated and normalised.
+    """
     phi = rng.uniform(0.0, 2.0 * math.pi, n_trials)
-    batch = np.ones((n_trials, 1), dtype=complex)
+    nodes = np.ones((1, 1), dtype=complex)
+    node = np.zeros(n_trials, dtype=np.int64)
     for stage in stages:
+        n_out = stage.cmat.shape[0]
         for _ in range(stage.count):
-            thetas = stage.thetas(batch)
-            probs = np.clip(
-                _engine.outcome_probabilities(stage.cmat, phi - thetas).real,
-                0.0, None)
-            cdf = np.cumsum(probs, axis=1)
+            node_thetas = stage.thetas(nodes)
+            cdf = np.cumsum(np.clip(
+                _engine.outcome_probabilities(stage.cmat, phi - node_thetas[node]).real,
+                0.0, None), axis=1)
             cdf /= cdf[:, -1:]
-            u = rng.random(n_trials)
-            picks = (u[:, None] > cdf).sum(axis=1)
-            batch = _engine.advance_selected(batch, stage.cmat, picks, thetas)
-            norms = np.abs(batch).max(axis=1)
+            picks = (rng.random(n_trials)[:, None] > cdf).sum(axis=1)
+            child, node = np.unique(node * n_out + picks, return_inverse=True)
+            parent = child // n_out
+            nodes = nodes[parent]  # rebound first: one generation alive
+            nodes = _engine.advance_selected(nodes, stage.cmat, child % n_out,
+                                             node_thetas[parent])
+            norms = np.abs(nodes).max(axis=1)
             norms[norms == 0.0] = 1.0
-            batch /= norms[:, None]
-    phi_hat = np.angle(_engine.first_harmonic(batch))
+            nodes /= norms[:, None]
+    phi_hat = np.angle(_engine.first_harmonic(nodes))[node]
     return np.exp(1j * (phi_hat - phi))
 
 
@@ -411,7 +432,9 @@ def evaluate_monte_carlo(
     sequence sampling outcomes from the true probabilities, and estimates
     the phase as the argument of the posterior's first harmonic; mu is
     |mean of exp(i(phi_hat - phi))| over trials.  Fully reproducible for a
-    given seed (trials are processed in fixed-size chunks).
+    given seed (trials are processed in fixed-size chunks).  Each chunk
+    updates one posterior per distinct outcome record, not per trial (see
+    _simulate_chunk), so its cost follows the records drawn.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

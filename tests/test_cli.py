@@ -1,9 +1,13 @@
+import ctypes
 import json
 import math
 import os
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from lossyphase import cli
 from lossyphase.cli import (
     EXIT_DIVERGENCE,
     EXIT_GUARD,
@@ -240,6 +244,27 @@ class TestEnvironment:
         meta = [l for l in out.splitlines() if l.startswith("#")]
         assert len(meta) == 1
         assert json.loads(meta[0][1:])["environment"] == want
+
+    def test_blas_threads_capped_only_when_unset(self, monkeypatch):
+        libs = sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs")
+                      .glob("libscipy_openblas*"))
+        if not libs:
+            pytest.skip("numpy has no bundled OpenBLAS")
+        lib = ctypes.CDLL(str(libs[0]))
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        get.restype = ctypes.c_int
+        before = get()
+        try:
+            put(2)
+            wide = get()  # 1 on a one-core host
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+            monkeypatch.setenv("OMP_NUM_THREADS", "2")
+            assert cli._cap_blas_threads() is None and get() == wide
+            monkeypatch.delenv("OMP_NUM_THREADS")
+            assert cli._cap_blas_threads() == 1 and get() == 1
+        finally:
+            put(before)
+
 
 class TestConfigFile:
     def test_flags_override_config(self, capsys, tmp_path):

@@ -476,6 +476,86 @@ class TestMonteCarlo:
             evaluate_monte_carlo(SequencePlan(n1=1, eta=0.6), 0, 1)
 
 
+def reference_simulate(stages, rng, n_trials):
+    """The per-trial sampler: every trial carries its own posterior row,
+    so the feedback and the Bayes update run once per trial."""
+    phi = rng.uniform(0.0, 2.0 * math.pi, n_trials)
+    batch = np.ones((n_trials, 1), dtype=complex)
+    for stage in stages:
+        for _ in range(stage.count):
+            thetas = stage.thetas(batch)
+            probs = np.clip(
+                _engine.outcome_probabilities(stage.cmat, phi - thetas).real,
+                0.0, None)
+            cdf = np.cumsum(probs, axis=1)
+            cdf /= cdf[:, -1:]
+            u = rng.random(n_trials)
+            picks = (u[:, None] > cdf).sum(axis=1)
+            batch = _engine.advance_selected(batch, stage.cmat, picks, thetas)
+            norms = np.abs(batch).max(axis=1)
+            norms[norms == 0.0] = 1.0
+            batch /= norms[:, None]
+    phi_hat = np.angle(_engine.first_harmonic(batch))
+    return np.exp(1j * (phi_hat - phi))
+
+
+N30_ROW = SequencePlan(n1=2, n2=2, chi2=1.8, n4=6, chi4=1.3, eta=0.6)
+N13_ROW = SequencePlan(n1=7, n2=1, chi2=1.7, n4=1, chi4=1.3, eta=0.6)
+
+
+class TestSampledRecords:
+    """The sampler that walks distinct outcome records against the
+    per-trial one.  Not bit for bit: numpy's complex products round a
+    strided column differently at different row counts (residuals within
+    7.6e-12 on 16,384 trials of the N=30 SQL row)."""
+
+    @pytest.mark.parametrize("plan, n_trials", [
+        (N30_ROW, 2048),
+        (SequencePlan(n1=12, eta=0.6), 2048),
+        (SequencePlan(n1=2, n2=1, chi2=1.7, n4=1, chi4=1.3, eta=1.0), 2048),
+        (SequencePlan(n1=2, n2=1, chi2=1.7, n4=1, chi4=1.3, eta=0.0), 2048),
+        (SequencePlan(n1=0), 2048),
+        (N13_ROW, 1),
+    ], ids=["n30-row", "12-single-eta0.6", "eta1", "eta0", "empty", "one-trial"])
+    def test_residuals_match_per_trial(self, plan, n_trials):
+        stages = _plan_stages(plan)
+        got = sequences._simulate_chunk(stages, np.random.default_rng(11), n_trials)
+        want = reference_simulate(stages, np.random.default_rng(11), n_trials)
+        assert got.shape == want.shape == (n_trials,)
+        assert np.max(np.abs(got - want)) <= 1e-10
+
+    def test_two_chunks_match_per_trial(self, monkeypatch):
+        trials = sequences._MC_CHUNK + 1
+        got = evaluate_monte_carlo(N13_ROW, trials, 5)
+        monkeypatch.setattr(sequences, "_simulate_chunk", reference_simulate)
+        want = evaluate_monte_carlo(N13_ROW, trials, 5)
+        assert abs(got.mu - want.mu) <= 1e-12
+        assert abs(got.mc_std_error - want.mc_std_error) <= 1e-12
+
+    def test_kernels_see_distinct_records(self, monkeypatch):
+        # 5,000 trials of (2, 1, 1.7): the closed form sees the flat root,
+        # then at most the 3 records of one single photon; the numeric
+        # feedback at most the 9 of two; a per-trial sampler sends 5,000
+        # rows to each.
+        rows = {"closed_form_theta_batch": [], "numeric_theta_batch": [],
+                "advance_selected": []}
+        for name, seen in rows.items():
+            kernel = getattr(_engine, name)
+
+            def counted(batch, *args, _kernel=kernel, _seen=seen):
+                _seen.append(batch.shape[0])
+                return _kernel(batch, *args)
+
+            monkeypatch.setattr(_engine, name, counted)
+        trials = 5000
+        evaluate_monte_carlo(SequencePlan(n1=2, n2=1, chi2=1.7, eta=0.6), trials, 3)
+        closed = rows["closed_form_theta_batch"]
+        assert len(closed) == 2 and closed[0] == 1 and closed[1] <= 3
+        assert rows["numeric_theta_batch"] and max(rows["numeric_theta_batch"]) <= 9
+        assert len(rows["advance_selected"]) == 3
+        assert max(rows["advance_selected"]) <= trials
+
+
 class TestProperties:
     def test_mu_monotone_in_eta(self):
         mus = [
