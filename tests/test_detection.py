@@ -7,6 +7,9 @@ import pytest
 from lossyphase.detection import (
     Outcome,
     OutcomeLikelihoodTable,
+    _build_kernel,
+    _port_sum,
+    _port_swap,
     a_coefficient,
     build_likelihood_table,
     evaluate_outcome,
@@ -239,3 +242,50 @@ def test_table_without_port_swap_symmetry_rejected():
     broken[0, 1] *= 1.0 + 1e-15  # its twin, row (0, 2), is untouched
     with pytest.raises(ValueError, match="port-swap"):
         OutcomeLikelihoodTable(2, 0.6, broken)
+
+
+def reference_build(state, eta):
+    """The per-(L, k, m) loop build: the reference for the kernel build."""
+    n = state.n_photons
+    psi = state.amplitudes
+    outcomes = list(iter_outcomes(n))
+    matrix = np.zeros((len(outcomes), 2 * n + 1), dtype=complex)
+    for i, (lost, k) in enumerate(outcomes):
+        n_det = n - lost
+        pre = 0.5 ** n_det * math.factorial(n_det - k) * math.factorial(k)
+        c = np.zeros(2 * n_det + 1, dtype=complex)
+        for m in range(lost + 1):
+            w = np.array([
+                psi[r + m]
+                * a_coefficient(n, lost, r, m, eta)
+                * _port_sum(n_det, r, k)
+                / math.sqrt(math.factorial(n_det - r) * math.factorial(r))
+                for r in range(n_det + 1)
+            ])
+            c += np.conj(np.correlate(w, w, "full"))
+        matrix[i, lost: 2 * n + 1 - lost] = pre * c
+    return matrix
+
+
+class TestBuildWitness:
+    @pytest.mark.parametrize("eta", [0.0, 0.2, 0.6, 1.0])
+    def test_kernel_build_matches_loop_build(self, eta):
+        # The kernel sums over m before r and splits sqrt(eta^(N-L)
+        # (1-eta)^L C C) into two roots, so entries move in the last bits.
+        rng = np.random.default_rng(int(eta * 10) + 40)
+        for n in range(1, 5):
+            swap, sign = _port_swap(n)
+            for _ in range(30):
+                state = random_state(rng, n)
+                built = build_likelihood_table(state, eta).matrix
+                expected = reference_build(state, eta)
+                scale = np.max(np.abs(expected))
+                assert np.max(np.abs(built - expected)) <= 1e-15 * scale
+                assert np.array_equal(built[swap], built * sign)
+
+    def test_kernel_arrays_are_read_only(self):
+        for n in (1, 4):
+            for a in _build_kernel(n):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a.flat[0] = 1.0

@@ -1,11 +1,18 @@
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from lossyphase import _engine
 from lossyphase.detection import build_likelihood_table, evaluate_outcome
 from lossyphase.fisher import (
+    _CHI_GRID,
+    _PHI_GRID,
     FisherDivergenceError,
+    _max_over_phi,
+    _max_over_phi_stack,
     fisher_from_table,
     fisher_information,
     max_fisher_exact_optimal4,
@@ -95,3 +102,120 @@ class TestMaximization:
         c1, c2, f = max_fisher_exact_optimal4(1.0)
         assert f == pytest.approx(16.0, abs=2e-2)
         assert abs(c1) < 0.05 and abs(c2) < 0.05
+
+
+# The one-table search, one table and one phase point per numpy call: the
+# reference the lockstep search must reproduce float for float.
+def reference_p_and_slope(table, x):
+    d = _engine._band(table.matrix.shape[1])
+    phases = np.exp(1j * np.multiply.outer(d, x))
+    p = (table.matrix @ phases).real
+    dp = ((table.matrix * (1j * d)) @ phases).real
+    return p, dp
+
+
+def reference_fisher_sum(p, dp):
+    small = p < 1e-12
+    divergent = small & (np.abs(dp) >= 1e-9)
+    ratio = np.where(small, 0.0, dp * dp / np.where(small, 1.0, p))
+    total = ratio.sum(axis=0)
+    total[divergent.any(axis=0)] = -math.inf
+    return total
+
+
+def reference_grid_golden_max(f, grid, vals, lo, hi, iters):
+    i = int(np.argmax(vals))
+    step = grid[1] - grid[0]
+    a, b = max(lo, grid[i] - step), min(hi, grid[i] + step)
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = b - invphi * (b - a), a + invphi * (b - a)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(iters):
+        if f1 > f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - invphi * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * (b - a)
+            f2 = f(x2)
+    return max([(grid[i], vals[i]), (x1, f1), (x2, f2)], key=lambda c: c[1])
+
+
+def reference_max_over_phi(table):
+    vals = reference_fisher_sum(*reference_p_and_slope(table, _PHI_GRID))
+    if not math.isfinite(vals.max()):
+        return 0.0
+
+    def f(phi):
+        return float(reference_fisher_sum(
+            *reference_p_and_slope(table, np.array([phi])))[0])
+
+    return reference_grid_golden_max(f, _PHI_GRID, vals, -math.inf,
+                                     math.inf, 30)[1]
+
+
+def reference_max_fisher_over_chi(n_photons, eta):
+    def objective(chi):
+        return reference_max_over_phi(build_likelihood_table(
+            make_loss_resistant(n_photons // 2, chi), eta))
+
+    vals = np.array([objective(c) for c in _CHI_GRID])
+    return reference_grid_golden_max(objective, _CHI_GRID, vals, 0.0, 2.0, 25)
+
+
+class TestLockstepWitness:
+    """The stacked maximiser takes every search's own steps."""
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    @pytest.mark.parametrize("eta", [0.3, 0.6, 0.999, 1.0])
+    def test_stack_matches_one_table_search(self, n, eta):
+        rng = np.random.default_rng([n, int(eta * 1000)])
+        tables = [
+            build_likelihood_table(TwoModeState(
+                n, rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)), eta)
+            for _ in range(40)
+        ]
+        expected = [reference_max_over_phi(t) for t in tables]
+        stacked = _max_over_phi_stack(np.stack([t.matrix for t in tables]))
+        assert stacked.tolist() == expected
+        assert [_max_over_phi(t) for t in tables] == expected
+
+    def test_noon_stack_with_divergent_grid_points(self):
+        # Lossless NOON tables have probability zeros on the phase grid.
+        tables = [build_likelihood_table(make_loss_resistant(h, 0.0), 1.0)
+                  for h in (1, 2)]
+        tables += [build_likelihood_table(make_single_photon(), 1.0)]
+        for t in tables:
+            expected = reference_max_over_phi(t)
+            assert _max_over_phi_stack(t.matrix[None]).tolist() == [expected]
+
+    def test_table_divergent_on_the_whole_grid_scores_zero(self):
+        # P = -1 + 1e-3 cos x and -1 + 1e-3 sin x: every grid point has an
+        # outcome below the floor with a slope above it.
+        divergent = np.array([[5e-4, -1.0, 5e-4],
+                              [5e-4j, -1.0, -5e-4j],
+                              [0.0, 0.0, 0.0]])
+        table = build_likelihood_table(make_single_photon(), 0.6)
+        expected = [reference_max_over_phi(SimpleNamespace(matrix=divergent)),
+                    reference_max_over_phi(table)]
+        assert expected[0] == 0.0
+        stacked = _max_over_phi_stack(np.stack([divergent, table.matrix]))
+        assert stacked.tolist() == expected
+
+    @pytest.mark.parametrize("n_photons", [2, 4])
+    def test_chi_maximum_matches_reference_composition(self, n_photons):
+        chi, f = reference_max_fisher_over_chi(n_photons, 0.6)
+        assert max_fisher_over_chi(n_photons, 0.6) == (float(chi), float(f))
+
+
+def test_optimal4_memory_stays_flat():
+    """The seed scan holds one block of tables, not all 306 at once."""
+    max_fisher_exact_optimal4(0.6)
+    tracemalloc.start()
+    try:
+        max_fisher_exact_optimal4(0.6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2e6, f"tracemalloc peak {peak / 1e6:.2f} MB"
