@@ -70,6 +70,8 @@ def parse_angle(text: str | float) -> float:
     if m:
         val = math.pi * float(m.group("num") or 1.0)
         if m.group("den"):
+            if float(m.group("den")) == 0.0:
+                raise ValueError(f"angle {text!r} divides by zero")
             val /= float(m.group("den"))
         return -val if m.group("sign") == "-" else val
     return float(text)
@@ -207,8 +209,9 @@ def cmd_probs(cfg: dict):
 
 
 def cmd_fisher_scan(cfg: dict):
-    if cfg["chi_step"] <= 0 or cfg["chi_max"] < cfg["chi_min"]:
-        raise UsageError("need chi-step > 0 and chi-max >= chi-min")
+    # chi advances rounded to 12 decimals: a step below 1e-12 may not move it.
+    if cfg["chi_step"] < 1e-12 or cfg["chi_max"] < cfg["chi_min"]:
+        raise UsageError("need chi-step >= 1e-12 and chi-max >= chi-min")
     lines = ["chi,fisher\n"]
     chi = cfg["chi_min"]
     while chi <= cfg["chi_max"] + 1e-12:

@@ -11,8 +11,8 @@ as stacks, built and searched in blocks of 32 tables: each table's 256-point
 phi grid is evaluated on its own, and the golden-section refinements of the
 whole block then advance in lockstep, one numpy call per step for all of
 them.  One golden-section routine serves every search; a single table (the
-one-table view `_max_over_phi`, the chi refinement, Nelder-Mead) is a
-stack of one.
+one-table view `_max_over_phi`, the chi refinement) is a stack of one, and
+the compass search over the two-parameter family scores a stack per round.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import minimize
 
 from lossyphase import _engine
 from lossyphase.detection import OutcomeLikelihoodTable, build_likelihood_table
@@ -41,6 +40,9 @@ _CHI_GRID = np.minimum(np.arange(0.0, 2.01, 0.02), 2.0)
 # Tables built and searched together: enough to amortise the per-step numpy
 # calls, few enough that a stack stays a few hundred kB.
 _BLOCK = 32
+# Compass search: first step, the step it stops below, and a cap on rounds.
+_COMPASS_STEPS = (0.125, 1e-7)
+_COMPASS_ROUNDS = 200
 
 
 class FisherDivergenceError(ArithmeticError):
@@ -187,32 +189,30 @@ def max_fisher_exact_optimal4(eta: float) -> tuple[float, float, float]:
 
     Coarse grid over both parameters, seeded additionally with the
     one-parameter family's slice (so the search space always contains it),
-    scanned in stacks of 32 tables like `max_fisher_over_chi`, then
-    Nelder-Mead refinement of one table at a time from the best starts.
+    scanned in stacks of 32 tables like `max_fisher_over_chi`, then a compass
+    search from the best three seeds: one stack scores their 12 axis moves of
+    +-h a round, each takes its best improving move, and h halves if none does.
     """
 
-    def objective(params):
-        return _max_over_phi_states([make_exact_optimal4(*params)], eta)[0]
+    def scores(points):
+        return _max_over_phi_states([make_exact_optimal4(*p) for p in points], eta)
 
-    seeds = [
-        (c1, c2)
-        for c1 in np.arange(0.0, 4.01, 0.25)
-        for c2 in np.arange(0.0, 4.01, 0.25)
-    ]
+    grid = np.arange(0.0, 4.01, 0.25)
+    seeds = [(c1, c2) for c1 in grid for c2 in grid]
     seeds += [(chi, (2.0 + chi * chi) / math.sqrt(6.0))
               for chi in np.arange(0.0, 2.01, 0.1)]
-    vals = _max_over_phi_states([make_exact_optimal4(*s) for s in seeds], eta)
-    order = np.argsort(vals)[::-1]
-    best_params = np.array(seeds[order[0]])
-    best_val = vals[order[0]]
-    for idx in order[:3]:
-        res = minimize(
-            lambda p: -objective(p),
-            np.array(seeds[idx]),
-            method="Nelder-Mead",
-            options={"xatol": 1e-4, "fatol": 1e-8, "maxiter": 200},
-        )
-        if -res.fun > best_val:
-            best_val = -res.fun
-            best_params = res.x
-    return float(best_params[0]), float(best_params[1]), float(best_val)
+    vals = scores(seeds)
+    starts = np.argsort(vals)[::-1][:3]
+    x, fx = np.array(seeds)[starts], vals[starts]
+    h, h_stop = _COMPASS_STEPS
+    for _ in range(_COMPASS_ROUNDS):
+        if h < h_stop:
+            break
+        trial = x[:, None] + h * np.array([(1, 0), (-1, 0), (0, 1), (0, -1)])
+        f = scores(trial.reshape(-1, 2)).reshape(len(x), -1)
+        j = f.argmax(axis=1)
+        up = f[np.arange(len(x)), j] > fx
+        if not up.any():
+            h /= 2.0
+        x[up], fx[up] = trial[up, j[up]], f[up, j[up]]
+    return (*x[fx.argmax()].tolist(), float(fx.max()))

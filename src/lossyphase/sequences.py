@@ -125,7 +125,11 @@ class SequencePlan:
         return 3 ** self.n1 * 6 ** self.n2 * 15 ** self.n4
 
     def speedup_leaf_count(self) -> int:
-        return (2 ** (self.n1 + 1) - 1) * 6 ** self.n2 * 15 ** self.n4
+        """Records of the merged walk: every stage branches on its 2, 5 or
+        14 phase-carrying outcomes and its rows leave at every depth.  The
+        merge of the root's pi twins is not counted."""
+        return ((2 ** (self.n1 + 1) - 1) * ((5 ** (self.n2 + 1) - 1) // 4)
+                * ((14 ** (self.n4 + 1) - 1) // 13))
 
 
 @dataclass(frozen=True)
@@ -383,8 +387,8 @@ def evaluate_exact_with_speedup(
 ) -> EvaluationReport:
     """Exact evaluation with the all-lost outcome of every stage folded
     into binomial weights (see the module docstring).  Identical to
-    evaluate_exact up to rounding; branches_evaluated is the record count
-    with the single-photon loss branching removed, speedup_leaf_count."""
+    evaluate_exact up to rounding; branches_evaluated is the merged walk's
+    record count, speedup_leaf_count."""
     return evaluate_plans_with_speedup([plan], branch_guard)[0]
 
 

@@ -38,6 +38,11 @@ class TestParseAngle:
         with pytest.raises(ValueError):
             parse_angle("about pi")
 
+    @pytest.mark.parametrize("text", ["pi/0", "-3*pi/0.0"])
+    def test_zero_denominator_rejected(self, text):
+        with pytest.raises(ValueError, match="divides by zero"):
+            parse_angle(text)
+
 
 class TestStatePrep:
     def test_fidelity_one(self, capsys):
@@ -112,6 +117,28 @@ class TestFisherScan:
         assert code == EXIT_OK
         lines = [l for l in out.strip().split("\n") if not l.startswith("#")]
         assert len(lines) == 2
+
+    def test_zero_denominator_phi_exits_2(self, capsys):
+        code, out, err = run(capsys, "fisher-scan", "--n-photons", "2",
+                             "--eta", "0.6", "--phi", "pi/0")
+        assert code == EXIT_USAGE
+        assert "divides by zero" in err and out == ""
+
+    @pytest.mark.parametrize("step", ["1e-13", "9e-13", "0"])
+    def test_chi_step_below_resolution_exits_2(self, capsys, step):
+        # chi advances rounded to 12 decimals, so 1e-13 would never move it.
+        code, out, err = run(capsys, "fisher-scan", "--n-photons", "2",
+                             "--eta", "0.6", "--chi-step", step)
+        assert code == EXIT_USAGE
+        assert "chi-step >= 1e-12" in err and out == ""
+
+    def test_chi_step_at_resolution_accepted(self, capsys):
+        code, out, _ = run(
+            capsys, "fisher-scan", "--n-photons", "2", "--eta", "0.6",
+            "--chi-min", "0.5", "--chi-max", "0.5", "--chi-step", "1e-12",
+        )
+        assert code == EXIT_OK
+        assert out.strip().split("\n")[-1].startswith("0.5,")
 
 
 class TestEvaluate:

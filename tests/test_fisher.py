@@ -1,14 +1,19 @@
 import math
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from lossyphase import _engine
+from lossyphase import _engine, fisher
 from lossyphase.detection import build_likelihood_table, evaluate_outcome
 from lossyphase.fisher import (
     _CHI_GRID,
+    _COMPASS_ROUNDS,
+    _COMPASS_STEPS,
     _PHI_GRID,
     FisherDivergenceError,
     _max_over_phi,
@@ -18,7 +23,12 @@ from lossyphase.fisher import (
     max_fisher_exact_optimal4,
     max_fisher_over_chi,
 )
-from lossyphase.states import TwoModeState, make_loss_resistant, make_single_photon
+from lossyphase.states import (
+    TwoModeState,
+    make_exact_optimal4,
+    make_loss_resistant,
+    make_single_photon,
+)
 
 
 class TestAnchors:
@@ -210,7 +220,7 @@ class TestLockstepWitness:
 
 
 def test_optimal4_memory_stays_flat():
-    """The seed scan holds one block of tables, not all 306 at once."""
+    """The seed scan holds one block of tables, not all 310 at once."""
     max_fisher_exact_optimal4(0.6)
     tracemalloc.start()
     try:
@@ -219,3 +229,58 @@ def test_optimal4_memory_stays_flat():
     finally:
         tracemalloc.stop()
     assert peak <= 2e6, f"tracemalloc peak {peak / 1e6:.2f} MB"
+
+
+class TestCompassSearch:
+    """The refinement of the two-parameter four-photon family."""
+
+    @pytest.mark.parametrize("eta", [0.3, 0.6, 0.7])
+    def test_ends_on_a_local_maximum(self, eta):
+        c1, c2, f = max_fisher_exact_optimal4(eta)
+        for d1 in (-1e-5, 0.0, 1e-5):
+            for d2 in (-1e-5, 0.0, 1e-5):
+                table = build_likelihood_table(
+                    make_exact_optimal4(c1 + d1, c2 + d2), eta)
+                assert _max_over_phi(table) <= f, (d1, d2)
+
+    def test_not_below_the_earlier_maximum(self):
+        # perfbench/reference.json's value, from a Nelder-Mead refinement.
+        earlier = 3.2235080614489604
+        f = max_fisher_exact_optimal4(0.6)[2]
+        assert f >= earlier * (1.0 - 1e-12)
+        assert f == pytest.approx(earlier, rel=1e-8)
+
+    def test_flat_objective_halves_to_the_stop_and_keeps_the_best_seed(
+            self, monkeypatch):
+        # At eta = 0 every F is 0: no move improves, so each round halves h.
+        sizes, params = [], []
+        scan, make = fisher._max_over_phi_states, fisher.make_exact_optimal4
+
+        def counted_scan(states, eta):
+            sizes.append(len(states))
+            return scan(states, eta)
+
+        def recorded_make(c1, c2):
+            params.append((c1, c2))
+            return make(c1, c2)
+
+        monkeypatch.setattr(fisher, "_max_over_phi_states", counted_scan)
+        monkeypatch.setattr(fisher, "make_exact_optimal4", recorded_make)
+        c1, c2, f = max_fisher_exact_optimal4(0.0)
+        h0, h_stop = _COMPASS_STEPS
+        rounds = math.ceil(math.log2(h0 / h_stop))
+        assert rounds < _COMPASS_ROUNDS
+        assert sizes == [17 * 17 + 21] + [12] * rounds
+        assert f == 0.0
+        assert (c1, c2) in params[:sizes[0]]
+
+
+def test_runs_without_scipy():
+    """numpy is the only runtime dependency."""
+    code = ("import sys; sys.modules['scipy'] = None\n"
+            "import lossyphase\n"
+            "print(lossyphase.max_fisher_exact_optimal4(0.6)[2])")
+    src = str(Path(fisher.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, cwd=src)
+    assert float(out.stdout) == pytest.approx(3.2235080614489604, rel=1e-8)

@@ -46,6 +46,8 @@ class TestPlanValidation:
         assert plan.total_photons == 13
         assert plan.exact_leaf_count() == 3 ** 7 * 6 * 15
         assert plan.speedup_leaf_count() == (2 ** 8 - 1) * 6 * 15
+        plan = SequencePlan(n1=2, n2=2, chi2=1.7, n4=2, chi4=1.3, eta=0.6)
+        assert plan.speedup_leaf_count() == 7 * 31 * 211
 
 
 class TestAnalyticAnchors:
@@ -202,10 +204,19 @@ def reference_exact(plan):
     return reference_walk(_plan_stages(plan))
 
 
+def merged_leaf_count(plan):
+    """Records of the merged walk, read off the tables it walks: a stage of
+    count c whose table has k + 1 outcomes (k phase-carrying and the
+    all-lost one) ends sum over j <= c of k^j records."""
+    return math.prod(sum((s.cmat.shape[-2] - 1) ** j for j in range(s.count + 1))
+                     for s in _plan_stages(plan))
+
+
 def reference_speedup(plan):
     """The binomial walk without merges: for each number n of surviving
     single photons, n lossless single photons and then the exact
-    multi-photon stages, weighted C(n1, n) eta^n (1 - eta)^(n1 - n)."""
+    multi-photon stages, weighted C(n1, n) eta^n (1 - eta)^(n1 - n).
+    Its leaves number (2^(n1+1) - 1) 6^n2 15^n4."""
     stages = _plan_stages(plan)
     multi = stages[1:] if plan.n1 > 0 else stages
     lossless = _engine.table_matrix(build_likelihood_table(make_single_photon(), 1.0))
@@ -245,7 +256,9 @@ class TestReferenceWalk:
         mu, leaves = reference_speedup(plan)
         report = evaluate_exact_with_speedup(plan)
         assert abs(report.mu - mu) <= 1e-14
-        assert leaves == plan.speedup_leaf_count() == report.branches_evaluated
+        assert leaves == (2 ** (plan.n1 + 1) - 1) * 6 ** plan.n2 * 15 ** plan.n4
+        assert (report.branches_evaluated == plan.speedup_leaf_count()
+                == merged_leaf_count(plan))
 
     def test_sweep_has_dead_branches(self):
         plan = SequencePlan(n1=2, n2=1, chi2=1.7, n4=1, chi4=1.3, eta=1.0)
@@ -276,7 +289,9 @@ class TestSplitWalk:
             mu, leaves = reference_speedup(plan)
             assert abs(report.mu - mu) <= 1e-14, plan
             assert abs(report.mu - evaluate_exact(plan).mu) <= 1e-13, plan
-            assert report.branches_evaluated == leaves == plan.speedup_leaf_count()
+            assert leaves == (2 ** (plan.n1 + 1) - 1) * 6 ** plan.n2 * 15 ** plan.n4
+            assert (report.branches_evaluated == plan.speedup_leaf_count()
+                    == merged_leaf_count(plan))
             assert report.method == "exact_with_speedup"
 
     @pytest.mark.parametrize("cap", [1, 7])
