@@ -12,6 +12,9 @@ theta builds no children: there Newton may also stop on the gradient
 
 All feedback objectives are scale-invariant, so rows may carry any positive
 overall factor (branch probabilities are folded into the coefficients).
+The numeric feedback runs in blocks of _BLOCK_ROWS rows, so that its
+(rows, outcomes, d) weight stacks do not set the memory peak of the Monte
+Carlo's wide batches; rows are independent, so blocking changes no bit.
 
 Likelihoods are an (outcomes, d) matrix shared by all rows or, in
 numeric_theta_batch, _theta_and_sharpness, advance_batch and
@@ -38,6 +41,12 @@ _NEWTON_TOL = 1e-12
 # and its step below _SETTLE_STEP rad (see _refine_newton).
 _SETTLE_GRAD = 1e-6
 _SETTLE_STEP = 1e-6
+# Rows per block of the numeric feedback (see the module docstring).
+# Tree walks pass at most sequences._CHUNK_ROWS = 256 rows, one block.
+# 1,024 to 4,096 rows all leave a 16,384-trial N=30 Monte Carlo chunk at
+# the same tracemalloc peak, set by its Bayes update; 4,096 runs the
+# fewest blocks.
+_BLOCK_ROWS = 4096
 # Relative slack for grid comparisons.  The refinement must behave as a
 # smooth function of the posterior: the exact and binomial-speedup
 # evaluators feed it inputs differing in the last bits, and any
@@ -174,6 +183,23 @@ def _theta_from_weights(w: np.ndarray, settle: bool) -> np.ndarray:
     return np.mod(theta, 2.0 * math.pi)
 
 
+def _blocked_feedback(batch: np.ndarray, cmat: np.ndarray, settle: bool,
+                      sharpness: bool) -> tuple[np.ndarray, ...]:
+    """_theta_from_weights, and with sharpness the expected sharpness at
+    its theta, _BLOCK_ROWS rows at a time: each block builds and drops its
+    own weights.  A per-row cmat stack is sliced with the batch; zero rows
+    still run one (empty) block, so the outputs are empty float arrays."""
+    parts = []
+    for lo in range(0, max(batch.shape[0], 1), _BLOCK_ROWS):
+        rows = slice(lo, lo + _BLOCK_ROWS)
+        w = _g1_weights(batch[rows], cmat[rows] if cmat.ndim == 3 else cmat)
+        theta = _theta_from_weights(w, settle)
+        parts.append((theta, _sharpness_from_weights(w, theta)) if sharpness
+                     else (theta,))
+        del w
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
 def numeric_theta_batch(batch: np.ndarray, cmat: np.ndarray) -> np.ndarray:
     """Per-row feedback phase: the best of 32 grid brackets, refined.
 
@@ -183,21 +209,22 @@ def numeric_theta_batch(batch: np.ndarray, cmat: np.ndarray) -> np.ndarray:
     then climbs inside the winner's bracket (which wraps around the
     period) until its step falls below 1e-12 rad.  This is not a
     guaranteed argmax: when two near-equal peaks lie in different brackets
-    the grid can pick the lower one (1.5% of the rows of the N=13 (7,1,1)
-    split, short of the best peak by at most 7.7e-5 relative).  Plateaus
-    skip refinement, so e.g. a flat prior returns exactly 0.
+    the grid can pick the lower one: 1.5% of the rows of the N=13 (7,1,1)
+    split, short by at most 7.7e-5 relative, a measurement on that split
+    and not a bound (the N=9 plan (1,2,2.0,1,0.25) has rows 1.19e-4
+    short).  Plateaus skip refinement, so e.g. a flat prior returns
+    exactly 0.
     """
-    return _theta_from_weights(_g1_weights(batch, cmat), False)
+    return _blocked_feedback(batch, cmat, False, False)[0]
 
 
 def _theta_and_sharpness(batch: np.ndarray, cmat: np.ndarray,
                          settle: bool) -> tuple[np.ndarray, np.ndarray]:
     """numeric_theta_batch and the expected sharpness at its theta, from
-    one set of weights.  With settle, for a feedback whose theta builds
-    no children, Newton also stops on the gradient (see _refine_newton)."""
-    w = _g1_weights(batch, cmat)
-    theta = _theta_from_weights(w, settle)
-    return theta, _sharpness_from_weights(w, theta)
+    one set of weights per block.  With settle, for a feedback whose theta
+    builds no children, Newton also stops on the gradient (see
+    _refine_newton)."""
+    return _blocked_feedback(batch, cmat, settle, True)
 
 
 # Single-photon fringe coefficients over d = -1..1 for the two detection

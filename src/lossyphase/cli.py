@@ -209,12 +209,14 @@ def cmd_probs(cfg: dict):
 
 
 def cmd_fisher_scan(cfg: dict):
-    # chi advances rounded to 12 decimals: a step below 1e-12 may not move it.
-    if cfg["chi_step"] < 1e-12 or cfg["chi_max"] < cfg["chi_min"]:
-        raise UsageError("need chi-step >= 1e-12 and chi-max >= chi-min")
+    # chi advances rounded to 12 decimals: a step below 1e-12 may not move it,
+    # and nothing stops an infinite chi-max (the single photon ignores chi).
+    lo, hi = cfg["chi_min"], cfg["chi_max"]
+    if not cfg["chi_step"] >= 1e-12 or not -math.inf < lo <= hi < math.inf:
+        raise UsageError("need chi-step >= 1e-12 and finite chi-max >= chi-min")
     lines = ["chi,fisher\n"]
-    chi = cfg["chi_min"]
-    while chi <= cfg["chi_max"] + 1e-12:
+    chi = lo
+    while chi <= hi + 1e-12:
         table = build_likelihood_table(_state_for(cfg["n_photons"], chi), cfg["eta"])
         try:
             f = fisher_from_table(table, cfg["phi"], cfg["theta"])

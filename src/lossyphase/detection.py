@@ -38,7 +38,6 @@ from lossyphase.states import TwoModeState
 __all__ = [
     "Outcome",
     "OutcomeLikelihoodTable",
-    "a_coefficient",
     "build_likelihood_table",
     "oracle_probabilities",
     "evaluate_outcome",
@@ -51,26 +50,6 @@ _CLAMP_TOL = 1e-12
 class Outcome(NamedTuple):
     lost: int
     detected_k: int
-
-
-def a_coefficient(n_photons: int, lost: int, r: int, m: int, eta: float) -> float:
-    """Amplitude weight A_{N,L,r,m} of the traced loss channel.
-
-    A = sqrt(eta^(N-L) (1-eta)^L C(N-r-m, N-L-r) C(r+m, r)) for the matrix
-    element connecting the input component with r+m photons in arm 2 to the
-    surviving component |N-L-r, r>.
-    """
-    n, L = n_photons, lost
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta={eta} outside [0, 1]")
-    if not (0 <= L <= n and 0 <= m <= L and 0 <= r <= n - L):
-        raise ValueError(f"indices (N={n}, L={L}, r={r}, m={m}) out of range")
-    return math.sqrt(
-        eta ** (n - L)
-        * (1.0 - eta) ** L
-        * math.comb(n - r - m, n - L - r)
-        * math.comb(r + m, r)
-    )
 
 
 def _port_sum(n_det: int, r: int, k: int) -> float:

@@ -23,7 +23,6 @@ __all__ = [
     "expected_sharpness",
     "optimal_theta_numeric",
     "optimal_theta_single_photon",
-    "single_photon_candidates",
 ]
 
 
@@ -53,18 +52,6 @@ def optimal_theta_numeric(
     """
     batch = prior.coeffs[None, :]
     return float(_engine.numeric_theta_batch(batch, table.matrix)[0])
-
-
-def single_photon_candidates(prior: PhaseDistribution) -> np.ndarray:
-    """The three closed-form candidate phases (theta_0, theta_+, theta_-).
-
-    Raises ZeroDivisionError for a flat prior or when the coefficient c1
-    vanishes, where theta_+- are undefined.
-    """
-    cand, flat, degenerate = _engine.closed_form_candidates(prior.coeffs[None, :])
-    if flat[0] or degenerate[0]:
-        raise ZeroDivisionError("candidate phases are degenerate (c1 = 0)")
-    return cand[0]
 
 
 def optimal_theta_single_photon(prior: PhaseDistribution) -> float:

@@ -402,6 +402,9 @@ def _simulate_chunk(stages: list[_Stage], rng: np.random.Generator,
     once per node; the outcome probabilities and draws stay per trial, in
     the same order of rng calls.  The drawn children are numbered by
     np.unique, and only the distinct ones are updated and normalised.
+    The numeric feedback on up to n_trials nodes runs in fixed row blocks
+    (_engine._BLOCK_ROWS), so its weight stacks stay below the peak of
+    the update instead of growing with the nodes.
     """
     phi = rng.uniform(0.0, 2.0 * math.pi, n_trials)
     nodes = np.ones((1, 1), dtype=complex)

@@ -2,6 +2,8 @@ import ctypes
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -124,13 +126,27 @@ class TestFisherScan:
         assert code == EXIT_USAGE
         assert "divides by zero" in err and out == ""
 
-    @pytest.mark.parametrize("step", ["1e-13", "9e-13", "0"])
+    @pytest.mark.parametrize("step", ["1e-13", "9e-13", "0", "nan"])
     def test_chi_step_below_resolution_exits_2(self, capsys, step):
         # chi advances rounded to 12 decimals, so 1e-13 would never move it.
         code, out, err = run(capsys, "fisher-scan", "--n-photons", "2",
                              "--eta", "0.6", "--chi-step", step)
         assert code == EXIT_USAGE
         assert "chi-step >= 1e-12" in err and out == ""
+
+    @pytest.mark.parametrize("bounds", [("0", "inf"), ("inf", "inf"),
+                                        ("0", "nan"), ("nan", "1"), ("-inf", "1")])
+    def test_non_finite_chi_range_exits_2(self, bounds):
+        # In a subprocess with a timeout: the single-photon scan ignores chi,
+        # so an unchecked infinite chi-max would loop for ever.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-m", "lossyphase.cli", "fisher-scan",
+             "--n-photons", "1", "--eta", "0.6",
+             f"--chi-min={bounds[0]}", f"--chi-max={bounds[1]}"],
+            capture_output=True, text=True, cwd=src, timeout=60)
+        assert out.returncode == EXIT_USAGE
+        assert "finite chi-max >= chi-min" in out.stderr and out.stdout == ""
 
     def test_chi_step_at_resolution_accepted(self, capsys):
         code, out, _ = run(

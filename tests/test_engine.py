@@ -6,6 +6,7 @@ full-circle 64-point grid search followed by exactly 12 Newton steps.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -377,3 +378,49 @@ class TestSettledFeedback:
         monkeypatch.setattr(_engine, dropped, math.inf)
         _, loose = _engine._theta_and_sharpness(*rows, True)
         assert np.max((want - loose) / want) > 1e-12
+
+
+class TestRowBlocks:
+    """The numeric feedback runs _BLOCK_ROWS rows at a time.  Rows are
+    independent, so the blocked kernels equal one pass over the whole
+    batch bit for bit, and the memory peak stops growing with the rows."""
+
+    MATS = np.stack([build_likelihood_table(make_loss_resistant(2, chi), 0.6).matrix
+                     for chi in (0.5, 1.3, 1.7)])
+
+    @staticmethod
+    def one_pass(batch, cmat, settle):
+        w = _engine._g1_weights(batch, cmat)
+        theta = _engine._theta_from_weights(w, settle)
+        return theta, _engine._sharpness_from_weights(w, theta)
+
+    @pytest.mark.parametrize("per_row", [False, True])
+    @pytest.mark.parametrize("rows", [_engine._BLOCK_ROWS + 37, 1, 0])
+    def test_blocks_match_one_pass_bit_for_bit(self, rows, per_row):
+        rng = np.random.default_rng(700 + rows + per_row)
+        batch = random_hermitian(rng, rows, 6)
+        cmat = self.MATS[rng.integers(0, len(self.MATS), rows)] if per_row \
+            else self.MATS[1]
+        got = _engine.numeric_theta_batch(batch, cmat)
+        assert got.dtype == float and got.shape == (rows,)
+        assert np.array_equal(got, self.one_pass(batch, cmat, False)[0])
+        for settle in (False, True):
+            got = _engine._theta_and_sharpness(batch, cmat, settle)
+            for part, want in zip(got, self.one_pass(batch, cmat, settle)):
+                assert part.dtype == float and part.shape == (rows,)
+                assert np.array_equal(part, want)
+
+    def test_memory_peak_does_not_grow_with_rows(self):
+        # 16,384 rows of a 53-wide band against the 15-outcome table: one
+        # pass would hold about four 35 MB weight stacks at once.
+        batch = random_hermitian(np.random.default_rng(9), 16384, 26)
+
+        def peak(rows):
+            tracemalloc.start()
+            try:
+                _engine.numeric_theta_batch(batch[:rows], self.MATS[1])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(batch.shape[0]) <= 1.5 * peak(_engine._BLOCK_ROWS)

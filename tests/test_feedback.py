@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from lossyphase import _engine
 from lossyphase.detection import Outcome, build_likelihood_table
 from lossyphase.feedback import (
     expected_sharpness,
     optimal_theta_numeric,
     optimal_theta_single_photon,
-    single_photon_candidates,
 )
 from lossyphase.posterior import PhaseDistribution, bayes_update, flat_prior
 from lossyphase.states import make_loss_resistant, make_single_photon
@@ -63,6 +63,8 @@ class TestExpectedSharpness:
 class TestClosedForm:
     def test_flat_prior_returns_zero(self):
         assert optimal_theta_single_photon(flat_prior()) == 0.0
+        _, flat, degenerate = _engine.closed_form_candidates(flat_prior().coeffs[None])
+        assert flat[0] and not degenerate[0]
 
     def test_cosine_prior_matches_numeric(self):
         prior = PhaseDistribution(1, np.array([0.5, 1.0, 0.5], dtype=complex))
@@ -76,15 +78,17 @@ class TestClosedForm:
 
     def test_candidates_include_known_stationary_points(self):
         prior = PhaseDistribution(1, np.array([0.5, 1.0, 0.5], dtype=complex))
-        cands = np.sort(single_photon_candidates(prior))
-        assert np.allclose(cands, [0.0, math.pi / 2.0, math.pi], atol=1e-12)
+        cands, flat, degenerate = _engine.closed_form_candidates(prior.coeffs[None])
+        assert not flat[0] and not degenerate[0]
+        assert np.allclose(np.sort(cands[0]), [0.0, math.pi / 2.0, math.pi],
+                           atol=1e-12)
 
     def test_degenerate_candidates_fall_back_to_numeric(self):
         # a_1 = 0 and |a_2| = a_0 make c1 vanish exactly: theta_+- are
         # undefined and the closed form defers to the numeric search.
         prior = PhaseDistribution(2, np.array([1, 0, 1, 0, 1], dtype=complex))
-        with pytest.raises(ZeroDivisionError):
-            single_photon_candidates(prior)
+        _, flat, degenerate = _engine.closed_form_candidates(prior.coeffs[None])
+        assert not flat[0] and degenerate[0]
         assert optimal_theta_single_photon(prior) == optimal_theta_numeric(
             prior, T1
         )
