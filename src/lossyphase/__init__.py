@@ -14,7 +14,6 @@ from lossyphase.feedback import (
     optimal_theta_single_photon,
 )
 from lossyphase.fisher import (
-    FisherDivergenceError,
     fisher_information,
     max_fisher_exact_optimal4,
     max_fisher_over_chi,

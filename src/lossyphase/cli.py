@@ -16,8 +16,7 @@ Config keys may be spelled as the flag (`chi-step`) or as the artifact's
 through `--config` reruns it.  `command` and `seed` are accepted too; any
 other key exits 2, naming the key.
 
-Exit codes: 0 success, 2 usage/validation error, 3 resource guard tripped,
-4 numeric divergence.
+Exit codes: 0 success, 2 usage/validation error, 3 resource guard tripped.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ import numpy as np
 
 import lossyphase
 from lossyphase.detection import build_likelihood_table
-from lossyphase.fisher import FisherDivergenceError, fisher_from_table
+from lossyphase.fisher import fisher_information
 from lossyphase.optimizer import optimize, pareto_csv
 from lossyphase.sequences import (
     BranchGuardError,
@@ -55,7 +54,6 @@ from lossyphase.states import (
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_GUARD = 3
-EXIT_DIVERGENCE = 4
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 _PI_TOKEN = re.compile(
@@ -217,14 +215,9 @@ def cmd_fisher_scan(cfg: dict):
     lines = ["chi,fisher\n"]
     chi = lo
     while chi <= hi + 1e-12:
-        table = build_likelihood_table(_state_for(cfg["n_photons"], chi), cfg["eta"])
-        try:
-            f = fisher_from_table(table, cfg["phi"], cfg["theta"])
-            lines.append(f"{chi:.10g},{f!r}\n")
-        except FisherDivergenceError as exc:
-            print(f"warning: divergence at chi={chi:.10g}: {exc}",
-                  file=sys.stderr)
-            lines.append(f"{chi:.10g},nan\n")
+        f = fisher_information(_state_for(cfg["n_photons"], chi), cfg["eta"],
+                               cfg["phi"], cfg["theta"])
+        lines.append(f"{chi:.10g},{f!r}\n")
         chi = round(chi + cfg["chi_step"], 12)
     return None, "".join(lines)
 
@@ -301,9 +294,6 @@ def main(argv: list[str] | None = None) -> int:
     except BranchGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except FisherDivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

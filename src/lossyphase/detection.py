@@ -198,19 +198,14 @@ def _build_kernel(n_photons: int) -> _BuildKernel:
     return kernel
 
 
-def build_likelihood_table(state: TwoModeState, eta: float) -> OutcomeLikelihoodTable:
-    """Closed-form detection probabilities grouped by harmonic d = s - r.
+def _amplitude_weights(state: TwoModeState, eta: float) -> np.ndarray:
+    """w[outcome, m, r]: the amplitudes behind every outcome probability.
 
-    The phase factors Psi_k = psi_k e^{i(N-k)phi} e^{ik theta} make the
-    (r, s) cross term carry e^{i(s-r)(phi-theta)}, so each outcome reduces
-    to a vector over d.  The m / r / s / port sums factorize per m into an
-    outer product of one weight vector with itself, summed along its
-    diagonals: c_d = sum_m sum_r w_r conj(w_{r+d}).  The weights are a
-    cached per-N kernel (binomials, port sums, factorial norms) times
-    psi_{r+m} and one loss factor sqrt(eta^(N-L) (1-eta)^L) per L, so a
-    build is a gather, an outer product summed over m, and one product
-    with the kernel's 0/1 diagonal matrix into the padded outcome x d
-    matrix.
+    With A_m(x) = sum_r w[., m, r] e^{-irx}, outcome (L, k) has
+    P_{L,k}(x) = pre_{L,k} sum_m |A_m(x)|^2 (pre from the build kernel).
+    The weights are the cached per-N kernel (binomials, port sums,
+    factorial norms) times psi_{r+m} and one loss factor
+    sqrt(eta^(N-L) (1-eta)^L) per L; they vanish for m > L and r > N - L.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta={eta} outside [0, 1]")
@@ -218,7 +213,24 @@ def build_likelihood_table(state: TwoModeState, eta: float) -> OutcomeLikelihood
     kernel = _build_kernel(n)
     loss = np.array([math.sqrt(eta ** (n - lost) * (1.0 - eta) ** lost)
                      for lost in range(n + 1)])
-    w = (loss[kernel.lost, None, None] * kernel.weight) * state.amplitudes[kernel.gather]
+    return (loss[kernel.lost, None, None] * kernel.weight) * state.amplitudes[kernel.gather]
+
+
+def build_likelihood_table(state: TwoModeState, eta: float) -> OutcomeLikelihoodTable:
+    """Closed-form detection probabilities grouped by harmonic d = s - r.
+
+    The phase factors Psi_k = psi_k e^{i(N-k)phi} e^{ik theta} make the
+    (r, s) cross term carry e^{i(s-r)(phi-theta)}, so each outcome reduces
+    to a vector over d.  The m / r / s / port sums factorize per m into an
+    outer product of one weight vector with itself, summed along its
+    diagonals: c_d = sum_m sum_r w_r conj(w_{r+d}).  A build is the gather
+    of `_amplitude_weights`, an outer product summed over m, and one
+    product with the kernel's 0/1 diagonal matrix into the padded
+    outcome x d matrix.
+    """
+    n = state.n_photons
+    kernel = _build_kernel(n)
+    w = _amplitude_weights(state, eta)
     outer = np.einsum("imr,ims->irs", w, w.conj())
     matrix = kernel.pre[:, None] * (outer.reshape(len(w), -1) @ kernel.diagonals)
     return OutcomeLikelihoodTable(n, eta, matrix)

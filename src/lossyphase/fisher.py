@@ -1,43 +1,45 @@
 """Fisher information of lossy detection and its maximization over states.
 
-F(phi, theta) = sum over outcomes of (dP/dphi)^2 / P, with the derivative
-taken analytically from the Fourier coefficients.  Terms where both P and
-dP/dphi vanish are removable and skipped; a vanishing P with non-vanishing
-slope is a genuine divergence and raises, so parameter scans can step
-around such points explicitly.
+F(phi, theta) = sum over outcomes of (dP/dphi)^2 / P, taken from the
+amplitudes behind each probability rather than from its Fourier series:
+P_{L,k} = pre sum_m |A_m|^2 with A_m(x) = sum_r w_r e^{-irx} and
+x = phi - theta (`detection._amplitude_weights`), so per outcome
 
-The maxima over phi and over state parameters scan their candidate tables
-as stacks, built and searched in blocks of 32 tables: each table's 256-point
-phi grid is evaluated on its own, and the golden-section refinements of the
-whole block then advance in lockstep, one numpy call per step for all of
-them.  One golden-section routine serves every search; a single table (the
-one-table view `_max_over_phi`, the chi refinement) is a stack of one, and
-the compass search over the two-parameter family scores a stack per round.
+    F_{L,k} = pre (sum_m 2 Re(conj(A_m) A_m'))^2 / sum_m |A_m|^2,
+
+which Cauchy-Schwarz bounds by 4 pre sum_m |A_m'|^2.  F is therefore finite
+everywhere; where every A_m vanishes exactly it takes that bound, its limit.
+
+The maxima over phi and over state parameters scan their candidate states
+as stacks of amplitude weights, built and searched in blocks of 32 states:
+each state's 128-point phi grid is evaluated on its own, and the
+golden-section refinements of the whole block then advance in lockstep, one
+numpy call per step for all of them.  The port-swap symmetry of the tables,
+P_{L,k}(x + pi) = P_{L,N-L-k}(x), makes F pi-periodic, so the grid covers
+[0, pi) only.  One golden-section routine serves every search; the chi
+refinement is a stack of one, and the compass search over the two-parameter
+family scores a stack per round.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from lossyphase import _engine
-from lossyphase.detection import OutcomeLikelihoodTable, build_likelihood_table
+from lossyphase.detection import _amplitude_weights, _build_kernel
 from lossyphase.states import TwoModeState, make_exact_optimal4, make_loss_resistant
 
 __all__ = [
-    "FisherDivergenceError",
     "fisher_information",
-    "fisher_from_table",
     "max_fisher_over_chi",
     "max_fisher_exact_optimal4",
 ]
 
-_P_FLOOR = 1e-12
-_SLOPE_FLOOR = 1e-9
-_PHI_GRID = 2.0 * math.pi * np.arange(256) / 256
+_PHI_GRID = math.pi * np.arange(128) / 128
 _CHI_GRID = np.minimum(np.arange(0.0, 2.01, 0.02), 2.0)
-# Tables built and searched together: enough to amortise the per-step numpy
+# States built and searched together: enough to amortise the per-step numpy
 # calls, few enough that a stack stays a few hundred kB.
 _BLOCK = 32
 # Compass search: first step, the step it stops below, and a cap on rounds.
@@ -45,54 +47,56 @@ _COMPASS_STEPS = (0.125, 1e-7)
 _COMPASS_ROUNDS = 200
 
 
-class FisherDivergenceError(ArithmeticError):
-    """An outcome probability vanishes with non-vanishing phase derivative."""
+@functools.lru_cache(maxsize=None)
+def _rows(n_photons: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray,
+                                   np.ndarray]:
+    """The (outcome, m) rows of `_amplitude_weights` with m <= L, the only
+    ones it can make non-zero (35 of 75 at N = 4), the first of each
+    outcome's rows among them, and pre per outcome."""
+    kernel = _build_kernel(n_photons)
+    outcome, m = np.nonzero(np.arange(n_photons + 1) <= kernel.lost[:, None])
+    starts = np.searchsorted(outcome, np.arange(len(kernel.lost)))
+    return (outcome, m), starts, kernel.pre
 
 
-def _p_and_slope(matrices: np.ndarray,
-                 x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P and dP/dphi of a (tables, outcomes, band) stack of table matrices
-    at a (tables, points) array of phase differences, both as (tables,
-    outcomes, points): one table's outcomes at its own points."""
-    d = _engine._band(matrices.shape[-1])
-    phases = np.exp(1j * (x[:, None, :] * d[:, None]))
-    p = (matrices @ phases).real
-    dp = ((matrices * (1j * d)) @ phases).real
-    return p, dp
+def _weights(state: TwoModeState, eta: float) -> np.ndarray:
+    """The (r, 2 rows) weights of one state: a row of phases e^{-irx} times
+    them gives A, then A' = dA/dx, on each row of `_rows`."""
+    w = _amplitude_weights(state, eta)[_rows(state.n_photons)[0]]
+    return np.concatenate([w, w * (-1j * np.arange(state.n_photons + 1))]).T
 
 
-def _fisher_sum(p: np.ndarray, dp: np.ndarray) -> np.ndarray:
-    """Sum over outcomes (axis -2) of dP^2 / P; divergent points become -inf."""
-    small = p < _P_FLOOR
-    divergent = small & (np.abs(dp) >= _SLOPE_FLOOR)
-    ratio = np.where(small, 0.0, dp * dp / np.where(small, 1.0, p))
-    total = ratio.sum(axis=-2)
-    total[divergent.any(axis=-2)] = -math.inf
-    return total
+def _fisher(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """F of each state of a (states, r, 2 rows) stack of `_weights` at its
+    own row of a (states, points) array of phase differences.
 
-
-def fisher_from_table(
-    table: OutcomeLikelihoodTable, phi: float, theta: float
-) -> float:
-    """Fisher information at (phi, theta) for a prebuilt likelihood table."""
-    x = phi - theta
-    p, dp = _p_and_slope(table.matrix[None], np.array([[x]]))
-    total = float(_fisher_sum(p, dp)[0, 0])
-    if total == -math.inf:
-        p, dp = p[0, :, 0], dp[0, :, 0]
-        i = int(np.argmax((p < _P_FLOOR) & (np.abs(dp) >= _SLOPE_FLOOR)))
-        raise FisherDivergenceError(
-            f"P_{table.outcomes[i]} = {p[i]} with dP/dphi = {dp[i]} "
-            f"at phi-theta = {x}"
-        )
-    return total
+    One product gives A and A' at every point; each outcome sums its rows'
+    |A|^2 and Re(conj(A) A'), and takes the limit 4 pre sum_m |A'|^2 where
+    sum_m |A|^2 is exactly 0.
+    """
+    r = np.arange(w.shape[-2])
+    _, starts, pre = _rows(len(r) - 1)
+    both = np.exp(-1j * (x[..., None] * r)) @ w
+    both = both.reshape(*both.shape[:-1], 2, -1)
+    amp = both[..., :1, :]
+    sums = np.add.reduceat(amp.real * both.real + amp.imag * both.imag,
+                           starts, axis=-1)
+    norm, half_dp = sums[..., 0, :], sums[..., 1, :]
+    zero = norm == 0.0
+    ratio = 4.0 * half_dp * half_dp / np.where(zero, 1.0, norm)
+    if zero.any():
+        slope = both[..., 1, :]
+        ratio[zero] = 4.0 * np.add.reduceat(
+            slope.real ** 2 + slope.imag ** 2, starts, axis=-1)[zero]
+    return ratio @ pre
 
 
 def fisher_information(
     state: TwoModeState, eta: float, phi: float, theta: float
 ) -> float:
     """Fisher information of one detection of `state` at efficiency eta."""
-    return fisher_from_table(build_likelihood_table(state, eta), phi, theta)
+    x = np.array([[phi - theta]])
+    return float(_fisher(_weights(state, eta)[None], x)[0, 0])
 
 
 def _grid_golden_max(f, grid: np.ndarray, vals: np.ndarray, lo: float,
@@ -126,38 +130,27 @@ def _grid_golden_max(f, grid: np.ndarray, vals: np.ndarray, lo: float,
     return best_x, best_f
 
 
-def _max_over_phi_stack(matrices: np.ndarray) -> np.ndarray:
-    """max over phi of F(phi, theta) for each table of a stack.
+def _max_over_phi_stack(w: np.ndarray) -> np.ndarray:
+    """max over phi of F(phi, theta) for each state of a stack of `_weights`.
 
     F depends on phi - theta only, so the search runs at theta = 0.  The
-    256-point grid is evaluated one table at a time (it is the large
-    intermediate); the golden-section steps run on the whole stack.
-    Divergent grid points are stepped around (they correspond to
-    probability zeros crossed transversally, where the Fisher information
-    is not defined), and a table divergent on the whole grid scores 0.
+    grid is evaluated one state at a time (it is the large intermediate);
+    the golden-section steps run on the whole stack.
     """
-    vals = np.stack([_fisher_sum(*_p_and_slope(m[None], _PHI_GRID[None]))[0]
-                     for m in matrices])
+    vals = np.stack([_fisher(ws[None], _PHI_GRID[None])[0] for ws in w])
 
     def f(x):
-        return _fisher_sum(*_p_and_slope(matrices, x[:, None]))[:, 0]
+        return _fisher(w, x[:, None])[:, 0]
 
-    _, best = _grid_golden_max(f, _PHI_GRID, vals, -math.inf, math.inf, 30)
-    return np.where(np.isfinite(vals.max(axis=1)), best, 0.0)
-
-
-def _max_over_phi(table: OutcomeLikelihoodTable) -> float:
-    """max over phi of F(phi, theta) for one table."""
-    return float(_max_over_phi_stack(table.matrix[None])[0])
+    return _grid_golden_max(f, _PHI_GRID, vals, -math.inf, math.inf, 30)[1]
 
 
 def _max_over_phi_states(states: list[TwoModeState], eta: float) -> np.ndarray:
-    """`_max_over_phi` of each state's table, built and searched in stacks
-    of _BLOCK tables, which keeps the memory flat in the number of states."""
+    """max over phi of F for each state, built and searched in stacks of
+    _BLOCK states, which keeps the memory flat in the number of states."""
     return np.concatenate([
         _max_over_phi_stack(np.stack([
-            build_likelihood_table(s, eta).matrix
-            for s in states[start: start + _BLOCK]
+            _weights(s, eta) for s in states[start: start + _BLOCK]
         ]))
         for start in range(0, len(states), _BLOCK)
     ])
@@ -167,9 +160,9 @@ def max_fisher_over_chi(n_photons: int, eta: float) -> tuple[float, float]:
     """Best (chi, F) of the loss-resistant family at a given photon number.
 
     Scans chi over [0, 2] in steps of 0.02, maximizing F over phi for each
-    table (the tables are built and searched in stacks of 32, their
+    state (the states are built and searched in stacks of 32, their
     golden-section searches in lockstep), then refines chi around the grid
-    winner by the same golden section on one table at a time.
+    winner by the same golden section on one state at a time.
     """
     if n_photons not in (2, 4):
         raise ValueError("loss-resistant families are built for N = 2 or 4")
@@ -189,7 +182,7 @@ def max_fisher_exact_optimal4(eta: float) -> tuple[float, float, float]:
 
     Coarse grid over both parameters, seeded additionally with the
     one-parameter family's slice (so the search space always contains it),
-    scanned in stacks of 32 tables like `max_fisher_over_chi`, then a compass
+    scanned in stacks of 32 states like `max_fisher_over_chi`, then a compass
     search from the best three seeds: one stack scores their 12 axis moves of
     +-h a round, each takes its best improving move, and h halves if none does.
     """

@@ -28,12 +28,11 @@ from lossyphase.feedback import (
     optimal_theta_numeric,
 )
 from lossyphase.fisher import (
-    fisher_from_table,
     fisher_information,
     max_fisher_exact_optimal4,
     max_fisher_over_chi,
 )
-from lossyphase.fisher import _max_over_phi
+from lossyphase.fisher import _max_over_phi_states
 from lossyphase.optimizer import optimize, sql_baseline
 from lossyphase.posterior import (
     PhaseDistribution,
@@ -122,16 +121,15 @@ def test_criterion_3_fisher_peak_location():
     # max-over-phi form both peak in [0.7, 0.9], and the literal slice
     # stays NOON-dominated (so any convention change gets flagged).
     chis = np.arange(0.0, 2.0001, 0.02)
-    tables = [build_likelihood_table(make_loss_resistant(1, float(c)), 0.6)
-              for c in chis]
+    states = [make_loss_resistant(1, float(c)) for c in chis]
 
     def argmax_at(x):
-        vals = [fisher_from_table(t, x, 0.0) for t in tables]
+        vals = [fisher_information(s, 0.6, x, 0.0) for s in states]
         return float(chis[int(np.argmax(vals))])
 
     peak_paper_point = argmax_at(math.pi / 2.0)
     peak_literal = argmax_at(math.pi / 4.0)
-    vals_maxphi = [_max_over_phi(t) for t in tables]
+    vals_maxphi = _max_over_phi_states(states, 0.6)
     peak_invariant = float(chis[int(np.argmax(vals_maxphi))])
     ok = (0.7 <= peak_paper_point <= 0.9) and (0.7 <= peak_invariant <= 0.9) \
         and peak_literal < 0.1

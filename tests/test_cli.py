@@ -11,7 +11,6 @@ import pytest
 
 from lossyphase import cli
 from lossyphase.cli import (
-    EXIT_DIVERGENCE,
     EXIT_GUARD,
     EXIT_OK,
     EXIT_USAGE,
@@ -99,16 +98,18 @@ class TestFisherScan:
         best_chi = max(rows, key=lambda r: r[1])[0]
         assert 0.7 <= best_chi <= 0.9
 
-    def test_divergent_point_becomes_nan_row(self, capsys):
+    def test_noon_probability_zero_row_is_n_squared(self, capsys):
+        # Just off a probability zero of the lossless NOON state, where
+        # dP^2 / P is 0/0 to rounding: F is N^2 at every phase.
         phi = repr(math.pi / 2.0 + 1e-7)
         code, out, err = run(
             capsys, "fisher-scan", "--n-photons", "2", "--eta", "1.0",
             "--phi", phi, "--theta", "0", "--chi-min", "0",
             "--chi-max", "0", "--chi-step", "0.02",
         )
-        assert code == EXIT_OK
-        assert "warning" in err
-        assert out.strip().split("\n")[-1] == "0,nan"
+        assert code == EXIT_OK and err == ""
+        chi, f = out.strip().split("\n")[-1].split(",")
+        assert chi == "0" and float(f) == pytest.approx(4.0, abs=1e-9)
 
     def test_degenerate_single_row(self, capsys):
         code, out, _ = run(
@@ -470,7 +471,7 @@ EDGE_ARGVS = {
 @pytest.mark.parametrize("argv", EDGE_ARGVS.values(), ids=EDGE_ARGVS.keys())
 def test_edge_inputs_exit_cleanly(capsys, argv):
     code, _, err = run(capsys, *argv)
-    assert code in (EXIT_OK, EXIT_USAGE, EXIT_GUARD, EXIT_DIVERGENCE)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_GUARD)
     assert "Traceback" not in err
     if code == EXIT_USAGE:
         assert err.startswith("error:"), err

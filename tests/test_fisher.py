@@ -3,7 +3,6 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,10 +14,11 @@ from lossyphase.fisher import (
     _COMPASS_ROUNDS,
     _COMPASS_STEPS,
     _PHI_GRID,
-    FisherDivergenceError,
-    _max_over_phi,
+    _fisher,
     _max_over_phi_stack,
-    fisher_from_table,
+    _max_over_phi_states,
+    _rows,
+    _weights,
     fisher_information,
     max_fisher_exact_optimal4,
     max_fisher_over_chi,
@@ -77,11 +77,12 @@ class TestDerivative:
                 scale = max(abs(analytic), abs(numeric), 1e-3)
                 assert abs(analytic - numeric) / scale < 1e-6
 
-    def test_divergence_near_removable_zero_raises(self):
-        # Just off the NOON probability zero: P < 1e-12 while |dP| > 1e-9.
-        table = build_likelihood_table(make_loss_resistant(1, 0.0), 1.0)
-        with pytest.raises(FisherDivergenceError):
-            fisher_from_table(table, math.pi / 2.0 + 1e-7, 0.0)
+    def test_noon_probability_zero_gives_n_squared(self):
+        # Just off a NOON probability zero, where P ~ 1e-14 and dP^2 / P is
+        # 0/0 to rounding: the amplitude form still gives N^2.
+        f = fisher_information(make_loss_resistant(1, 0.0), 1.0,
+                               math.pi / 2.0 + 1e-7, 0.0)
+        assert f == pytest.approx(4.0, abs=1e-9)
 
 
 class TestMaximization:
@@ -91,7 +92,7 @@ class TestMaximization:
         assert f == pytest.approx(4.0, abs=1e-3)
 
     def test_scan_steps_around_divergences(self):
-        # the lossless NOON grid contains removable zeros; max must survive
+        # the near-lossless NOON grid passes next to probability zeros
         chi, f = max_fisher_over_chi(2, 0.999)
         assert f > 3.9
 
@@ -114,23 +115,40 @@ class TestMaximization:
         assert abs(c1) < 0.05 and abs(c2) < 0.05
 
 
-# The one-table search, one table and one phase point per numpy call: the
+# The one-state search, one state and one phase point per numpy call: the
 # reference the lockstep search must reproduce float for float.
-def reference_p_and_slope(table, x):
+def reference_sums(w, x):
+    """Per outcome, sum_m |A|^2, sum_m Re(conj(A) A') and sum_m |A'|^2 of
+    one state's `_weights` at a 1-D array of points."""
+    r = np.arange(w.shape[0])
+    starts = _rows(len(r) - 1)[1]
+    both = (np.exp(-1j * np.multiply.outer(x, r)) @ w).reshape(len(x), 2, -1)
+    amp, slope = both[:, 0], both[:, 1]
+    return [np.add.reduceat(v, starts, axis=1) for v in (
+        amp.real * amp.real + amp.imag * amp.imag,
+        amp.real * slope.real + amp.imag * slope.imag,
+        slope.real * slope.real + slope.imag * slope.imag)]
+
+
+def reference_fisher_sum(norm, half_dp, limit, n_photons):
+    zero = norm == 0.0
+    ratio = np.where(zero, 4.0 * limit,
+                     4.0 * half_dp * half_dp / np.where(zero, 1.0, norm))
+    return ratio @ _rows(n_photons)[2]
+
+
+def reference_fisher(w, x):
+    return reference_fisher_sum(*reference_sums(w, x), w.shape[0] - 1)
+
+
+# The table form dP^2 / P, from the Fourier coefficients: an independent
+# check of the amplitude form away from probability zeros.
+def table_p_and_slope(table, x):
     d = _engine._band(table.matrix.shape[1])
     phases = np.exp(1j * np.multiply.outer(d, x))
     p = (table.matrix @ phases).real
     dp = ((table.matrix * (1j * d)) @ phases).real
     return p, dp
-
-
-def reference_fisher_sum(p, dp):
-    small = p < 1e-12
-    divergent = small & (np.abs(dp) >= 1e-9)
-    ratio = np.where(small, 0.0, dp * dp / np.where(small, 1.0, p))
-    total = ratio.sum(axis=0)
-    total[divergent.any(axis=0)] = -math.inf
-    return total
 
 
 def reference_grid_golden_max(f, grid, vals, lo, hi, iters):
@@ -152,14 +170,11 @@ def reference_grid_golden_max(f, grid, vals, lo, hi, iters):
     return max([(grid[i], vals[i]), (x1, f1), (x2, f2)], key=lambda c: c[1])
 
 
-def reference_max_over_phi(table):
-    vals = reference_fisher_sum(*reference_p_and_slope(table, _PHI_GRID))
-    if not math.isfinite(vals.max()):
-        return 0.0
+def reference_max_over_phi(w):
+    vals = reference_fisher(w, _PHI_GRID)
 
     def f(phi):
-        return float(reference_fisher_sum(
-            *reference_p_and_slope(table, np.array([phi])))[0])
+        return float(reference_fisher(w, np.array([phi]))[0])
 
     return reference_grid_golden_max(f, _PHI_GRID, vals, -math.inf,
                                      math.inf, 30)[1]
@@ -167,8 +182,8 @@ def reference_max_over_phi(table):
 
 def reference_max_fisher_over_chi(n_photons, eta):
     def objective(chi):
-        return reference_max_over_phi(build_likelihood_table(
-            make_loss_resistant(n_photons // 2, chi), eta))
+        return reference_max_over_phi(
+            _weights(make_loss_resistant(n_photons // 2, chi), eta))
 
     vals = np.array([objective(c) for c in _CHI_GRID])
     return reference_grid_golden_max(objective, _CHI_GRID, vals, 0.0, 2.0, 25)
@@ -181,42 +196,106 @@ class TestLockstepWitness:
     @pytest.mark.parametrize("eta", [0.3, 0.6, 0.999, 1.0])
     def test_stack_matches_one_table_search(self, n, eta):
         rng = np.random.default_rng([n, int(eta * 1000)])
-        tables = [
-            build_likelihood_table(TwoModeState(
-                n, rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)), eta)
-            for _ in range(40)
-        ]
-        expected = [reference_max_over_phi(t) for t in tables]
-        stacked = _max_over_phi_stack(np.stack([t.matrix for t in tables]))
+        states = [TwoModeState(n, rng.normal(size=n + 1)
+                               + 1j * rng.normal(size=n + 1))
+                  for _ in range(40)]
+        expected = [reference_max_over_phi(_weights(s, eta)) for s in states]
+        stacked = _max_over_phi_stack(np.stack([_weights(s, eta)
+                                                for s in states]))
         assert stacked.tolist() == expected
-        assert [_max_over_phi(t) for t in tables] == expected
+        assert _max_over_phi_states(states, eta).tolist() == expected
 
     def test_noon_stack_with_divergent_grid_points(self):
-        # Lossless NOON tables have probability zeros on the phase grid.
-        tables = [build_likelihood_table(make_loss_resistant(h, 0.0), 1.0)
-                  for h in (1, 2)]
-        tables += [build_likelihood_table(make_single_photon(), 1.0)]
-        for t in tables:
-            expected = reference_max_over_phi(t)
-            assert _max_over_phi_stack(t.matrix[None]).tolist() == [expected]
-
-    def test_table_divergent_on_the_whole_grid_scores_zero(self):
-        # P = -1 + 1e-3 cos x and -1 + 1e-3 sin x: every grid point has an
-        # outcome below the floor with a slope above it.
-        divergent = np.array([[5e-4, -1.0, 5e-4],
-                              [5e-4j, -1.0, -5e-4j],
-                              [0.0, 0.0, 0.0]])
-        table = build_likelihood_table(make_single_photon(), 0.6)
-        expected = [reference_max_over_phi(SimpleNamespace(matrix=divergent)),
-                    reference_max_over_phi(table)]
-        assert expected[0] == 0.0
-        stacked = _max_over_phi_stack(np.stack([divergent, table.matrix]))
-        assert stacked.tolist() == expected
+        # NOON states have probability zeros on the phase grid, where the
+        # table form dP^2 / P diverged; F is eta^N N^2 at every phase.
+        x = np.linspace(0.0, 2.0 * math.pi, 1001)
+        for state in (make_loss_resistant(1, 0.0), make_exact_optimal4(0.0, 0.0)):
+            n = state.n_photons
+            w = np.stack([_weights(state, eta) for eta in (0.6, 0.9, 1.0)])
+            expected = [eta ** n * n * n for eta in (0.6, 0.9, 1.0)]
+            for ws, f in zip(w, expected):
+                for points in (_PHI_GRID, x):
+                    assert np.allclose(_fisher(ws[None], points[None])[0], f,
+                                       rtol=1e-12, atol=0.0), (n, f)
+            stacked = _max_over_phi_stack(w)
+            assert stacked.tolist() == [reference_max_over_phi(ws) for ws in w]
+            assert np.allclose(stacked, expected, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("n_photons", [2, 4])
     def test_chi_maximum_matches_reference_composition(self, n_photons):
         chi, f = reference_max_fisher_over_chi(n_photons, 0.6)
         assert max_fisher_over_chi(n_photons, 0.6) == (float(chi), float(f))
+
+
+def package_states():
+    """Every state the package's searches make: the single photon, both
+    loss-resistant families on the chi grid, and the two-parameter family on
+    its seed grid."""
+    grid = np.arange(0.0, 4.01, 0.25)
+    return ([make_single_photon()]
+            + [make_loss_resistant(h, c) for h in (1, 2) for c in _CHI_GRID]
+            + [make_exact_optimal4(c1, c2) for c1 in grid for c2 in grid])
+
+
+class TestAmplitudeWitness:
+    """Independent checks of the amplitude form."""
+
+    @pytest.mark.parametrize("eta", [0.6, 1.0])
+    def test_never_above_n_squared(self, eta):
+        # On a phase scan, and where the golden sections land next to the
+        # probability zeros of near-NOON states.
+        x = np.linspace(0.0, math.pi, 1001)
+        states = package_states()
+        worst = max(
+            float(_fisher(_weights(s, eta)[None], x[None]).max())
+            - s.n_photons ** 2
+            for s in states)
+        for n in (1, 2, 4):
+            group = [s for s in states if s.n_photons == n]
+            worst = max(worst, _max_over_phi_states(group, eta).max() - n * n)
+        worst = max(worst, max_fisher_over_chi(2, eta)[1] - 4.0,
+                    max_fisher_exact_optimal4(eta)[2] - 16.0)
+        assert worst <= 1e-9
+
+    @pytest.mark.parametrize("eta", [0.3, 0.6, 0.9, 1.0])
+    def test_matches_table_form_away_from_zeros(self, eta):
+        rng = np.random.default_rng([7, int(eta * 10)])
+        x = np.linspace(0.0, 2.0 * math.pi, 401)
+        checked = 0
+        for _ in range(50):
+            n = int(rng.integers(1, 5))
+            state = TwoModeState(
+                n, rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1))
+            table = build_likelihood_table(state, eta)
+            live = np.any(table.matrix != 0.0, axis=1)
+            p, dp = table_p_and_slope(table, x)
+            p, dp = p[live], dp[live]
+            ok = np.all(p >= 1e-6, axis=0)
+            expected = (dp * dp / np.where(ok, p, 1.0)).sum(axis=0)[ok]
+            got = _fisher(_weights(state, eta)[None], x[None])[0][ok]
+            assert np.allclose(got, expected, rtol=1e-9, atol=0.0)
+            checked += int(ok.sum())
+        assert checked > 10000
+
+    @pytest.mark.parametrize("eta", [0.9, 0.95, 1.0])
+    def test_near_noon_maxima_are_stable(self, eta):
+        pairs = [(make_loss_resistant(h, 0.0), make_loss_resistant(h, 1e-15))
+                 for h in (1, 2)]
+        pairs += [(make_exact_optimal4(0.0, 0.0), make_exact_optimal4(*chi))
+                  for chi in ((1e-15, 0.0), (0.0, 1e-15))]
+        for pair in pairs:
+            f = _max_over_phi_states(list(pair), eta)
+            assert f[1] == pytest.approx(f[0], rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("eta", [-0.1, 1.5, math.nan])
+def test_eta_outside_unit_interval_rejected(eta):
+    with pytest.raises(ValueError, match="outside"):
+        fisher_information(make_single_photon(), eta, 0.3, 0.0)
+    with pytest.raises(ValueError, match="outside"):
+        max_fisher_over_chi(2, eta)
+    with pytest.raises(ValueError, match="outside"):
+        max_fisher_exact_optimal4(eta)
 
 
 def test_optimal4_memory_stays_flat():
@@ -239,9 +318,8 @@ class TestCompassSearch:
         c1, c2, f = max_fisher_exact_optimal4(eta)
         for d1 in (-1e-5, 0.0, 1e-5):
             for d2 in (-1e-5, 0.0, 1e-5):
-                table = build_likelihood_table(
-                    make_exact_optimal4(c1 + d1, c2 + d2), eta)
-                assert _max_over_phi(table) <= f, (d1, d2)
+                state = make_exact_optimal4(c1 + d1, c2 + d2)
+                assert _max_over_phi_states([state], eta)[0] <= f, (d1, d2)
 
     def test_not_below_the_earlier_maximum(self):
         # perfbench/reference.json's value, from a Nelder-Mead refinement.
