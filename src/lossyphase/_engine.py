@@ -345,7 +345,4 @@ def outcome_probabilities(cmat: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def first_harmonic(batch: np.ndarray) -> np.ndarray:
     """g_1 per row: the projection of exp(i phi) onto each posterior."""
-    center = (batch.shape[1] - 1) // 2
-    if center + 1 >= batch.shape[1]:
-        return np.zeros(batch.shape[0], dtype=complex)
-    return batch[:, center + 1]
+    return _harmonics(batch, 1, 1)[:, 0]

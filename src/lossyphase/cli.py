@@ -36,14 +36,8 @@ import numpy as np
 import lossyphase
 from lossyphase.detection import build_likelihood_table
 from lossyphase.fisher import fisher_information
-from lossyphase.optimizer import optimize, pareto_csv
-from lossyphase.sequences import (
-    BranchGuardError,
-    SequencePlan,
-    evaluate_exact,
-    evaluate_exact_with_speedup,
-    evaluate_monte_carlo,
-)
+from lossyphase.optimizer import METHODS, evaluate_plans, optimize, pareto_csv
+from lossyphase.sequences import BranchGuardError, SequencePlan
 from lossyphase.states import (
     forward_simulate_triport,
     make_loss_resistant,
@@ -95,7 +89,6 @@ _PARAMS = {
         ("method", str, "speedup"), ("trials", int, 10 ** 5),
     ],
 }
-_METHODS = ("exact", "speedup", "mc")
 
 
 class UsageError(ValueError):
@@ -225,15 +218,7 @@ def cmd_fisher_scan(cfg: dict):
 def cmd_evaluate(cfg: dict):
     plan = SequencePlan(cfg["n1"], cfg["n2"], cfg["chi2"], cfg["n4"],
                         cfg["chi4"], cfg["eta"])
-    method = cfg["method"]
-    if method == "exact":
-        report = evaluate_exact(plan)
-    elif method == "speedup":
-        report = evaluate_exact_with_speedup(plan)
-    elif method == "mc":
-        report = evaluate_monte_carlo(plan, cfg["trials"], cfg["seed"])
-    else:
-        raise UsageError(f"unknown method {method!r}")
+    (report,) = evaluate_plans([plan], cfg["method"], cfg["trials"], cfg["seed"])
     return report.to_json_dict(), None
 
 
@@ -277,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, cast, _ in _PARAMS[command]:
             # Angles stay text here; the resolver parses them.
             p.add_argument(f"--{flag}", type=cast if cast in (int, float) else str,
-                           choices=_METHODS if flag == "method" else None)
+                           choices=METHODS if flag == "method" else None)
     return parser
 
 

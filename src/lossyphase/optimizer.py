@@ -23,13 +23,16 @@ from lossyphase.sequences import (
 
 __all__ = [
     "OptimizationResult",
+    "METHODS",
     "enumerate_plans",
+    "evaluate_plans",
     "optimize",
     "sql_baseline",
     "pareto_csv",
 ]
 
 PARETO_CSV_HEADER = "n1,n2,chi2,n4,chi4,eta,mu,holevo_variance,branches,method"
+METHODS = ("exact", "speedup", "mc")
 
 
 @dataclass(frozen=True)
@@ -95,6 +98,21 @@ def enumerate_plans(
     return plans
 
 
+def evaluate_plans(
+    plans: list[SequencePlan], method: str, mc_trials: int, mc_seed: int
+) -> list[EvaluationReport]:
+    """Reports for plans, in input order, by one of METHODS: "exact"
+    enumerates each plan, "speedup" walks each split's plans as one
+    merged tree (evaluate_plans_with_speedup), "mc" samples each plan."""
+    if method == "speedup":
+        return evaluate_plans_with_speedup(plans)
+    if method == "exact":
+        return [evaluate_exact(p) for p in plans]
+    if method == "mc":
+        return [evaluate_monte_carlo(p, mc_trials, mc_seed) for p in plans]
+    raise ValueError(f"unknown method {method!r}: expected exact, speedup or mc")
+
+
 def optimize(
     total_photons: int,
     eta: float,
@@ -108,18 +126,11 @@ def optimize(
     Ties are broken toward larger N1, then smaller chi2, then smaller chi4,
     which is exactly the enumeration order, so the first minimum wins (the
     all-single-photon plan when every variance is infinite, as at eta = 0).
-    The speedup evaluator walks each split's plans as one tree.
+    evaluator is one of METHODS (see evaluate_plans).
     Branch-guard violations name the first offending plan.
     """
-    if evaluator not in ("exact", "speedup", "mc"):
-        raise ValueError(
-            f"unknown evaluator {evaluator!r}: expected exact, speedup or mc")
     plans = enumerate_plans(total_photons, chi_grid_step, eta)
-    if evaluator == "speedup":
-        reports = evaluate_plans_with_speedup(plans)
-    else:
-        reports = [evaluate_exact(p) if evaluator == "exact"
-                   else evaluate_monte_carlo(p, mc_trials, mc_seed) for p in plans]
+    reports = evaluate_plans(plans, evaluator, mc_trials, mc_seed)
     table = tuple(zip(plans, reports))
     best_plan, best = min(table, key=lambda row: row[1].holevo_variance)
     return OptimizationResult(

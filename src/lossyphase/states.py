@@ -136,15 +136,12 @@ def make_single_photon() -> TwoModeState:
 def synthesize_triport(chi: float) -> TriPortConfig:
     """Beam-splitter reflectivities and phases that generate the chi state."""
     chi = _check_chi(chi)
-    s = 0.5 * (chi - 1.0) * math.sqrt(2.0 + chi)
-    # s stays inside [-1, 1] for chi in [0, 2]; guard against misuse anyway.
-    if not -1.0 <= s <= 1.0:
-        raise ValueError(f"arcsin argument {s} outside [-1, 1]")
     return TriPortConfig(
         r1=1.0 / (1.0 + chi),
         r2=1.0 / (2.0 + chi),
         r3=1.0 / (1.0 + chi),
-        phi1=math.asin(s),
+        # Rises from -sqrt(2)/2 at chi = 0 to exactly 1 at chi = 2.
+        phi1=math.asin(0.5 * (chi - 1.0) * math.sqrt(2.0 + chi)),
         phi2=math.acos(0.5 * chi),
     )
 

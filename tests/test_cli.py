@@ -330,6 +330,14 @@ class TestConfigFile:
         assert "bogus" in err
         assert out == ""
 
+    def test_unknown_evaluate_method_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n1": 1, "eta": 0.6, "method": "bogus"}))
+        code, out, err = run(capsys, "--config", str(cfg), "evaluate")
+        assert code == EXIT_USAGE
+        assert "bogus" in err
+        assert out == ""
+
     def test_missing_config_exits_2(self, capsys):
         code, _, err = run(capsys, "--config", "/nonexistent.json",
                            "evaluate", "--eta", "0.6")

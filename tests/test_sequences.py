@@ -490,6 +490,44 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             evaluate_monte_carlo(SequencePlan(n1=1, eta=0.6), 0, 1)
 
+    def test_error_bar_is_calibrated(self):
+        # z = (mu - exact) / se over 200 seeds: a calibrated first-order
+        # error bar gives z a spread near 1 and a mean near 0.
+        plan = SequencePlan(3, 1, 1.7, 0, 0, 0.6)
+        exact = evaluate_exact(plan).mu
+        z = []
+        for seed in range(200):
+            mc = evaluate_monte_carlo(plan, 1000, seed)
+            z.append((mc.mu - exact) / mc.mc_std_error)
+        assert 0.8 <= np.std(z) <= 1.2
+        assert abs(np.mean(z)) <= 0.3
+
+    def test_error_bar_is_the_projected_spread(self, monkeypatch):
+        residuals = np.exp(1j * np.array([0.1, 0.5, -0.3, 2.0]))
+        monkeypatch.setattr(sequences, "_simulate_chunk",
+                            lambda stages, rng, n: residuals[:n])
+        mc = evaluate_monte_carlo(SequencePlan(n1=1, eta=0.6), 4, 0)
+        mean = residuals.mean()
+        along = (residuals / (mean / abs(mean))).real
+        assert mc.mu == abs(mean)
+        assert mc.mc_std_error == pytest.approx(
+            math.sqrt(np.mean((along - along.mean()) ** 2) / 4), rel=1e-14)
+
+    @pytest.mark.parametrize("seed, mu", [
+        (0, 0.7499349861479165),
+        (1, 0.7683952368908302),
+        (2, 0.7643027419475489),
+    ])
+    def test_mu_is_pinned(self, seed, mu):
+        # The simulation stream is the first child of the seed's
+        # SeedSequence; moving it would change these values.
+        assert evaluate_monte_carlo(SequencePlan(3, 1, 1.7, 0, 0, 0.6),
+                                    1000, seed).mu == mu
+
+    def test_one_trial_has_zero_error_bar(self):
+        mc = evaluate_monte_carlo(SequencePlan(3, 1, 1.7, 0, 0, 0.6), 1, 4)
+        assert mc.mc_std_error == 0.0
+
 
 def reference_simulate(stages, rng, n_trials):
     """The per-trial sampler: every trial carries its own posterior row,
