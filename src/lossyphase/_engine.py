@@ -14,7 +14,10 @@ All feedback objectives are scale-invariant, so rows may carry any positive
 overall factor (branch probabilities are folded into the coefficients).
 The numeric feedback runs in blocks of _BLOCK_ROWS rows, so that its
 (rows, outcomes, d) weight stacks do not set the memory peak of the Monte
-Carlo's wide batches; rows are independent, so blocking changes no bit.
+Carlo's wide batches, and the Monte Carlo calls advance_selected on blocks
+of as many rows to update its node buffer in place
+(sequences._simulate_chunk); rows are independent, so blocking changes no
+bit.
 
 Likelihoods are an (outcomes, d) matrix shared by all rows or, in
 numeric_theta_batch, _theta_and_sharpness, advance_batch and
@@ -41,12 +44,13 @@ _NEWTON_TOL = 1e-12
 # and its step below _SETTLE_STEP rad (see _refine_newton).
 _SETTLE_GRAD = 1e-6
 _SETTLE_STEP = 1e-6
-# Rows per block of the numeric feedback (see the module docstring).
-# Tree walks pass at most sequences._CHUNK_ROWS = 256 rows, one block.
-# 1,024 to 4,096 rows all leave a 16,384-trial N=30 Monte Carlo chunk at
-# the same tracemalloc peak, set by its Bayes update; 4,096 runs the
-# fewest blocks.
-_BLOCK_ROWS = 4096
+# Rows per block of the numeric feedback and of the Monte Carlo's in-place
+# Bayes update (see the module docstring and sequences._simulate_chunk).
+# Tree walks pass at most sequences._CHUNK_ROWS = 256 rows, one block.  At
+# 1,024 rows a feedback block's weight stacks stay below the 16 MB node
+# buffer of a 16,384-trial N=30 Monte Carlo chunk, which then sets the
+# chunk's tracemalloc peak; 4,096 rows would put it at the feedback.
+_BLOCK_ROWS = 1024
 # Relative slack for grid comparisons.  The refinement must behave as a
 # smooth function of the posterior: the exact and binomial-speedup
 # evaluators feed it inputs differing in the last bits, and any

@@ -266,9 +266,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_dash_values(argv: list[str]) -> list[str]:
+    """Join a value that starts with '-' to its flag: --phi -pi/2 becomes
+    --phi=-pi/2.  argparse takes such a token for an option unless it reads
+    as a plain negative number, so -pi/2 or -inf would never reach its
+    parser.  Every flag but --help takes one value; a following '--flag'
+    or -h is left alone, so a missing value is still reported as one."""
+    out: list[str] = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if (tok.startswith("-") and not tok.startswith("--") and tok != "-h"
+                and prev.startswith("--") and "=" not in prev
+                and prev not in ("--", "--help")):
+            out[-1] = f"{prev}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(
+            _attach_dash_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     _cap_blas_threads()

@@ -402,12 +402,24 @@ def _simulate_chunk(stages: list[_Stage], rng: np.random.Generator,
     once per node; the outcome probabilities and draws stay per trial, in
     the same order of rng calls.  The drawn children are numbered by
     np.unique, and only the distinct ones are updated and normalised.
-    The numeric feedback on up to n_trials nodes runs in fixed row blocks
-    (_engine._BLOCK_ROWS), so its weight stacks stay below the peak of
-    the update instead of growing with the nodes.
+
+    All nodes live in one (n_trials, 2J + 1) buffer, J the plan's total
+    band order, preallocated with the root at row 0's centre; the live
+    nodes are the view of its first rows over the current band, which the
+    feedback and first_harmonic read.  The update writes the children in
+    place: np.unique sorts them by parent and every node has a child, so
+    child i's parent is at most i, and blocks of _engine._BLOCK_ROWS
+    children, taken from the last down, each gather their parents before
+    overwriting rows no lower block still reads.  So one generation of
+    nodes is alive, and the feedback's row blocks stay below it.  Every
+    row is computed as in a single pass, bit for bit.
     """
     phi = rng.uniform(0.0, 2.0 * math.pi, n_trials)
-    nodes = np.ones((1, 1), dtype=complex)
+    top = sum(stage.count * (stage.cmat.shape[-1] // 2) for stage in stages)
+    buf = np.zeros((n_trials, 2 * top + 1), dtype=complex)
+    buf[0, top] = 1.0
+    half = 0
+    nodes = buf[:1, top: top + 1]
     node = np.zeros(n_trials, dtype=np.int64)
     for stage in stages:
         n_out = stage.cmat.shape[0]
@@ -420,12 +432,19 @@ def _simulate_chunk(stages: list[_Stage], rng: np.random.Generator,
             picks = (rng.random(n_trials)[:, None] > cdf).sum(axis=1)
             child, node = np.unique(node * n_out + picks, return_inverse=True)
             parent = child // n_out
-            nodes = nodes[parent]  # rebound first: one generation alive
-            nodes = _engine.advance_selected(nodes, stage.cmat, child % n_out,
-                                             node_thetas[parent])
-            norms = np.abs(nodes).max(axis=1)
-            norms[norms == 0.0] = 1.0
-            nodes /= norms[:, None]
+            band = slice(top - half, top + half + 1)
+            half += stage.cmat.shape[-1] // 2
+            wide = slice(top - half, top + half + 1)
+            for lo in reversed(range(0, child.size, _engine._BLOCK_ROWS)):
+                rows = slice(lo, min(lo + _engine._BLOCK_ROWS, child.size))
+                block = _engine.advance_selected(buf[parent[rows], band], stage.cmat,
+                                                 child[rows] % n_out,
+                                                 node_thetas[parent[rows]])
+                norms = np.abs(block).max(axis=1)
+                norms[norms == 0.0] = 1.0
+                block /= norms[:, None]
+                buf[rows, wide] = block
+            nodes = buf[:child.size, wide]
     phi_hat = np.angle(_engine.first_harmonic(nodes))[node]
     return np.exp(1j * (phi_hat - phi))
 
@@ -447,6 +466,8 @@ def evaluate_monte_carlo(
     record, not per trial (see _simulate_chunk), so its cost follows the
     records drawn.
     """
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     t0 = time.perf_counter()

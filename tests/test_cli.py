@@ -149,6 +149,31 @@ class TestFisherScan:
         assert out.returncode == EXIT_USAGE
         assert "finite chi-max >= chi-min" in out.stderr and out.stdout == ""
 
+    def test_dash_value_as_separate_argument(self, capsys):
+        # argparse reads "-pi/2" as an option unless it is joined to its flag.
+        scan = ("fisher-scan", "--n-photons", "2", "--eta", "0.6",
+                "--chi-min", "0.5", "--chi-max", "0.6")
+        outs = []
+        for phi in (("--phi", "-pi/2"), ("--phi=-pi/2",)):
+            code, out, _ = run(capsys, *scan, *phi)
+            assert code == EXIT_OK
+            outs.append(out.split("\n"))
+        assert json.loads(outs[0][0][2:])["config"]["phi"] == -math.pi / 2.0
+        assert len(outs[0]) == 9 and outs[0][1:] == outs[1][1:]
+
+    def test_dash_infinity_as_separate_argument_exits_2(self, capsys):
+        code, out, err = run(capsys, "fisher-scan", "--n-photons", "1",
+                             "--eta", "0.6", "--chi-min", "-inf")
+        assert code == EXIT_USAGE
+        assert "finite chi-max >= chi-min" in err and out == ""
+
+    def test_negative_number_as_separate_argument(self, capsys):
+        code, out, _ = run(capsys, "fisher-scan", "--n-photons", "2", "--eta", "0.6",
+                           "--theta", "-0.5", "--chi-min", "0.5", "--chi-max", "0.5")
+        assert code == EXIT_OK
+        header = json.loads(out.split("\n")[0][2:])
+        assert header["config"]["theta"] == -0.5
+
     def test_chi_step_at_resolution_accepted(self, capsys):
         code, out, _ = run(
             capsys, "fisher-scan", "--n-photons", "2", "--eta", "0.6",

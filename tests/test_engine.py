@@ -395,7 +395,8 @@ class TestRowBlocks:
         return theta, _engine._sharpness_from_weights(w, theta)
 
     @pytest.mark.parametrize("per_row", [False, True])
-    @pytest.mark.parametrize("rows", [_engine._BLOCK_ROWS + 37, 1, 0])
+    # Several full blocks and a ragged last one.
+    @pytest.mark.parametrize("rows", [4 * _engine._BLOCK_ROWS + 37, 1, 0])
     def test_blocks_match_one_pass_bit_for_bit(self, rows, per_row):
         rng = np.random.default_rng(700 + rows + per_row)
         batch = random_hermitian(rng, rows, 6)

@@ -490,6 +490,16 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             evaluate_monte_carlo(SequencePlan(n1=1, eta=0.6), 0, 1)
 
+    @pytest.mark.parametrize("trials", [2.5, 3.0, True, "3", None])
+    def test_rejects_non_integer_trials(self, trials):
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            evaluate_monte_carlo(SequencePlan(n1=1, eta=0.6), trials, 1)
+
+    def test_accepts_numpy_integer_trials(self):
+        got = evaluate_monte_carlo(SequencePlan(n1=1, eta=0.6), np.int64(50), 1)
+        assert got.branches_evaluated == 50
+        assert got.mu == evaluate_monte_carlo(SequencePlan(n1=1, eta=0.6), 50, 1).mu
+
     def test_error_bar_is_calibrated(self):
         # z = (mu - exact) / se over 200 seeds: a calibrated first-order
         # error bar gives z a spread near 1 and a mean near 0.
@@ -607,6 +617,70 @@ class TestSampledRecords:
         assert rows["numeric_theta_batch"] and max(rows["numeric_theta_batch"]) <= 9
         assert len(rows["advance_selected"]) == 3
         assert max(rows["advance_selected"]) <= trials
+
+
+def two_generation_simulate(stages, rng, n_trials):
+    """The distinct-record sampler that rebuilds its node rows at every
+    detection: the parents gathered, then the widened children, so two
+    generations of nodes are alive at once."""
+    phi = rng.uniform(0.0, 2.0 * math.pi, n_trials)
+    nodes = np.ones((1, 1), dtype=complex)
+    node = np.zeros(n_trials, dtype=np.int64)
+    for stage in stages:
+        n_out = stage.cmat.shape[0]
+        for _ in range(stage.count):
+            node_thetas = stage.thetas(nodes)
+            cdf = np.cumsum(np.clip(
+                _engine.outcome_probabilities(stage.cmat, phi - node_thetas[node]).real,
+                0.0, None), axis=1)
+            cdf /= cdf[:, -1:]
+            picks = (rng.random(n_trials)[:, None] > cdf).sum(axis=1)
+            child, node = np.unique(node * n_out + picks, return_inverse=True)
+            parent = child // n_out
+            nodes = nodes[parent]
+            nodes = _engine.advance_selected(nodes, stage.cmat, child % n_out,
+                                             node_thetas[parent])
+            norms = np.abs(nodes).max(axis=1)
+            norms[norms == 0.0] = 1.0
+            nodes /= norms[:, None]
+    phi_hat = np.angle(_engine.first_harmonic(nodes))[node]
+    return np.exp(1j * (phi_hat - phi))
+
+
+class TestInPlaceNodes:
+    """_simulate_chunk keeps its nodes in one buffer and updates them in
+    place, a block of children at a time from the last down.  Every row
+    is computed as the two-generation sampler computes it, so the
+    residuals are equal bit for bit, across and within update blocks."""
+
+    PLANS = {"n30-row": N30_ROW, "12-single-eta0.6": SequencePlan(n1=12, eta=0.6),
+             "eta1": SequencePlan(n1=2, n2=1, chi2=1.7, n4=1, chi4=1.3, eta=1.0),
+             "eta0": SequencePlan(n1=2, n2=1, chi2=1.7, n4=1, chi4=1.3, eta=0.0),
+             "empty": SequencePlan(n1=0), "n13-row": N13_ROW,
+             "n30-sql": SequencePlan(n1=30, eta=0.6)}
+
+    @pytest.mark.parametrize("n_trials", [1, 2 * _engine._BLOCK_ROWS + 37,
+                                          sequences._MC_CHUNK])
+    @pytest.mark.parametrize("name", PLANS)
+    def test_matches_two_generations_bit_for_bit(self, name, n_trials):
+        stages = _plan_stages(self.PLANS[name])
+        got = sequences._simulate_chunk(stages, np.random.default_rng(11), n_trials)
+        want = two_generation_simulate(stages, np.random.default_rng(11), n_trials)
+        assert got.shape == (n_trials,)
+        assert np.array_equal(got, want)
+
+    def test_memory_peak_is_one_generation(self):
+        # The (trials, 61) complex node buffer of the N=30 row is 16 MB; two
+        # generations of nodes with 4,096-row feedback blocks peak at 3.4x it.
+        stages = _plan_stages(N30_ROW)
+        trials = sequences._MC_CHUNK
+        tracemalloc.start()
+        try:
+            sequences._simulate_chunk(stages, np.random.default_rng(11), trials)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * trials * 61 * np.dtype(complex).itemsize
 
 
 class TestProperties:
