@@ -310,11 +310,7 @@ def _widen(batch: np.ndarray, coefs: np.ndarray) -> np.ndarray:
     n_out = n_c + 2 * order
     pad = np.zeros((n_b, n_out + 2 * order), dtype=complex)
     pad[:, 2 * order: 2 * order + n_c] = batch
-    s_row, s_col = pad.strides
-    window = np.lib.stride_tricks.as_strided(
-        pad, (n_b, 2 * order + 1, n_out), (s_row, s_col, s_col), writeable=False
-    )
-    return coefs @ window
+    return coefs @ np.lib.stride_tricks.sliding_window_view(pad, n_out, axis=1)
 
 
 def advance_batch(batch: np.ndarray, cmat: np.ndarray,

@@ -91,10 +91,6 @@ _PARAMS = {
 }
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _resolve(args: argparse.Namespace) -> dict:
     """The artifact's config: command, the command's parameters, seed.
     Command-line flag wins, then config file, then the default."""
@@ -104,14 +100,14 @@ def _resolve(args: argparse.Namespace) -> dict:
             with open(args.config) as fh:
                 config = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config: {exc}") from exc
+            raise ValueError(f"cannot read config: {exc}") from exc
     if not isinstance(config, dict):
-        raise UsageError("config must be a JSON object")
+        raise ValueError("config must be a JSON object")
     params = _PARAMS[args.command] + [("seed", int, 0)]
     known = {"command"} | {k for p in params for k in (p[0], p[0].replace("-", "_"))}
     for key in config:
         if key not in known:
-            raise UsageError(f"config key {key!r} is not a parameter of {args.command}")
+            raise ValueError(f"config key {key!r} is not a parameter of {args.command}")
     cfg = {"command": args.command}
     for flag, cast, default in params:
         key = flag.replace("-", "_")
@@ -121,10 +117,10 @@ def _resolve(args: argparse.Namespace) -> dict:
         if val is None:
             val = default
         if val is None:
-            raise UsageError(f"missing required parameter --{flag}")
+            raise ValueError(f"missing required parameter --{flag}")
         cfg[key] = cast(val)
     if cfg.get("trials", 1) < 1:
-        raise UsageError("trials must be >= 1")
+        raise ValueError("trials must be >= 1")
     return cfg
 
 
@@ -173,7 +169,7 @@ def _state_for(n_photons: int, chi: float):
         return make_single_photon()
     if n_photons in (2, 4):
         return make_loss_resistant(n_photons // 2, chi)
-    raise UsageError("n-photons must be 1, 2, or 4")
+    raise ValueError("n-photons must be 1, 2, or 4")
 
 
 # Each command returns (JSON result or None, CSV body or None).
@@ -204,7 +200,7 @@ def cmd_fisher_scan(cfg: dict):
     # and nothing stops an infinite chi-max (the single photon ignores chi).
     lo, hi = cfg["chi_min"], cfg["chi_max"]
     if not cfg["chi_step"] >= 1e-12 or not -math.inf < lo <= hi < math.inf:
-        raise UsageError("need chi-step >= 1e-12 and finite chi-max >= chi-min")
+        raise ValueError("need chi-step >= 1e-12 and finite chi-max >= chi-min")
     lines = ["chi,fisher\n"]
     chi = lo
     while chi <= hi + 1e-12:
@@ -298,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
     except BranchGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     csv_text = csv_body and f"# {json.dumps(_artifact(cfg, t0))}\n" + csv_body

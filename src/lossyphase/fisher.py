@@ -10,15 +10,12 @@ x = phi - theta (`detection._amplitude_weights`), so per outcome
 which Cauchy-Schwarz bounds by 4 pre sum_m |A_m'|^2.  F is therefore finite
 everywhere; where every A_m vanishes exactly it takes that bound, its limit.
 
-The maxima over phi and over state parameters scan their candidate states
-as stacks of amplitude weights, built and searched in blocks of 32 states:
-each state's 128-point phi grid is evaluated on its own, and the
-golden-section refinements of the whole block then advance in lockstep, one
-numpy call per step for all of them.  The port-swap symmetry of the tables,
-P_{L,k}(x + pi) = P_{L,N-L-k}(x), makes F pi-periodic, so the grid covers
-[0, pi) only.  One golden-section routine serves every search; the chi
-refinement is a stack of one, and the compass search over the two-parameter
-family scores a stack per round.
+Every maximum is found by one compass search over (state parameters, phi).
+Each candidate state starts at the best point of its 128-point phi grid,
+evaluated one state at a time; the searches then advance in lockstep, one
+numpy call per round for all of them, each with its own step.  The
+port-swap symmetry of the tables, P_{L,k}(x + pi) = P_{L,N-L-k}(x), makes F
+pi-periodic, so the grid covers [0, pi) only.
 """
 
 from __future__ import annotations
@@ -39,11 +36,8 @@ __all__ = [
 
 _PHI_GRID = math.pi * np.arange(128) / 128
 _CHI_GRID = np.minimum(np.arange(0.0, 2.01, 0.02), 2.0)
-# States built and searched together: enough to amortise the per-step numpy
-# calls, few enough that a stack stays a few hundred kB.
-_BLOCK = 32
-# Compass search: first step, the step it stops below, and a cap on rounds.
-_COMPASS_STEPS = (0.125, 1e-7)
+# Compass search: the step it stops below, and a cap on rounds.
+_COMPASS_STOP = 1e-7
 _COMPASS_ROUNDS = 200
 
 
@@ -99,113 +93,101 @@ def fisher_information(
     return float(_fisher(_weights(state, eta)[None], x)[0, 0])
 
 
-def _grid_golden_max(f, grid: np.ndarray, vals: np.ndarray, lo: float,
-                     hi: float, iters: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per search, best (x, f(x)) of its grid winner and a golden-section
-    search for a maximum within one grid step of it, clipped to [lo, hi].
+def _grid_max(w: np.ndarray) -> tuple[float, float]:
+    """The best point of one state's phi grid, and F there."""
+    vals = _fisher(w[None], _PHI_GRID[None])[0]
+    i = np.argmax(vals)
+    return _PHI_GRID[i], vals[i]
 
-    vals holds one row of values on the (evenly spaced) grid per search.
-    The searches advance in lockstep: f maps one point per search to one
-    value per search, and np.where takes each search's own branch, so
-    every search follows the steps it would take alone.  Ties go to the
-    grid winner, then to x1 over x2.
+
+def _compass(score, x: np.ndarray, fx: np.ndarray, steps: tuple[float, ...],
+             lo=-math.inf, hi=math.inf) -> tuple[np.ndarray, np.ndarray]:
+    """Lockstep compass searches for a maximum, one from each row of x,
+    where F is fx.
+
+    A round scores the moves of +-h * steps along each axis, clipped to
+    [lo, hi], of every live search by one call score(owner, points).  A
+    search takes its best move if that beats it (ties go to the earlier
+    move), or else halves its own h, which starts at 1; it stops once
+    h * max(steps) < _COMPASS_STOP, or after _COMPASS_ROUNDS rounds.  So
+    every search takes the steps it would take alone.
     """
-    i = np.argmax(vals, axis=1)
-    step = grid[1] - grid[0]
-    a, b = np.maximum(lo, grid[i] - step), np.minimum(hi, grid[i] + step)
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1, x2 = b - invphi * (b - a), a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
-        left = f1 > f2
-        a, b = np.where(left, a, x1), np.where(left, x2, b)
-        x = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
-        fx = f(x)
-        x1, x2 = np.where(left, x, x2), np.where(left, x1, x)
-        f1, f2 = np.where(left, fx, f2), np.where(left, f1, fx)
-    best_x, best_f = grid[i], vals[np.arange(len(vals)), i]
-    for x, fx in ((x1, f1), (x2, f2)):
-        better = fx > best_f
-        best_x, best_f = np.where(better, x, best_x), np.where(better, fx, best_f)
-    return best_x, best_f
-
-
-def _max_over_phi_stack(w: np.ndarray) -> np.ndarray:
-    """max over phi of F(phi, theta) for each state of a stack of `_weights`.
-
-    F depends on phi - theta only, so the search runs at theta = 0.  The
-    grid is evaluated one state at a time (it is the large intermediate);
-    the golden-section steps run on the whole stack.
-    """
-    vals = np.stack([_fisher(ws[None], _PHI_GRID[None])[0] for ws in w])
-
-    def f(x):
-        return _fisher(w, x[:, None])[:, 0]
-
-    return _grid_golden_max(f, _PHI_GRID, vals, -math.inf, math.inf, 30)[1]
+    moves = np.stack([np.diag(steps), -np.diag(steps)], axis=1).reshape(-1, len(steps))
+    h = np.ones(len(x))
+    for _ in range(_COMPASS_ROUNDS):
+        live = np.flatnonzero(h * max(steps) >= _COMPASS_STOP)
+        if live.size == 0:
+            break
+        trial = np.clip(x[live, None] + h[live, None, None] * moves, lo, hi)
+        f = score(live.repeat(len(moves)),
+                  trial.reshape(-1, len(steps))).reshape(live.size, -1)
+        j = f.argmax(axis=1)
+        best = f[np.arange(live.size), j]
+        up = best > fx[live]
+        x[live[up]], fx[live[up]] = trial[up, j[up]], best[up]
+        h[live[~up]] /= 2.0
+    return x, fx
 
 
 def _max_over_phi_states(states: list[TwoModeState], eta: float) -> np.ndarray:
-    """max over phi of F for each state, built and searched in stacks of
-    _BLOCK states, which keeps the memory flat in the number of states."""
-    return np.concatenate([
-        _max_over_phi_stack(np.stack([
-            _weights(s, eta) for s in states[start: start + _BLOCK]
-        ]))
-        for start in range(0, len(states), _BLOCK)
-    ])
+    """max over phi of F for each state, each state its own search.
+
+    F depends on phi - theta only, so the search runs at theta = 0; its
+    first step is half the grid spacing.
+    """
+    w = np.stack([_weights(s, eta) for s in states])
+    phi, fx = np.array([_grid_max(ws) for ws in w]).T
+    return _compass(lambda owner, x: _fisher(w[owner], x)[:, 0],
+                    phi[:, None], fx, (math.pi / 256,))[1]
+
+
+def _family_max(make, seeds, steps: tuple[float, ...], eta: float,
+                lo=-math.inf, hi=math.inf) -> tuple[np.ndarray, float]:
+    """Best parameters and F over the states make(*parameters).
+
+    Each seed goes to the best point of its phi grid, one state at a time;
+    the three best (ties to the earliest) then search jointly over
+    (parameters, phi), with first steps `steps` and pi/256 for phi.
+    """
+    phi, fx = np.array([_grid_max(_weights(make(*s), eta)) for s in seeds]).T
+    top = np.argsort(-fx, kind="stable")[:3]
+
+    def score(_, points):
+        w = np.stack([_weights(make(*p[:-1]), eta) for p in points])
+        return _fisher(w, points[:, -1:])[:, 0]
+
+    x, fx = _compass(score, np.column_stack([seeds, phi])[top], fx[top],
+                     (*steps, math.pi / 256), lo, hi)
+    best = fx.argmax()
+    return x[best, :-1], float(fx[best])
 
 
 def max_fisher_over_chi(n_photons: int, eta: float) -> tuple[float, float]:
     """Best (chi, F) of the loss-resistant family at a given photon number.
 
-    Scans chi over [0, 2] in steps of 0.02, maximizing F over phi for each
-    state (the states are built and searched in stacks of 32, their
-    golden-section searches in lockstep), then refines chi around the grid
-    winner by the same golden section on one state at a time.
+    Seeds chi on [0, 2] in steps of 0.02, then refines (chi, phi) from the
+    best three by the compass search, chi first stepping 0.01 and kept in
+    [0, 2].
     """
     if n_photons not in (2, 4):
         raise ValueError("loss-resistant families are built for N = 2 or 4")
-    half_n = n_photons // 2
-
-    def objective(chi):
-        return _max_over_phi_states([make_loss_resistant(half_n, chi[0])], eta)
-
-    vals = _max_over_phi_states(
-        [make_loss_resistant(half_n, c) for c in _CHI_GRID], eta)
-    chi, f = _grid_golden_max(objective, _CHI_GRID, vals[None], 0.0, 2.0, 25)
-    return float(chi[0]), float(f[0])
+    chi, f = _family_max(functools.partial(make_loss_resistant, n_photons // 2),
+                         _CHI_GRID[:, None], (0.01,), eta,
+                         (0.0, -math.inf), (2.0, math.inf))
+    return float(chi[0]), f
 
 
 def max_fisher_exact_optimal4(eta: float) -> tuple[float, float, float]:
     """Best (chi1p, chi2p, F) over the two-parameter four-photon family.
 
-    Coarse grid over both parameters, seeded additionally with the
-    one-parameter family's slice (so the search space always contains it),
-    scanned in stacks of 32 states like `max_fisher_over_chi`, then a compass
-    search from the best three seeds: one stack scores their 12 axis moves of
-    +-h a round, each takes its best improving move, and h halves if none does.
+    Seeds a grid of step 0.25 over [0, 4]^2 and the one-parameter family's
+    slice (so the search space always contains it), then refines
+    (chi1p, chi2p, phi) from the best three by the compass search, both
+    parameters first stepping 0.125.
     """
-
-    def scores(points):
-        return _max_over_phi_states([make_exact_optimal4(*p) for p in points], eta)
-
     grid = np.arange(0.0, 4.01, 0.25)
     seeds = [(c1, c2) for c1 in grid for c2 in grid]
     seeds += [(chi, (2.0 + chi * chi) / math.sqrt(6.0))
               for chi in np.arange(0.0, 2.01, 0.1)]
-    vals = scores(seeds)
-    starts = np.argsort(vals)[::-1][:3]
-    x, fx = np.array(seeds)[starts], vals[starts]
-    h, h_stop = _COMPASS_STEPS
-    for _ in range(_COMPASS_ROUNDS):
-        if h < h_stop:
-            break
-        trial = x[:, None] + h * np.array([(1, 0), (-1, 0), (0, 1), (0, -1)])
-        f = scores(trial.reshape(-1, 2)).reshape(len(x), -1)
-        j = f.argmax(axis=1)
-        up = f[np.arange(len(x)), j] > fx
-        if not up.any():
-            h /= 2.0
-        x[up], fx[up] = trial[up, j[up]], f[up, j[up]]
-    return (*x[fx.argmax()].tolist(), float(fx.max()))
+    chi, f = _family_max(make_exact_optimal4, seeds, (0.125, 0.125), eta)
+    return (*chi.tolist(), f)

@@ -30,8 +30,6 @@ __all__ = [
     "variance_from_sharpness",
 ]
 
-_HERMITIAN_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class PhaseDistribution:

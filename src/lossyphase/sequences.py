@@ -431,6 +431,7 @@ def _simulate_chunk(stages: list[_Stage], rng: np.random.Generator,
             cdf /= cdf[:, -1:]
             picks = (rng.random(n_trials)[:, None] > cdf).sum(axis=1)
             child, node = np.unique(node * n_out + picks, return_inverse=True)
+            del cdf, picks  # per trial: not kept through the next feedback
             parent = child // n_out
             band = slice(top - half, top + half + 1)
             half += stage.cmat.shape[-1] // 2

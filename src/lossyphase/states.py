@@ -27,8 +27,6 @@ __all__ = [
     "forward_simulate_triport",
 ]
 
-_NORM_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class TwoModeState:

@@ -1,0 +1,57 @@
+"""Every module-level name of the package has a use.
+
+A name defined by a def, a class or an assignment at the top of a module in
+src/lossyphase must be read somewhere in src/, tests/, demos/ or perfbench/:
+as a name, as an attribute, by an import or as a string equal to it (the
+`__all__` lists and getattr-style lookups).  The repository has no linter;
+this is its guard against dead constants and helpers.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "lossyphase"
+SEARCHED = ("src", "tests", "demos", "perfbench")
+
+
+def defined_names(tree):
+    """Module-level names bound by def, class and plain assignments."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return {n for n in names if not (n.startswith("__") and n.endswith("__"))}
+
+
+def used_names(tree):
+    """Names the tree reads: loads, attributes, imports and strings."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)
+    return used
+
+
+def test_every_module_level_name_is_used():
+    used = set()
+    for top in SEARCHED:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            used |= used_names(ast.parse(path.read_text(), str(path)))
+    dead = sorted(
+        f"{path.stem}.{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in defined_names(ast.parse(path.read_text(), str(path)))
+        if name not in used
+    )
+    assert dead == []

@@ -12,10 +12,9 @@ from lossyphase.detection import build_likelihood_table, evaluate_outcome
 from lossyphase.fisher import (
     _CHI_GRID,
     _COMPASS_ROUNDS,
-    _COMPASS_STEPS,
+    _COMPASS_STOP,
     _PHI_GRID,
     _fisher,
-    _max_over_phi_stack,
     _max_over_phi_states,
     _rows,
     _weights,
@@ -115,8 +114,7 @@ class TestMaximization:
         assert abs(c1) < 0.05 and abs(c2) < 0.05
 
 
-# The one-state search, one state and one phase point per numpy call: the
-# reference the lockstep search must reproduce float for float.
+# F of one state, one state per numpy call.
 def reference_sums(w, x):
     """Per outcome, sum_m |A|^2, sum_m Re(conj(A) A') and sum_m |A'|^2 of
     one state's `_weights` at a 1-D array of points."""
@@ -151,6 +149,28 @@ def table_p_and_slope(table, x):
     return p, dp
 
 
+# The one-state compass search over phi, one phase point per numpy call: the
+# reference the lockstep search must reproduce float for float.
+def reference_compass_over_phi(w):
+    vals = reference_fisher(w, _PHI_GRID)
+    i = int(np.argmax(vals))
+    phi, f = _PHI_GRID[i], vals[i]
+    h, step = 1.0, math.pi / 256
+    for _ in range(_COMPASS_ROUNDS):
+        if h * step < _COMPASS_STOP:
+            break
+        moves = [phi + h * step, phi - h * step]
+        scores = [reference_fisher(w, np.array([m]))[0] for m in moves]
+        j = int(np.argmax(scores))
+        if scores[j] > f:
+            phi, f = moves[j], scores[j]
+        else:
+            h /= 2.0
+    return f
+
+
+# A golden-section search within one grid step of the grid winner: a second
+# algorithm, the independent witness of the compass searches' maxima.
 def reference_grid_golden_max(f, grid, vals, lo, hi, iters):
     i = int(np.argmax(vals))
     step = grid[1] - grid[0]
@@ -190,7 +210,8 @@ def reference_max_fisher_over_chi(n_photons, eta):
 
 
 class TestLockstepWitness:
-    """The stacked maximiser takes every search's own steps."""
+    """The lockstep compass takes every search's own steps, and lands on
+    the maxima the golden-section reference finds."""
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     @pytest.mark.parametrize("eta", [0.3, 0.6, 0.999, 1.0])
@@ -199,11 +220,11 @@ class TestLockstepWitness:
         states = [TwoModeState(n, rng.normal(size=n + 1)
                                + 1j * rng.normal(size=n + 1))
                   for _ in range(40)]
-        expected = [reference_max_over_phi(_weights(s, eta)) for s in states]
-        stacked = _max_over_phi_stack(np.stack([_weights(s, eta)
-                                                for s in states]))
+        stacked = _max_over_phi_states(states, eta)
+        expected = [reference_compass_over_phi(_weights(s, eta)) for s in states]
         assert stacked.tolist() == expected
-        assert _max_over_phi_states(states, eta).tolist() == expected
+        golden = [reference_max_over_phi(_weights(s, eta)) for s in states]
+        assert np.allclose(stacked, golden, rtol=1e-12, atol=0.0)
 
     def test_noon_stack_with_divergent_grid_points(self):
         # NOON states have probability zeros on the phase grid, where the
@@ -217,14 +238,30 @@ class TestLockstepWitness:
                 for points in (_PHI_GRID, x):
                     assert np.allclose(_fisher(ws[None], points[None])[0], f,
                                        rtol=1e-12, atol=0.0), (n, f)
-            stacked = _max_over_phi_stack(w)
-            assert stacked.tolist() == [reference_max_over_phi(ws) for ws in w]
-            assert np.allclose(stacked, expected, rtol=1e-12, atol=0.0)
+            stacked = np.array([_max_over_phi_states([state] * 2, eta)
+                                for eta in (0.6, 0.9, 1.0)])
+            assert np.allclose(stacked, np.array(expected)[:, None],
+                               rtol=1e-12, atol=0.0)
+            assert stacked.tolist() == [[reference_compass_over_phi(ws)] * 2
+                                        for ws in w]
 
     @pytest.mark.parametrize("n_photons", [2, 4])
     def test_chi_maximum_matches_reference_composition(self, n_photons):
-        chi, f = reference_max_fisher_over_chi(n_photons, 0.6)
-        assert max_fisher_over_chi(n_photons, 0.6) == (float(chi), float(f))
+        chi_ref, f_ref = reference_max_fisher_over_chi(n_photons, 0.6)
+        chi, f = max_fisher_over_chi(n_photons, 0.6)
+        assert f == pytest.approx(f_ref, rel=1e-12, abs=0.0)
+        assert abs(chi - chi_ref) <= 1e-6
+        for c in (chi - 1e-5, chi + 1e-5):
+            if 0.0 <= c <= 2.0:
+                state = make_loss_resistant(n_photons // 2, c)
+                assert reference_max_over_phi(_weights(state, 0.6)) <= f, c
+
+    @pytest.mark.parametrize("eta", [0.3, 0.6, 0.9, 1.0])
+    def test_chi_maxima_match_reference_composition_across_eta(self, eta):
+        for n_photons in (2, 4):
+            f_ref = reference_max_fisher_over_chi(n_photons, eta)[1]
+            f = max_fisher_over_chi(n_photons, eta)[1]
+            assert f == pytest.approx(f_ref, rel=1e-12, abs=0.0), n_photons
 
 
 def package_states():
@@ -242,7 +279,7 @@ class TestAmplitudeWitness:
 
     @pytest.mark.parametrize("eta", [0.6, 1.0])
     def test_never_above_n_squared(self, eta):
-        # On a phase scan, and where the golden sections land next to the
+        # On a phase scan, and where the compass searches land next to the
         # probability zeros of near-NOON states.
         x = np.linspace(0.0, math.pi, 1001)
         states = package_states()
@@ -331,26 +368,28 @@ class TestCompassSearch:
     def test_flat_objective_halves_to_the_stop_and_keeps_the_best_seed(
             self, monkeypatch):
         # At eta = 0 every F is 0: no move improves, so each round halves h.
-        sizes, params = [], []
-        scan, make = fisher._max_over_phi_states, fisher.make_exact_optimal4
+        shapes, params = [], []
+        score, make = fisher._fisher, fisher.make_exact_optimal4
 
-        def counted_scan(states, eta):
-            sizes.append(len(states))
-            return scan(states, eta)
+        def counted_score(w, x):
+            shapes.append(x.shape)
+            return score(w, x)
 
         def recorded_make(c1, c2):
             params.append((c1, c2))
             return make(c1, c2)
 
-        monkeypatch.setattr(fisher, "_max_over_phi_states", counted_scan)
+        monkeypatch.setattr(fisher, "_fisher", counted_score)
         monkeypatch.setattr(fisher, "make_exact_optimal4", recorded_make)
         c1, c2, f = max_fisher_exact_optimal4(0.0)
-        h0, h_stop = _COMPASS_STEPS
-        rounds = math.ceil(math.log2(h0 / h_stop))
-        assert rounds < _COMPASS_ROUNDS
-        assert sizes == [17 * 17 + 21] + [12] * rounds
+        rounds = math.ceil(math.log2(0.125 / _COMPASS_STOP))
+        assert rounds == 21 < _COMPASS_ROUNDS
+        # The seed scan, one phi grid per state, then 3 searches x 6 moves.
+        n_seeds = 17 * 17 + 21
+        assert shapes == [(1, len(_PHI_GRID))] * n_seeds + [(18, 1)] * rounds
+        assert len(params) == n_seeds + 18 * rounds
         assert f == 0.0
-        assert (c1, c2) in params[:sizes[0]]
+        assert (c1, c2) == params[0] == (0.0, 0.0)
 
 
 def test_runs_without_scipy():

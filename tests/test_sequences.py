@@ -682,6 +682,21 @@ class TestInPlaceNodes:
             tracemalloc.stop()
         assert peak <= 2 * trials * 61 * np.dtype(complex).itemsize
 
+    def test_memory_peak_holds_no_draw_temporaries(self):
+        # The previous detection's per-trial cdf (1.9 MiB) and picks are
+        # freed before the next feedback: 1.64x the node buffer, against
+        # 1.77x with them kept.  A one-trial chunk first fills the caches.
+        stages = _plan_stages(N30_ROW)
+        trials = sequences._MC_CHUNK
+        sequences._simulate_chunk(stages, np.random.default_rng(11), 1)
+        tracemalloc.start()
+        try:
+            sequences._simulate_chunk(stages, np.random.default_rng(11), trials)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.7 * trials * 61 * np.dtype(complex).itemsize
+
 
 class TestProperties:
     def test_mu_monotone_in_eta(self):
