@@ -13,11 +13,8 @@ theta builds no children: there Newton may also stop on the gradient
 All feedback objectives are scale-invariant, so rows may carry any positive
 overall factor (branch probabilities are folded into the coefficients).
 The numeric feedback runs in blocks of _BLOCK_ROWS rows, so that its
-(rows, outcomes, d) weight stacks do not set the memory peak of the Monte
-Carlo's wide batches, and the Monte Carlo calls advance_selected on blocks
-of as many rows to update its node buffer in place
-(sequences._simulate_chunk); rows are independent, so blocking changes no
-bit.
+(rows, outcomes, d) weight stacks stay small on wide batches; rows are
+independent, so blocking changes no bit.
 
 Likelihoods are an (outcomes, d) matrix shared by all rows or, in
 numeric_theta_batch, _theta_and_sharpness, advance_batch and
@@ -44,12 +41,9 @@ _NEWTON_TOL = 1e-12
 # and its step below _SETTLE_STEP rad (see _refine_newton).
 _SETTLE_GRAD = 1e-6
 _SETTLE_STEP = 1e-6
-# Rows per block of the numeric feedback and of the Monte Carlo's in-place
-# Bayes update (see the module docstring and sequences._simulate_chunk).
-# Tree walks pass at most sequences._CHUNK_ROWS = 256 rows, one block.  At
-# 1,024 rows a feedback block's weight stacks stay below the 16 MB node
-# buffer of a 16,384-trial N=30 Monte Carlo chunk, which then sets the
-# chunk's tracemalloc peak; 4,096 rows would put it at the feedback.
+# Rows per block of the numeric feedback (see the module docstring), and
+# per chunk of a sampled tree walk (sequences._walk_tree).  Exact walks
+# pass at most sequences._CHUNK_ROWS = 256 rows, one block.
 _BLOCK_ROWS = 1024
 # Relative slack for grid comparisons.  The refinement must behave as a
 # smooth function of the posterior: the exact and binomial-speedup
@@ -86,11 +80,12 @@ def _harmonics(batch: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return out
 
 
-def _g1_weights(batch: np.ndarray, cmat: np.ndarray) -> np.ndarray:
-    """w[b,o,d] = c[o,d] * a_{1+d}[b]: everything the predicted first
-    harmonic of the unnormalized posterior needs, before the theta phases."""
+def _g1_weights(batch: np.ndarray, cmat: np.ndarray, harmonic: int = 1) -> np.ndarray:
+    """w[b,o,d] = c[o,d] * a_{h+d}[b]: everything the predicted harmonic h
+    (default the first) of the unnormalized posterior needs, before the
+    theta phases."""
     order = (cmat.shape[-1] - 1) // 2
-    window = _harmonics(batch, 1 - order, 1 + order)
+    window = _harmonics(batch, harmonic - order, harmonic + order)
     return cmat * window[:, None, :]
 
 

@@ -50,17 +50,21 @@ checked exactly on every walk.  The tree's other symmetry, the mirror
 phi -> -phi, is not merged: numeric feedback breaks near-ties toward the
 smallest theta, which is not mirror-covariant, and merging mirror twins
 moved mu by 2e-10 on an N=13 split.  evaluate_exact merges nothing and
-stays the reference.  Plans beyond the enumeration guard are handled by
-a seeded Monte Carlo estimator.
+stays the reference.
 
-The Monte Carlo walks the distinct outcome records it samples: a trial's
-posterior, and so its feedback, depends only on its record, so the
-feedback and the Bayes update run once per distinct record and each
-trial looks its row up (3, 9, 54, 324 and about 3,900 records after the
-first five detections of 16,384 N=30-row trials).  The draws stay per
-trial.  Results match the per-trial walk to rounding, not bit for bit:
-numpy's complex products of a strided column round differently at
-different row counts (residuals within 1e-11 on the N=30 SQL row).
+Plans beyond the enumeration guard are sampled by the same walk.  Its
+rows are outcome records, each carrying the number of trials that drew
+it; the root holds them all, and at each detection but the last a row
+splits its trials among its outcomes with one multinomial draw at the
+predictive probabilities a0(child) / a0(row).  So the records reaching
+the last detection are distributed as the first N - 1 outcomes of trials
+at uniformly drawn true phases.  Given a whole record, the residual
+exp(i(phi_hat - phi)) has mean |a1| / a0, since phi_hat is the argument
+of a1; averaged over the last outcome that is S / a0, the expected
+sharpness at the last feedback.  So each row scores S (rows are kept at
+a0 = 1), and the mean score estimates mu without bias and with far less
+variance than the residuals: it is their Rao-Blackwellisation (Casella
+and Robert, Biometrika 83, 81 (1996)).
 """
 
 from __future__ import annotations
@@ -89,7 +93,6 @@ __all__ = [
 
 DEFAULT_BRANCH_GUARD = 10 ** 8
 _CHUNK_ROWS = 256
-_MC_CHUNK = 16384
 
 
 class BranchGuardError(RuntimeError):
@@ -261,8 +264,10 @@ def _merge_root_twins(children: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return 2.0 * children[:, :1]
 
 
-def _walk_tree(stages: list[_Stage]) -> np.ndarray:
-    """Summed |leaf first harmonic| per key over the outcome tree.
+def _walk_tree(stages: list[_Stage], rng: np.random.Generator | None = None,
+               trials: int = 1) -> np.ndarray:
+    """Per key, the summed |leaf first harmonic| over the outcome tree, and
+    the sum of the same terms times their sharpness (rows 0 and 1).
 
     Each row carries its key.  Entering a stage with m chi values a row
     fans out to m rows, each with its own chi value's matrix; keys number
@@ -291,28 +296,51 @@ def _walk_tree(stages: list[_Stage]) -> np.ndarray:
     Depth-first in batches of at most _CHUNK_ROWS rows, fan-outs made a
     chunk at a time: this fixes the summation order and holds only a few
     chunks per depth.  Exactly zero rows (impossible outcomes) are
-    dropped.  With no stages the sum is a single zero.
+    dropped.  With no stages the sums are a single zero.
+
+    Every row also carries a trial count, which scales its terms: 1 in an
+    exact walk.  With rng the walk samples the unmerged stages of one plan
+    instead (see the module docstring): the root carries all trials, and
+    at each detection but the last one multinomial draw per chunk splits
+    every row's trials among its outcomes.  Only the drawn children are
+    built, a chunk at a time from their parents' chunk, and normalized to
+    a0 = 1; so each depth holds one parent chunk and a few integers per
+    drawn child, whatever the trials.  A sampled walk takes chunks of
+    _engine._BLOCK_ROWS rows and the whole rest of a batch once at most
+    one more chunk would remain, so uneven draws leave no small calls.
     """
     fans = [s.cmat.shape[0] if s.cmat.ndim == 3 else 1 for s in stages]
     strides = [math.prod(fans[si + 1:]) for si in range(len(fans))]
     lost = [np.zeros(fan) if s.lost is None else s.lost for s, fan in zip(stages, fans)]
-    mu = np.zeros(math.prod(fans))
-    # (rows, key per row, first fanned-out row to walk, stage, depth)
-    pending = [(np.ones((1, 1), dtype=complex), np.zeros(1, dtype=np.int64), 0, 0, 0)]
+    sums = np.zeros((2, math.prod(fans)))
+    chunk, spare = (_CHUNK_ROWS, 0) if rng is None else (_engine._BLOCK_ROWS,) * 2
+    # (rows, key and trials per fanned-out or drawn row, draws or None,
+    #  first row to walk, stage, depth)
+    pending = [(np.ones((1, 1), dtype=complex), np.zeros(1, dtype=np.int64),
+                np.array([trials]), None, 0, 0, 0)]
     leaving: list[list] = [[] for _ in stages]  # rows that left stage si
     while stages and (pending or any(leaving)):
         for si, out in enumerate(leaving):
-            if out and (not pending or sum(c.size for _, c in out) >= _CHUNK_ROWS):
-                pending.append((*map(np.concatenate, zip(*out)), 0, si + 1, 0))
+            if out and (not pending or sum(c.size for _, c, _ in out) >= chunk):
+                pending.append((*map(np.concatenate, zip(*out)), None, 0, si + 1, 0))
                 leaving[si] = []
-        rows, cells, lo, si, step = pending.pop()
+        rows, cells, counts, drawn, lo, si, step = pending.pop()
         fan = fans[si] if step == 0 else 1
-        end = min(lo + _CHUNK_ROWS, rows.shape[0] * fan)
-        if end < rows.shape[0] * fan:
-            pending.append((rows, cells, end, si, step))
+        size = rows.shape[0] * fan if drawn is None else drawn[0].size
+        end = lo + chunk
+        if end + spare < size:
+            pending.append((rows, cells, counts, drawn, end, si, step))
+        else:
+            end = size
         flat = np.arange(lo, end)
-        batch, cells = rows[flat // fan], cells[flat // fan] + flat % fan * strides[si]
         stage, count, last = stages[si], stages[si].count, si == len(stages) - 1
+        cells, counts = cells[flat // fan] + flat % fan * strides[si], counts[flat // fan]
+        if drawn is None:
+            batch = rows[flat // fan]
+        else:
+            parent, outcome, theta = (a[flat] for a in drawn)
+            batch = _engine.advance_selected(rows[parent], stage.cmat, outcome, theta)
+            batch /= batch[:, batch.shape[1] // 2].real[:, None]
         chi = cells // strides[si] % fans[si]
         if not last:
             weight = math.comb(count, step) * lost[si][chi] ** (count - step)
@@ -320,19 +348,30 @@ def _walk_tree(stages: list[_Stage]) -> np.ndarray:
             if keep.size:
                 pad = ((0, 0), ((count - step) * (stage.cmat.shape[-1] // 2),) * 2)
                 leaving[si].append((np.pad(batch[keep] * weight[keep, None], pad),
-                                    cells[keep]))
+                                    cells[keep], counts[keep]))
             if step == count:
                 continue
         cmat = stage.cmat if fans[si] == 1 else stage.cmat[chi]
         settle = last and step == count - 1
         if last and (settle or lost[si].any()):
             thetas, sharp = stage.sharpened(batch, cmat, settle)
-            weight = math.comb(count - 1, step) * lost[si][chi] ** (count - 1 - step)
-            mu += np.bincount(cells, sharp * weight, mu.size)
+            terms = sharp * (math.comb(count - 1, step)
+                             * lost[si][chi] ** (count - 1 - step) * counts)
+            sums += [np.bincount(cells, terms, sums.shape[1]),
+                     np.bincount(cells, terms * sharp, sums.shape[1])]
             if settle:
                 continue
         else:
             thetas = stage.thetas(batch, cmat)
+        if rng is not None:
+            w = _engine._g1_weights(batch, cmat, harmonic=0)  # a0 of every child
+            p = np.einsum("bod,bd->bo", w, _engine._phases(thetas, w.shape[2])).real
+            p = p.clip(0.0)
+            draws = rng.multinomial(counts, p / p.sum(axis=1, keepdims=True))
+            parent, outcome = np.nonzero(draws)
+            pending.append((batch, cells[parent], draws[parent, outcome],
+                            (parent, outcome, thetas[parent]), 0, si, step + 1))
+            continue
         merged = stage.lost is not None
         children = _engine.advance_batch(batch, cmat[..., :-1, :] if merged else cmat,
                                          thetas)
@@ -341,8 +380,9 @@ def _walk_tree(stages: list[_Stage]) -> np.ndarray:
         n_out = children.shape[1]
         children = children.reshape(-1, children.shape[2])
         alive = np.flatnonzero(np.abs(children).max(axis=1) > 0.0)
-        pending.append((children[alive], cells[alive // n_out], 0, si, step + 1))
-    return mu
+        pending.append((children[alive], cells[alive // n_out],
+                        counts[alive // n_out], None, 0, si, step + 1))
+    return sums
 
 
 def evaluate_exact(
@@ -351,7 +391,7 @@ def evaluate_exact(
     """Exact mean sharpness by enumerating every outcome record."""
     t0 = time.perf_counter()
     _check_guard(plan, plan.exact_leaf_count(), branch_guard)
-    mu = _walk_tree(_plan_stages(plan))[0]
+    mu = _walk_tree(_plan_stages(plan))[0, 0]
     return _report(float(mu), plan.exact_leaf_count(), "exact", time.perf_counter() - t0)
 
 
@@ -374,7 +414,7 @@ def evaluate_plans_with_speedup(
         first = plans[idx[0]]
         _check_guard(first, first.speedup_leaf_count(), branch_guard)
         stages, keys = _split_stages([plans[i] for i in idx], merge_lost=True)
-        mu = _walk_tree(stages)
+        mu = _walk_tree(stages)[0]
         wall_s = (time.perf_counter() - t0) / len(idx)
         for i, key in zip(idx, keys):
             reports[i] = _report(float(mu[key]), first.speedup_leaf_count(),
@@ -392,80 +432,18 @@ def evaluate_exact_with_speedup(
     return evaluate_plans_with_speedup([plan], branch_guard)[0]
 
 
-def _simulate_chunk(stages: list[_Stage], rng: np.random.Generator,
-                    n_trials: int) -> np.ndarray:
-    """Per-trial residuals exp(i(phi_hat - phi)) for one batch of trials.
-
-    A trial's posterior, and so its feedback, depends only on its outcome
-    record, so the walk keeps one row per distinct record drawn so far
-    (nodes) and each trial's index into them (node).  The feedback runs
-    once per node; the outcome probabilities and draws stay per trial, in
-    the same order of rng calls.  The drawn children are numbered by
-    np.unique, and only the distinct ones are updated and normalised.
-
-    All nodes live in one (n_trials, 2J + 1) buffer, J the plan's total
-    band order, preallocated with the root at row 0's centre; the live
-    nodes are the view of its first rows over the current band, which the
-    feedback and first_harmonic read.  The update writes the children in
-    place: np.unique sorts them by parent and every node has a child, so
-    child i's parent is at most i, and blocks of _engine._BLOCK_ROWS
-    children, taken from the last down, each gather their parents before
-    overwriting rows no lower block still reads.  So one generation of
-    nodes is alive, and the feedback's row blocks stay below it.  Every
-    row is computed as in a single pass, bit for bit.
-    """
-    phi = rng.uniform(0.0, 2.0 * math.pi, n_trials)
-    top = sum(stage.count * (stage.cmat.shape[-1] // 2) for stage in stages)
-    buf = np.zeros((n_trials, 2 * top + 1), dtype=complex)
-    buf[0, top] = 1.0
-    half = 0
-    nodes = buf[:1, top: top + 1]
-    node = np.zeros(n_trials, dtype=np.int64)
-    for stage in stages:
-        n_out = stage.cmat.shape[0]
-        for _ in range(stage.count):
-            node_thetas = stage.thetas(nodes)
-            cdf = np.cumsum(np.clip(
-                _engine.outcome_probabilities(stage.cmat, phi - node_thetas[node]).real,
-                0.0, None), axis=1)
-            cdf /= cdf[:, -1:]
-            picks = (rng.random(n_trials)[:, None] > cdf).sum(axis=1)
-            child, node = np.unique(node * n_out + picks, return_inverse=True)
-            del cdf, picks  # per trial: not kept through the next feedback
-            parent = child // n_out
-            band = slice(top - half, top + half + 1)
-            half += stage.cmat.shape[-1] // 2
-            wide = slice(top - half, top + half + 1)
-            for lo in reversed(range(0, child.size, _engine._BLOCK_ROWS)):
-                rows = slice(lo, min(lo + _engine._BLOCK_ROWS, child.size))
-                block = _engine.advance_selected(buf[parent[rows], band], stage.cmat,
-                                                 child[rows] % n_out,
-                                                 node_thetas[parent[rows]])
-                norms = np.abs(block).max(axis=1)
-                norms[norms == 0.0] = 1.0
-                block /= norms[:, None]
-                buf[rows, wide] = block
-            nodes = buf[:child.size, wide]
-    phi_hat = np.angle(_engine.first_harmonic(nodes))[node]
-    return np.exp(1j * (phi_hat - phi))
-
-
 def evaluate_monte_carlo(
     plan: SequencePlan, trials: int, rng_seed: int
 ) -> EvaluationReport:
     """Sampled estimate of the mean sharpness, with its standard error.
 
-    Each trial draws the unknown phase uniformly, runs the adaptive
-    sequence sampling outcomes from the true probabilities, and estimates
-    the phase as the argument of the posterior's first harmonic; mu is
-    |mean of exp(i(phi_hat - phi))| over trials.  The error bar is mu's
-    first-order standard error: the population std of the residuals
-    projected on the direction of their mean, over sqrt(trials) (0 for
-    one trial; np.angle(0) = 0 keeps it defined at a zero mean).  Fully
-    reproducible for a given seed (trials are processed in fixed-size
-    chunks).  Each chunk updates one posterior per distinct outcome
-    record, not per trial (see _simulate_chunk), so its cost follows the
-    records drawn.
+    The tree walk samples trials outcome records, drawn as a trial at a
+    uniform unknown phase draws them, and mu is the mean of their scores,
+    each record's conditional sharpness (see the module docstring).  The
+    error bar is the population std of the scores over sqrt(trials): 0 for
+    one trial, and for a plan of one detection, which draws nothing.  Fully
+    reproducible for a given seed; the cost follows the distinct records
+    drawn, and the memory a few chunks per depth, whatever the trials.
     """
     if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)):
         raise ValueError(f"trials must be an integer, got {trials!r}")
@@ -473,14 +451,8 @@ def evaluate_monte_carlo(
         raise ValueError("trials must be >= 1")
     t0 = time.perf_counter()
     rng = np.random.default_rng(np.random.SeedSequence(rng_seed).spawn(1)[0])
-    stages = _plan_stages(plan)
-    residuals = np.empty(trials, dtype=complex)
-    done = 0
-    while done < trials:
-        n = min(_MC_CHUNK, trials - done)
-        residuals[done: done + n] = _simulate_chunk(stages, rng, n)
-        done += n
-    mean = residuals.mean()
-    along = (residuals * np.exp(-1j * np.angle(mean))).real
-    return _report(float(abs(mean)), trials, "monte_carlo", time.perf_counter() - t0,
-                   float(along.std() / math.sqrt(trials)))
+    total, squares = _walk_tree(_plan_stages(plan), rng, trials)[:, 0]
+    mu = total / trials
+    variance = max(squares / trials - mu * mu, 0.0)  # rounding can dip below 0
+    return _report(float(mu), trials, "monte_carlo", time.perf_counter() - t0,
+                   math.sqrt(variance / trials))

@@ -8,11 +8,13 @@ Known honest failure: criterion 6's N = 13 clause expects the optimizer to
 return the (7,1,1) split.  Under the model pinned by criteria 2 and 9 the
 (9,0,1) split is reproducibly better by ~3e-4 in Holevo variance (0.18%),
 verified by plain enumeration, the binomial speedup and a scalar reference
-walk (Monte Carlo confirms each row but cannot resolve the gap); the
+walk, and resolved by the Monte Carlo record walk at 10^6 trials); the
 ordering of this near-tie flips with eta around 0.64.  The README section "The N=13 near-tie" has the full analysis.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -232,6 +234,26 @@ def test_criterion_7_sql_crossover(optimize_n9, optimize_n13):
     ok = 0.0 <= gain9 < 0.01 and gain13 > 1e-6
     assert report(7, "SQL crossover between N=9 and N=13", ok,
                   f"N=9 gain {gain9 * 100:.3f}% (<1%), N=13 gain {gain13:.6f}")
+
+
+REFERENCE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+
+def test_exact_values_match_benchmark_reference(optimize_n9, optimize_n13):
+    # The benchmark's reference values, read only, against the searches
+    # above: every N=9 pareto Holevo variance and every N=13 speedup mu it
+    # records, each within 1e-12.
+    ref = json.loads(REFERENCE_PATH.read_text())
+    pareto = ref["optimize_n9"]["pareto"]
+    assert len(pareto) == len(optimize_n9.pareto_table) == 1009
+    for (plan, rep), want in zip(optimize_n9.pareto_table, pareto):
+        assert [plan.n1, plan.n2, plan.chi2, plan.n4, plan.chi4] == want[:5]
+        assert abs(rep.holevo_variance - want[5]) <= 1e-12, want
+    mu = {f"{p.n1},{p.n2},{p.chi2!r},{p.n4},{p.chi4!r}": rep.mu
+          for p, rep in optimize_n13.pareto_table}
+    assert len(ref["evaluate_n13_mu"]) == 826
+    for key, want in ref["evaluate_n13_mu"].items():
+        assert abs(mu[key] - want) <= 1e-12, key
 
 
 def test_criterion_8_speedup_identity():

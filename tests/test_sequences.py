@@ -461,8 +461,11 @@ class TestBranchGuard:
 
 class TestMonteCarlo:
     def test_single_photon_matches_analytic(self):
+        # One detection draws nothing: every trial scores the flat root's
+        # expected sharpness eta / 2, so the error bar is exactly zero.
         report = evaluate_monte_carlo(SequencePlan(n1=1, eta=0.6), 10 ** 6, 42)
-        assert abs(report.mu - 0.3) < 3.0 * report.mc_std_error
+        assert abs(report.mu - 0.3) <= 1e-15
+        assert report.mc_std_error == 0.0
         assert report.branches_evaluated == 10 ** 6
         assert report.method == "monte_carlo"
 
@@ -513,26 +516,58 @@ class TestMonteCarlo:
         assert abs(np.mean(z)) <= 0.3
 
     def test_error_bar_is_the_projected_spread(self, monkeypatch):
-        residuals = np.exp(1j * np.array([0.1, 0.5, -0.3, 2.0]))
-        monkeypatch.setattr(sequences, "_simulate_chunk",
-                            lambda stages, rng, n: residuals[:n])
-        mc = evaluate_monte_carlo(SequencePlan(n1=1, eta=0.6), 4, 0)
-        mean = residuals.mean()
-        along = (residuals / (mean / abs(mean))).real
-        assert mc.mu == abs(mean)
+        # Two two-photon detections: the first splits the trials among
+        # the root's outcomes (recorded), the last scores each drawn
+        # record (replaced by known scores).  mu is the count-weighted mean
+        # score and the error bar their count-weighted std over sqrt(trials).
+        draws = []
+
+        class Recording(np.random.Generator):
+            def multinomial(self, n, pvals):
+                out = super().multinomial(n, pvals)
+                draws.append(out)
+                return out
+
+        known = np.array([0.1, 0.5, 0.3, 0.9, 0.7, 0.2])
+        kernel = _engine._theta_and_sharpness
+
+        def scored(batch, cmat, settle):
+            return kernel(batch, cmat, settle)[0], known[:batch.shape[0]]
+
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: Recording(np.random.PCG64(seed)))
+        monkeypatch.setattr(_engine, "_theta_and_sharpness", scored)
+        trials = 40
+        mc = evaluate_monte_carlo(SequencePlan(0, 2, 1.7, 0, 0, 0.6), trials, 0)
+        assert len(draws) == 1 and draws[0].shape == (1, 6)
+        counts = draws[0][draws[0] > 0]
+        scores = known[:counts.size]
+        assert counts.size >= 3 and counts.sum() == trials
+        mean = (counts * scores).sum() / trials
+        assert mc.mu == pytest.approx(mean, rel=1e-15)
         assert mc.mc_std_error == pytest.approx(
-            math.sqrt(np.mean((along - along.mean()) ** 2) / 4), rel=1e-14)
+            math.sqrt((counts * (scores - mean) ** 2).sum() / trials / trials),
+            rel=1e-12)
 
     @pytest.mark.parametrize("seed, mu", [
-        (0, 0.7499349861479165),
-        (1, 0.7683952368908302),
-        (2, 0.7643027419475489),
+        (0, 0.7487950551980723),
+        (1, 0.7615063285155101),
+        (2, 0.7561371145493103),
     ])
     def test_mu_is_pinned(self, seed, mu):
-        # The simulation stream is the first child of the seed's
+        # The sampling stream is the first child of the seed's
         # SeedSequence; moving it would change these values.
         assert evaluate_monte_carlo(SequencePlan(3, 1, 1.7, 0, 0, 0.6),
                                     1000, seed).mu == mu
+
+    @pytest.mark.parametrize("plan", [
+        SequencePlan(n1=0),
+        SequencePlan(n1=2, n2=1, chi2=1.7, n4=1, chi4=1.3, eta=0.0),
+    ], ids=["empty", "eta0"])
+    def test_no_phase_information_scores_zero(self, plan):
+        mc = evaluate_monte_carlo(plan, 5000, 3)
+        assert mc.mu == 0.0 and mc.mc_std_error == 0.0
+        assert mc.holevo_variance == math.inf
 
     def test_one_trial_has_zero_error_bar(self):
         mc = evaluate_monte_carlo(SequencePlan(3, 1, 1.7, 0, 0, 0.6), 1, 4)
@@ -540,8 +575,12 @@ class TestMonteCarlo:
 
 
 def reference_simulate(stages, rng, n_trials):
-    """The per-trial sampler: every trial carries its own posterior row,
-    so the feedback and the Bayes update run once per trial."""
+    """The per-trial sampler: every trial draws a true phase, samples its
+    outcomes from their probabilities at that phase and carries its own
+    posterior row, so the feedback and the Bayes update run once per
+    trial.  Returns the residuals exp(i(phi_hat - phi)).  The record walk
+    reads the posterior's own sharpness, so this is the only sampler that
+    checks the posterior against a true phase."""
     phi = rng.uniform(0.0, 2.0 * math.pi, n_trials)
     batch = np.ones((n_trials, 1), dtype=complex)
     for stage in stages:
@@ -562,46 +601,43 @@ def reference_simulate(stages, rng, n_trials):
     return np.exp(1j * (phi_hat - phi))
 
 
+def residual_mean(residuals):
+    """|mean residual| and its first-order standard error: the std of the
+    residuals projected on the direction of their mean, over sqrt(n)."""
+    mean = residuals.mean()
+    along = (residuals * np.exp(-1j * np.angle(mean))).real
+    return abs(mean), along.std() / math.sqrt(residuals.size)
+
+
 N30_ROW = SequencePlan(n1=2, n2=2, chi2=1.8, n4=6, chi4=1.3, eta=0.6)
 N13_ROW = SequencePlan(n1=7, n2=1, chi2=1.7, n4=1, chi4=1.3, eta=0.6)
 
 
 class TestSampledRecords:
-    """The sampler that walks distinct outcome records against the
-    per-trial one.  Not bit for bit: numpy's complex products round a
-    strided column differently at different row counts (residuals within
-    7.6e-12 on 16,384 trials of the N=30 SQL row)."""
+    """The Monte Carlo walks sampled outcome records, each carrying the
+    trials that drew it, and scores each by its conditional sharpness."""
 
-    @pytest.mark.parametrize("plan, n_trials", [
-        (N30_ROW, 2048),
-        (SequencePlan(n1=12, eta=0.6), 2048),
-        (SequencePlan(n1=2, n2=1, chi2=1.7, n4=1, chi4=1.3, eta=1.0), 2048),
-        (SequencePlan(n1=2, n2=1, chi2=1.7, n4=1, chi4=1.3, eta=0.0), 2048),
-        (SequencePlan(n1=0), 2048),
-        (N13_ROW, 1),
-    ], ids=["n30-row", "12-single-eta0.6", "eta1", "eta0", "empty", "one-trial"])
-    def test_residuals_match_per_trial(self, plan, n_trials):
-        stages = _plan_stages(plan)
-        got = sequences._simulate_chunk(stages, np.random.default_rng(11), n_trials)
-        want = reference_simulate(stages, np.random.default_rng(11), n_trials)
-        assert got.shape == want.shape == (n_trials,)
-        assert np.max(np.abs(got - want)) <= 1e-10
-
-    def test_two_chunks_match_per_trial(self, monkeypatch):
-        trials = sequences._MC_CHUNK + 1
-        got = evaluate_monte_carlo(N13_ROW, trials, 5)
-        monkeypatch.setattr(sequences, "_simulate_chunk", reference_simulate)
-        want = evaluate_monte_carlo(N13_ROW, trials, 5)
-        assert abs(got.mu - want.mu) <= 1e-12
-        assert abs(got.mc_std_error - want.mc_std_error) <= 1e-12
+    @pytest.mark.parametrize("plan", [
+        N30_ROW, N13_ROW, SequencePlan(n1=12, eta=0.6),
+        SequencePlan(n1=2, n2=1, chi2=1.7, n4=1, chi4=1.3, eta=1.0),
+        SequencePlan(n1=2, n2=1, chi2=1.7, n4=1, chi4=1.3, eta=0.0),
+    ], ids=["n30-row", "n13-row", "12-single-eta0.6", "eta1", "eta0"])
+    def test_mean_matches_per_trial_sampler(self, plan):
+        trials = 2048
+        want, want_se = residual_mean(
+            reference_simulate(_plan_stages(plan), np.random.default_rng(11), trials))
+        got = evaluate_monte_carlo(plan, trials, 11)
+        assert abs(got.mu - want) <= 4.0 * math.hypot(got.mc_std_error, want_se)
 
     def test_kernels_see_distinct_records(self, monkeypatch):
         # 5,000 trials of (2, 1, 1.7): the closed form sees the flat root,
-        # then at most the 3 records of one single photon; the numeric
-        # feedback at most the 9 of two; a per-trial sampler sends 5,000
-        # rows to each.
+        # then at most the 3 records of one single photon; the last
+        # detection's settled feedback sees at most the 9 of two and scores
+        # them.  Only drawn records are built, so advance_selected makes
+        # the rows of the next call.  A per-trial sampler sends 5,000 rows
+        # to each.
         rows = {"closed_form_theta_batch": [], "numeric_theta_batch": [],
-                "advance_selected": []}
+                "_theta_and_sharpness": [], "advance_selected": []}
         for name, seen in rows.items():
             kernel = getattr(_engine, name)
 
@@ -610,92 +646,42 @@ class TestSampledRecords:
                 return _kernel(batch, *args)
 
             monkeypatch.setattr(_engine, name, counted)
-        trials = 5000
-        evaluate_monte_carlo(SequencePlan(n1=2, n2=1, chi2=1.7, eta=0.6), trials, 3)
-        closed = rows["closed_form_theta_batch"]
+        evaluate_monte_carlo(SequencePlan(n1=2, n2=1, chi2=1.7, eta=0.6), 5000, 3)
+        closed, settled = rows["closed_form_theta_batch"], rows["_theta_and_sharpness"]
         assert len(closed) == 2 and closed[0] == 1 and closed[1] <= 3
-        assert rows["numeric_theta_batch"] and max(rows["numeric_theta_batch"]) <= 9
-        assert len(rows["advance_selected"]) == 3
-        assert max(rows["advance_selected"]) <= trials
+        assert len(settled) == 1 and settled[0] <= 9
+        assert rows["numeric_theta_batch"] == []
+        assert rows["advance_selected"] == [closed[1], settled[0]]
 
+    def test_chunks_do_not_cascade(self, monkeypatch):
+        # 16,384 trials of the N=30 SQL row.  Uneven draws leave ragged
+        # batches; chunks of _BLOCK_ROWS rows that take the whole rest once
+        # at most one more chunk would remain keep the calls few.
+        calls = []
+        kernel = _engine.closed_form_theta_batch
 
-def two_generation_simulate(stages, rng, n_trials):
-    """The distinct-record sampler that rebuilds its node rows at every
-    detection: the parents gathered, then the widened children, so two
-    generations of nodes are alive at once."""
-    phi = rng.uniform(0.0, 2.0 * math.pi, n_trials)
-    nodes = np.ones((1, 1), dtype=complex)
-    node = np.zeros(n_trials, dtype=np.int64)
-    for stage in stages:
-        n_out = stage.cmat.shape[0]
-        for _ in range(stage.count):
-            node_thetas = stage.thetas(nodes)
-            cdf = np.cumsum(np.clip(
-                _engine.outcome_probabilities(stage.cmat, phi - node_thetas[node]).real,
-                0.0, None), axis=1)
-            cdf /= cdf[:, -1:]
-            picks = (rng.random(n_trials)[:, None] > cdf).sum(axis=1)
-            child, node = np.unique(node * n_out + picks, return_inverse=True)
-            parent = child // n_out
-            nodes = nodes[parent]
-            nodes = _engine.advance_selected(nodes, stage.cmat, child % n_out,
-                                             node_thetas[parent])
-            norms = np.abs(nodes).max(axis=1)
-            norms[norms == 0.0] = 1.0
-            nodes /= norms[:, None]
-    phi_hat = np.angle(_engine.first_harmonic(nodes))[node]
-    return np.exp(1j * (phi_hat - phi))
+        def counted(batch):
+            calls.append(batch.shape[0])
+            return kernel(batch)
 
+        monkeypatch.setattr(_engine, "closed_form_theta_batch", counted)
+        evaluate_monte_carlo(SequencePlan(n1=30, eta=0.6), 16384, 5)
+        assert len(calls) <= 400
+        assert max(calls) <= 2 * _engine._BLOCK_ROWS
 
-class TestInPlaceNodes:
-    """_simulate_chunk keeps its nodes in one buffer and updates them in
-    place, a block of children at a time from the last down.  Every row
-    is computed as the two-generation sampler computes it, so the
-    residuals are equal bit for bit, across and within update blocks."""
-
-    PLANS = {"n30-row": N30_ROW, "12-single-eta0.6": SequencePlan(n1=12, eta=0.6),
-             "eta1": SequencePlan(n1=2, n2=1, chi2=1.7, n4=1, chi4=1.3, eta=1.0),
-             "eta0": SequencePlan(n1=2, n2=1, chi2=1.7, n4=1, chi4=1.3, eta=0.0),
-             "empty": SequencePlan(n1=0), "n13-row": N13_ROW,
-             "n30-sql": SequencePlan(n1=30, eta=0.6)}
-
-    @pytest.mark.parametrize("n_trials", [1, 2 * _engine._BLOCK_ROWS + 37,
-                                          sequences._MC_CHUNK])
-    @pytest.mark.parametrize("name", PLANS)
-    def test_matches_two_generations_bit_for_bit(self, name, n_trials):
-        stages = _plan_stages(self.PLANS[name])
-        got = sequences._simulate_chunk(stages, np.random.default_rng(11), n_trials)
-        want = two_generation_simulate(stages, np.random.default_rng(11), n_trials)
-        assert got.shape == (n_trials,)
-        assert np.array_equal(got, want)
-
-    def test_memory_peak_is_one_generation(self):
-        # The (trials, 61) complex node buffer of the N=30 row is 16 MB; two
-        # generations of nodes with 4,096-row feedback blocks peak at 3.4x it.
-        stages = _plan_stages(N30_ROW)
-        trials = sequences._MC_CHUNK
+    @pytest.mark.parametrize("trials", [16384, 65536])
+    def test_memory_peak_does_not_grow_with_trials(self, trials):
+        # A few chunks per depth are alive, not a row per trial.  A node
+        # per distinct record, updated in place, peaked at 25 MiB for
+        # 16,384 trials of the N=30 row.  A one-trial run fills the caches.
+        evaluate_monte_carlo(N30_ROW, 1, 11)
         tracemalloc.start()
         try:
-            sequences._simulate_chunk(stages, np.random.default_rng(11), trials)
+            evaluate_monte_carlo(N30_ROW, trials, 11)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * trials * 61 * np.dtype(complex).itemsize
-
-    def test_memory_peak_holds_no_draw_temporaries(self):
-        # The previous detection's per-trial cdf (1.9 MiB) and picks are
-        # freed before the next feedback: 1.64x the node buffer, against
-        # 1.77x with them kept.  A one-trial chunk first fills the caches.
-        stages = _plan_stages(N30_ROW)
-        trials = sequences._MC_CHUNK
-        sequences._simulate_chunk(stages, np.random.default_rng(11), 1)
-        tracemalloc.start()
-        try:
-            sequences._simulate_chunk(stages, np.random.default_rng(11), trials)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.7 * trials * 61 * np.dtype(complex).itemsize
+        assert peak <= 20 * 2 ** 20
 
 
 class TestProperties:
@@ -716,9 +702,8 @@ class TestProperties:
         plan = SequencePlan(n1=copies, eta=eta)
         ss = np.random.SeedSequence(99)
         rng = np.random.default_rng(ss)
-        from lossyphase.sequences import _plan_stages, _simulate_chunk
         stages = _plan_stages(plan)
-        res = _simulate_chunk(stages, rng, report_trials)
+        res = reference_simulate(stages, rng, report_trials)
         err = np.angle(res)
         mse = float(np.mean(err ** 2))
         se = float(np.std(err ** 2, ddof=1) / math.sqrt(report_trials))
