@@ -52,19 +52,27 @@ smallest theta, which is not mirror-covariant, and merging mirror twins
 moved mu by 2e-10 on an N=13 split.  evaluate_exact merges nothing and
 stays the reference.
 
-Plans beyond the enumeration guard are sampled by the same walk.  Its
-rows are outcome records, each carrying the number of trials that drew
-it; the root holds them all, and at each detection but the last a row
-splits its trials among its outcomes with one multinomial draw at the
-predictive probabilities a0(child) / a0(row).  So the records reaching
-the last detection are distributed as the first N - 1 outcomes of trials
-at uniformly drawn true phases.  Given a whole record, the residual
-exp(i(phi_hat - phi)) has mean |a1| / a0, since phi_hat is the argument
-of a1; averaged over the last outcome that is S / a0, the expected
-sharpness at the last feedback.  So each row scores S (rows are kept at
-a0 = 1), and the mean score estimates mu without bias and with far less
-variance than the residuals: it is their Rao-Blackwellisation (Casella
-and Robert, Biometrika 83, 81 (1996)).
+Plans beyond the enumeration guard are sampled by the same walk, over
+the same merged stages.  Its rows are outcome records, each carrying the
+number of trials that drew it; the root holds them all.  Whether a
+detection loses all its photons does not depend on the phase, the
+feedback or the record, so the number M of a trial's phase-carrying
+outcomes among the c merged detections of a stage is Binomial(c, 1 - p0).
+At depth j a row stops its trials with M = j by one binomial draw at
+P(M = j | M >= j); they leave the stage as they are.  One multinomial
+draw splits the rest among the phase-carrying outcomes at the predictive
+probabilities a0(child) / a0(row); no all-lost child is built.  In the
+last stage M counts the first c - 1 detections, since the last is scored,
+not drawn.  So the records reaching the last detection are distributed as
+the first N - 1 outcomes of trials at uniformly drawn true phases, with
+the all-lost outcomes left out, which only scale the posterior.  Given a
+whole record, the residual exp(i(phi_hat - phi)) has mean |a1| / a0, since
+phi_hat is the argument of a1; averaged over the last outcome that is
+S / a0, the expected sharpness at the last feedback.  So each row scores S
+(rows are kept at a0 = 1), and the mean score estimates mu without bias
+and with far less variance than the residuals: it is their
+Rao-Blackwellisation (Casella and Robert, Biometrika 83, 81 (1996)).
+The sampled walk does not merge the root's pi twins.
 """
 
 from __future__ import annotations
@@ -99,6 +107,12 @@ class BranchGuardError(RuntimeError):
     """Exact enumeration would exceed the configured leaf budget."""
 
 
+def _require_integer(name: str, value) -> None:
+    """Reject a bool or non-integer count; numpy integers are integers."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SequencePlan:
     """Grouped sequence: n1 single photons, n2 chi2-states, n4 chi4-states."""
@@ -111,6 +125,8 @@ class SequencePlan:
     eta: float = 1.0
 
     def __post_init__(self):
+        for name in ("n1", "n2", "n4"):
+            _require_integer(name, getattr(self, name))
         if min(self.n1, self.n2, self.n4) < 0:
             raise ValueError("state counts must be non-negative")
         if not 0.0 <= self.chi2 <= 2.0:
@@ -178,9 +194,10 @@ class _Stage:
     count: int
     cmat: np.ndarray  # (outcomes, d), or (chi values, outcomes, d) in a split
     single_photon: bool  # closed-form feedback instead of numeric
-    # Merged stages only: the all-lost probability p0 of each chi value.
-    # The all-lost outcome (the table's last row) is not branched on; its
-    # records leave as binomial weights instead (see _walk_tree).
+    # Merged stages only (the speedup and Monte Carlo): the all-lost
+    # probability p0 of each chi value.  The all-lost outcome (the table's
+    # last row) is not branched on; its records leave as binomial weights
+    # instead, or by a binomial stop draw in a sampled walk (see _walk_tree).
     lost: np.ndarray | None = None
 
     def thetas(self, batch: np.ndarray, cmat: np.ndarray | None = None) -> np.ndarray:
@@ -215,6 +232,26 @@ def _all_lost(mats: np.ndarray) -> np.ndarray:
             "all-lost row broken: the (L = N, k = 0) outcome must be a real "
             "constant p0 at d = 0 and zero elsewhere")
     return p0
+
+
+def _stop_hazard(span: int, p0: np.ndarray) -> np.ndarray:
+    """h[k, j] = P(M = j | M >= j) for M ~ Binomial(span, q = 1 - p0[k]).
+
+    M is the number of a trial's phase-carrying outcomes among span merged
+    detections: each loses all its photons with probability p0, whatever
+    the phase and feedback.  From h_span = 1 down,
+    h_j = h_{j+1} p0 / (h_{j+1} p0 + q (span - j) / (j + 1)), which follows
+    from P(M = j + 1) / P(M = j) = q (span - j) / (p0 (j + 1)): every value
+    stays in [0, 1] and no binomial coefficient is formed, so h stays
+    finite for long stages and tiny or unit eta.  p0 is clipped to [0, 1]:
+    a table's may miss 1 by rounding at eta = 0.
+    """
+    p0 = p0.clip(0.0, 1.0)
+    h = np.ones((p0.size, span + 1))
+    for j in range(span - 1, -1, -1):
+        kept = h[:, j + 1] * p0
+        h[:, j] = kept / (kept + (1.0 - p0) * (span - j) / (j + 1))
+    return h
 
 
 def _split_stages(plans: list[SequencePlan],
@@ -290,7 +327,7 @@ def _walk_tree(stages: list[_Stage], rng: np.random.Generator | None = None,
     merged last stage every depth j < c counts S, scaled by C(c - 1, j)
     p0^(c - 1 - j): the number and weight of the unmerged nodes at the
     last detection that a depth-j row stands for.  At the flat root of a
-    merged first single-photon stage the walk keeps one of its two pi-twin
+    merged first single-photon stage an exact walk keeps one of its pi-twin
     children at twice the weight (_merge_root_twins; only the pi half of
     the tree's symmetry is exact, see the module docstring).
     Depth-first in batches of at most _CHUNK_ROWS rows, fan-outs made a
@@ -299,19 +336,28 @@ def _walk_tree(stages: list[_Stage], rng: np.random.Generator | None = None,
     dropped.  With no stages the sums are a single zero.
 
     Every row also carries a trial count, which scales its terms: 1 in an
-    exact walk.  With rng the walk samples the unmerged stages of one plan
-    instead (see the module docstring): the root carries all trials, and
-    at each detection but the last one multinomial draw per chunk splits
-    every row's trials among its outcomes.  Only the drawn children are
-    built, a chunk at a time from their parents' chunk, and normalized to
-    a0 = 1; so each depth holds one parent chunk and a few integers per
-    drawn child, whatever the trials.  A sampled walk takes chunks of
-    _engine._BLOCK_ROWS rows and the whole rest of a batch once at most
-    one more chunk would remain, so uneven draws leave no small calls.
+    exact walk.  With rng the walk samples instead (see the module
+    docstring): the root carries all trials, and a row's trials are drawn
+    where an exact walk weights.  A row at depth j stops the number of its
+    trials that one binomial draw per chunk gives at h_j (_stop_hazard):
+    those leave the stage, unscaled and padded as above, or in the last
+    stage score S at the row's feedback.  One multinomial draw splits the
+    rest among the branched outcomes; a row with no trial left goes no
+    further.  Only the drawn children are built, a chunk at a time from
+    their parents' chunk, and normalized to a0 = 1; so each depth holds
+    one parent chunk and a few integers per drawn child, whatever the
+    trials.  A sampled walk takes chunks of _engine._BLOCK_ROWS rows and
+    the whole rest of a batch once at most one more chunk would remain, so
+    uneven draws leave no small calls.
     """
     fans = [s.cmat.shape[0] if s.cmat.ndim == 3 else 1 for s in stages]
     strides = [math.prod(fans[si + 1:]) for si in range(len(fans))]
     lost = [np.zeros(fan) if s.lost is None else s.lost for s, fan in zip(stages, fans)]
+    # Detections a stage's merged losses fall among: the last stage's last
+    # detection is scored, not branched on.
+    spans = [s.count - (si == len(stages) - 1) for si, s in enumerate(stages)]
+    if rng is not None:
+        hazards = [_stop_hazard(span, p0) for span, p0 in zip(spans, lost)]
     sums = np.zeros((2, math.prod(fans)))
     chunk, spare = (_CHUNK_ROWS, 0) if rng is None else (_engine._BLOCK_ROWS,) * 2
     # (rows, key and trials per fanned-out or drawn row, draws or None,
@@ -333,7 +379,7 @@ def _walk_tree(stages: list[_Stage], rng: np.random.Generator | None = None,
         else:
             end = size
         flat = np.arange(lo, end)
-        stage, count, last = stages[si], stages[si].count, si == len(stages) - 1
+        stage, span, last = stages[si], spans[si], si == len(stages) - 1
         cells, counts = cells[flat // fan] + flat % fan * strides[si], counts[flat // fan]
         if drawn is None:
             batch = rows[flat // fan]
@@ -342,29 +388,43 @@ def _walk_tree(stages: list[_Stage], rng: np.random.Generator | None = None,
             batch = _engine.advance_selected(rows[parent], stage.cmat, outcome, theta)
             batch /= batch[:, batch.shape[1] // 2].real[:, None]
         chi = cells // strides[si] % fans[si]
-        if not last:
-            weight = math.comb(count, step) * lost[si][chi] ** (count - step)
-            keep = np.flatnonzero(weight)
-            if keep.size:
-                pad = ((0, 0), ((count - step) * (stage.cmat.shape[-1] // 2),) * 2)
-                leaving[si].append((np.pad(batch[keep] * weight[keep, None], pad),
-                                    cells[keep], counts[keep]))
-            if step == count:
-                continue
         cmat = stage.cmat if fans[si] == 1 else stage.cmat[chi]
-        settle = last and step == count - 1
-        if last and (settle or lost[si].any()):
-            thetas, sharp = stage.sharpened(batch, cmat, settle)
-            terms = sharp * (math.comb(count - 1, step)
-                             * lost[si][chi] ** (count - 1 - step) * counts)
-            sums += [np.bincount(cells, terms, sums.shape[1]),
-                     np.bincount(cells, terms * sharp, sums.shape[1])]
-            if settle:
+        thetas = None
+        if not last or step == span or lost[si].any():
+            # The trials whose remaining merged detections all lose their
+            # photons stop here: weighted in an exact walk, drawn in a
+            # sampled one.
+            if rng is None:
+                weight = math.comb(span, step) * lost[si][chi] ** (span - step)
+                stopped = counts
+            else:
+                stopped = rng.binomial(counts, hazards[si][chi, step])
+                weight, counts = (stopped > 0) * 1.0, counts - stopped
+            if last:
+                thetas, sharp = stage.sharpened(batch, cmat, step == span)
+                terms = sharp * (weight * stopped)
+                sums += [np.bincount(cells, terms, sums.shape[1]),
+                         np.bincount(cells, terms * sharp, sums.shape[1])]
+            else:
+                keep = np.flatnonzero(weight)
+                if keep.size:
+                    pad = ((0, 0), ((span - step) * (stage.cmat.shape[-1] // 2),) * 2)
+                    leaving[si].append((np.pad(batch[keep] * weight[keep, None], pad),
+                                        cells[keep], stopped[keep]))
+            if step == span:
                 continue
-        else:
+        if rng is not None:  # only rows with trials left go on
+            go = np.flatnonzero(counts)
+            if not go.size:
+                continue
+            batch, cells, counts = batch[go], cells[go], counts[go]
+            thetas = None if thetas is None else thetas[go]
+            cmat = cmat if cmat.ndim == 2 else cmat[go]
+        if thetas is None:
             thetas = stage.thetas(batch, cmat)
+        branch = cmat if stage.lost is None else cmat[..., :-1, :]
         if rng is not None:
-            w = _engine._g1_weights(batch, cmat, harmonic=0)  # a0 of every child
+            w = _engine._g1_weights(batch, branch, harmonic=0)  # a0 of every child
             p = np.einsum("bod,bd->bo", w, _engine._phases(thetas, w.shape[2])).real
             p = p.clip(0.0)
             draws = rng.multinomial(counts, p / p.sum(axis=1, keepdims=True))
@@ -372,10 +432,8 @@ def _walk_tree(stages: list[_Stage], rng: np.random.Generator | None = None,
             pending.append((batch, cells[parent], draws[parent, outcome],
                             (parent, outcome, thetas[parent]), 0, si, step + 1))
             continue
-        merged = stage.lost is not None
-        children = _engine.advance_batch(batch, cmat[..., :-1, :] if merged else cmat,
-                                         thetas)
-        if merged and stage.single_photon and si == step == 0:
+        children = _engine.advance_batch(batch, branch, thetas)
+        if stage.lost is not None and stage.single_photon and si == step == 0:
             children = _merge_root_twins(children, thetas)
         n_out = children.shape[1]
         children = children.reshape(-1, children.shape[2])
@@ -437,21 +495,23 @@ def evaluate_monte_carlo(
 ) -> EvaluationReport:
     """Sampled estimate of the mean sharpness, with its standard error.
 
-    The tree walk samples trials outcome records, drawn as a trial at a
-    uniform unknown phase draws them, and mu is the mean of their scores,
-    each record's conditional sharpness (see the module docstring).  The
-    error bar is the population std of the scores over sqrt(trials): 0 for
-    one trial, and for a plan of one detection, which draws nothing.  Fully
-    reproducible for a given seed; the cost follows the distinct records
-    drawn, and the memory a few chunks per depth, whatever the trials.
+    The tree walk samples trials outcome records over the merged stages
+    of the speedup, drawn as a trial at a uniform unknown phase draws them
+    (an all-lost detection is a binomial stop, not a built child), and mu
+    is the mean of their scores, each record's conditional sharpness (see
+    the module docstring).  The error bar is the population std of the
+    scores over sqrt(trials): 0 for one trial, and for a plan of one
+    detection, whose trials all score the root.  Fully reproducible for a
+    given seed; the cost follows the distinct records drawn, and the
+    memory a few chunks per depth, whatever the trials.
     """
-    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)):
-        raise ValueError(f"trials must be an integer, got {trials!r}")
+    _require_integer("trials", trials)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     t0 = time.perf_counter()
     rng = np.random.default_rng(np.random.SeedSequence(rng_seed).spawn(1)[0])
-    total, squares = _walk_tree(_plan_stages(plan), rng, trials)[:, 0]
+    total, squares = _walk_tree(_split_stages([plan], merge_lost=True)[0], rng,
+                                trials)[:, 0]
     mu = total / trials
     variance = max(squares / trials - mu * mu, 0.0)  # rounding can dip below 0
     return _report(float(mu), trials, "monte_carlo", time.perf_counter() - t0,

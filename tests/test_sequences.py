@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -35,6 +36,18 @@ class TestPlanValidation:
             SequencePlan(n1=0, n2=1, chi2=2.5, eta=0.6)
         with pytest.raises(ValueError):
             SequencePlan(n1=1, eta=1.2)
+
+    @pytest.mark.parametrize("field", ["n1", "n2", "n4"])
+    @pytest.mark.parametrize("count", [2.5, 2.0, True, "2", None])
+    def test_rejects_non_integer_counts(self, field, count):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SequencePlan(**{"n1": 1, field: count})
+
+    def test_accepts_numpy_integer_counts(self):
+        plan = SequencePlan(n1=np.int64(2), n2=np.int32(1), chi2=1.7, eta=0.6)
+        assert plan.total_photons == 4
+        assert evaluate_exact(plan).mu == evaluate_exact(
+            SequencePlan(n1=2, n2=1, chi2=1.7, eta=0.6)).mu
 
     @pytest.mark.parametrize("kwargs", [{"chi2": 7.0}, {"chi4": -0.1}])
     def test_chi_checked_when_its_count_is_zero(self, kwargs):
@@ -489,6 +502,17 @@ class TestMonteCarlo:
         mc = evaluate_monte_carlo(plan, 100_000, 13)
         assert abs(mc.mu - exact.mu) < 3.0 * mc.mc_std_error
 
+    @pytest.mark.parametrize("plan", [
+        SequencePlan(n1=12, eta=0.3),
+        SequencePlan(n1=1, n2=3, chi2=1.7, eta=0.3),
+    ], ids=["12-single", "1-3-1.7"])
+    def test_loss_heavy_matches_speedup_within_three_sigma(self, plan):
+        # At eta = 0.3 most detections lose their photons, so most trials
+        # stop early in every stage: the binomial stop draw carries them.
+        exact = evaluate_exact_with_speedup(plan)
+        mc = evaluate_monte_carlo(plan, 60_000, 3)
+        assert abs(mc.mu - exact.mu) < 3.0 * mc.mc_std_error
+
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             evaluate_monte_carlo(SequencePlan(n1=1, eta=0.6), 0, 1)
@@ -515,34 +539,59 @@ class TestMonteCarlo:
         assert 0.8 <= np.std(z) <= 1.2
         assert abs(np.mean(z)) <= 0.3
 
+    def test_error_bar_is_calibrated_under_heavy_loss(self):
+        # As above over 150 seeds of 2,000 trials, where at eta = 0.3 the
+        # stop draw decides how many phase-carrying photons a trial gets.
+        plan = SequencePlan(n1=12, eta=0.3)
+        exact = evaluate_exact_with_speedup(plan).mu
+        z = []
+        for seed in range(150):
+            mc = evaluate_monte_carlo(plan, 2000, seed)
+            z.append((mc.mu - exact) / mc.mc_std_error)
+        assert 0.8 <= np.std(z) <= 1.2
+        assert abs(np.mean(z)) <= 0.3
+
     def test_error_bar_is_the_projected_spread(self, monkeypatch):
-        # Two two-photon detections: the first splits the trials among
-        # the root's outcomes (recorded), the last scores each drawn
-        # record (replaced by known scores).  mu is the count-weighted mean
-        # score and the error bar their count-weighted std over sqrt(trials).
+        # Two two-photon detections, merged: at the first the trials that
+        # lose both photons stop (a recorded binomial draw) and the rest
+        # split among the root's 5 phase-carrying outcomes (a recorded
+        # multinomial); the last detection stops every drawn record.  The
+        # root's stopped trials and each drawn record score known values,
+        # in call order.  mu is the count-weighted mean score and the error
+        # bar their count-weighted std over sqrt(trials).
         draws = []
 
         class Recording(np.random.Generator):
+            def binomial(self, n, p):
+                out = super().binomial(n, p)
+                draws.append(out)
+                return out
+
             def multinomial(self, n, pvals):
                 out = super().multinomial(n, pvals)
                 draws.append(out)
                 return out
 
         known = np.array([0.1, 0.5, 0.3, 0.9, 0.7, 0.2])
+        given = []
         kernel = _engine._theta_and_sharpness
 
         def scored(batch, cmat, settle):
-            return kernel(batch, cmat, settle)[0], known[:batch.shape[0]]
+            given.append(batch.shape[0])
+            return kernel(batch, cmat, settle)[0], known[sum(given[:-1]):sum(given)]
 
         monkeypatch.setattr(np.random, "default_rng",
                             lambda seed: Recording(np.random.PCG64(seed)))
         monkeypatch.setattr(_engine, "_theta_and_sharpness", scored)
         trials = 40
         mc = evaluate_monte_carlo(SequencePlan(0, 2, 1.7, 0, 0, 0.6), trials, 0)
-        assert len(draws) == 1 and draws[0].shape == (1, 6)
-        counts = draws[0][draws[0] > 0]
+        assert [d.shape for d in draws[:2]] == [(1,), (1, 5)] and len(draws) == 3
+        drawn = draws[1][draws[1] > 0]
+        assert np.array_equal(draws[2], drawn)  # the last detection stops all
+        counts = np.concatenate([draws[0], drawn])
         scores = known[:counts.size]
-        assert counts.size >= 3 and counts.sum() == trials
+        assert given == [1, drawn.size]
+        assert draws[0][0] > 0 and counts.size >= 3 and counts.sum() == trials
         mean = (counts * scores).sum() / trials
         assert mc.mu == pytest.approx(mean, rel=1e-15)
         assert mc.mc_std_error == pytest.approx(
@@ -550,9 +599,9 @@ class TestMonteCarlo:
             rel=1e-12)
 
     @pytest.mark.parametrize("seed, mu", [
-        (0, 0.7487950551980723),
-        (1, 0.7615063285155101),
-        (2, 0.7561371145493103),
+        (0, 0.7543641706958468),
+        (1, 0.7626453037621427),
+        (2, 0.752260881582896),
     ])
     def test_mu_is_pinned(self, seed, mu):
         # The sampling stream is the first child of the seed's
@@ -621,7 +670,9 @@ class TestSampledRecords:
         N30_ROW, N13_ROW, SequencePlan(n1=12, eta=0.6),
         SequencePlan(n1=2, n2=1, chi2=1.7, n4=1, chi4=1.3, eta=1.0),
         SequencePlan(n1=2, n2=1, chi2=1.7, n4=1, chi4=1.3, eta=0.0),
-    ], ids=["n30-row", "n13-row", "12-single-eta0.6", "eta1", "eta0"])
+        SequencePlan(n1=12, eta=0.3),
+    ], ids=["n30-row", "n13-row", "12-single-eta0.6", "eta1", "eta0",
+            "12-single-eta0.3"])
     def test_mean_matches_per_trial_sampler(self, plan):
         trials = 2048
         want, want_se = residual_mean(
@@ -630,12 +681,13 @@ class TestSampledRecords:
         assert abs(got.mu - want) <= 4.0 * math.hypot(got.mc_std_error, want_se)
 
     def test_kernels_see_distinct_records(self, monkeypatch):
-        # 5,000 trials of (2, 1, 1.7): the closed form sees the flat root,
-        # then at most the 3 records of one single photon; the last
-        # detection's settled feedback sees at most the 9 of two and scores
-        # them.  Only drawn records are built, so advance_selected makes
-        # the rows of the next call.  A per-trial sampler sends 5,000 rows
-        # to each.
+        # 5,000 trials of (2, 1, 1.7), merged: the closed form sees the
+        # flat root, then the at most 2 records of one phase-carrying
+        # single photon, which advance_selected builds, as it then builds
+        # the at most 4 of two.  Trials that lost photons stop at every
+        # depth, so the last detection's settled feedback sees the root,
+        # the depth-1 and the depth-2 records and scores them.  No all-lost
+        # child is built.  A per-trial sampler sends 5,000 rows to each.
         rows = {"closed_form_theta_batch": [], "numeric_theta_batch": [],
                 "_theta_and_sharpness": [], "advance_selected": []}
         for name, seen in rows.items():
@@ -647,11 +699,78 @@ class TestSampledRecords:
 
             monkeypatch.setattr(_engine, name, counted)
         evaluate_monte_carlo(SequencePlan(n1=2, n2=1, chi2=1.7, eta=0.6), 5000, 3)
-        closed, settled = rows["closed_form_theta_batch"], rows["_theta_and_sharpness"]
-        assert len(closed) == 2 and closed[0] == 1 and closed[1] <= 3
-        assert len(settled) == 1 and settled[0] <= 9
+        closed, built = rows["closed_form_theta_batch"], rows["advance_selected"]
+        assert closed == [1, built[0]] and built[0] <= 2
+        assert len(built) == 2 and built[1] <= 4
+        assert rows["_theta_and_sharpness"] == [1 + built[0] + built[1]]
         assert rows["numeric_theta_batch"] == []
-        assert rows["advance_selected"] == [closed[1], settled[0]]
+
+    def test_lossless_trials_stop_only_at_the_last_detection(self, monkeypatch):
+        # At eta = 1 no detection loses its photons: every stop probability
+        # is 0 before a stage's last merged depth and 1 there.
+        draws = []
+
+        class Recording(np.random.Generator):
+            def binomial(self, n, p):
+                out = super().binomial(n, p)
+                draws.append((n, p, out))
+                return out
+
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: Recording(np.random.PCG64(seed)))
+        evaluate_monte_carlo(
+            SequencePlan(n1=2, n2=1, chi2=1.7, n4=1, chi4=1.3, eta=1.0), 2000, 3)
+        assert draws
+        for n, p, out in draws:
+            assert np.all((p == 0.0) | (p == 1.0))
+            assert np.array_equal(out, n * (p == 1.0))
+
+    def test_all_lost_trials_build_no_child(self, monkeypatch):
+        # At eta = 0 every detection loses its photons: every trial stops
+        # at depth 0 of every stage and nothing is drawn or built.
+        def never(*args):
+            raise AssertionError("advance_selected called at eta = 0")
+
+        monkeypatch.setattr(_engine, "advance_selected", never)
+        mc = evaluate_monte_carlo(
+            SequencePlan(n1=2, n2=1, chi2=1.7, n4=1, chi4=1.3, eta=0.0), 5000, 3)
+        assert mc.mu == 0.0
+
+    def test_long_stage_at_tiny_eta_stays_finite(self):
+        # p0 = (1 - 1e-9)^1 leaves the binomial tail q^j underflowing to 0
+        # at deep depths; their stop probability must not become 0 / 0
+        # (a RuntimeWarning is an error here).
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mc = evaluate_monte_carlo(SequencePlan(n1=40, eta=1e-9), 10_000, 1)
+        assert math.isfinite(mc.mu) and 0.0 <= mc.mu <= 1e-7
+        assert math.isfinite(mc.mc_std_error)
+
+    @pytest.mark.parametrize("p0", [0.0, 0.4, 0.84, 1.0 - 1e-9, 1.0])
+    def test_stop_hazard_reproduces_the_binomial(self, p0):
+        # P(M = j) = h_j prod_{i<j} (1 - h_i) for M ~ Binomial(c, 1 - p0).
+        # Near p0 = 1, h_0 is near 1 and 1 - h_0 keeps only ~8 digits.
+        span = 40
+        h = sequences._stop_hazard(span, np.array([p0]))[0]
+        assert np.all((h >= 0.0) & (h <= 1.0)) and h[-1] == 1.0
+        reach = np.concatenate([[1.0], np.cumprod(1.0 - h[:-1])])
+        want = [math.comb(span, j) * (1.0 - p0) ** j * p0 ** (span - j)
+                for j in range(span + 1)]
+        assert np.allclose(h * reach, want, rtol=1e-5, atol=1e-300)
+
+    @pytest.mark.parametrize("p0", [0.4, 1e-300, 1.0 - 1e-12])
+    def test_stop_hazard_holds_beyond_float_binomials(self, p0):
+        # C(1100, 550) ~ 1e330 is not a float; the hazards still give a
+        # distribution of M with mean span q (a RuntimeWarning is an error).
+        span = 1100
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = sequences._stop_hazard(span, np.array([p0]))[0]
+        assert np.all((h >= 0.0) & (h <= 1.0)) and h[-1] == 1.0
+        pmf = h * np.concatenate([[1.0], np.cumprod(1.0 - h[:-1])])
+        assert pmf.sum() == pytest.approx(1.0, rel=1e-9)
+        assert (pmf * np.arange(span + 1)).sum() == pytest.approx(
+            span * (1.0 - p0), rel=1e-6)
 
     def test_chunks_do_not_cascade(self, monkeypatch):
         # 16,384 trials of the N=30 SQL row.  Uneven draws leave ragged
