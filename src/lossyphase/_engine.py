@@ -297,7 +297,7 @@ def _widen(batch: np.ndarray, coefs: np.ndarray) -> np.ndarray:
 
     The product's band is wider by the likelihood order on each side.
     Over the batch padded by twice the order, window[b, d, k] = pad[b, k + d]
-    is a sliding-window view, so the correlation is one batched matrix
+    is a read-only strided view, so the correlation is one batched matrix
     product; the zeros outside the support make it exact.
     """
     order = (coefs.shape[-1] - 1) // 2
@@ -305,7 +305,10 @@ def _widen(batch: np.ndarray, coefs: np.ndarray) -> np.ndarray:
     n_out = n_c + 2 * order
     pad = np.zeros((n_b, n_out + 2 * order), dtype=complex)
     pad[:, 2 * order: 2 * order + n_c] = batch
-    return coefs @ np.lib.stride_tricks.sliding_window_view(pad, n_out, axis=1)
+    s_b, s_k = pad.strides
+    window = np.lib.stride_tricks.as_strided(
+        pad, (n_b, 2 * order + 1, n_out), (s_b, s_k, s_k), writeable=False)
+    return coefs @ window
 
 
 def advance_batch(batch: np.ndarray, cmat: np.ndarray,

@@ -49,8 +49,9 @@ twice its weight, half the single-photon rows.  The twin premise is
 checked exactly on every walk.  The tree's other symmetry, the mirror
 phi -> -phi, is not merged: numeric feedback breaks near-ties toward the
 smallest theta, which is not mirror-covariant, and merging mirror twins
-moved mu by 2e-10 on an N=13 split.  evaluate_exact merges nothing and
-stays the reference.
+moved mu by 2e-10 on an N=13 split.  evaluate_exact merges no records
+and stays the reference; it only folds rows that are equal bit for bit
+(see _walk_tree).
 
 Plans beyond the enumeration guard are sampled by the same walk, over
 the same merged stages.  Its rows are outcome records, each carrying the
@@ -301,6 +302,22 @@ def _merge_root_twins(children: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return 2.0 * children[:, :1]
 
 
+def _fold_equal_rows(batch: np.ndarray, cells: np.ndarray,
+                     counts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each group of rows equal bit for bit and with one key as the group's
+    first row, counted by the group's summed count; rows keep the order of
+    their first occurrence.  Equal rows make equal subtrees, so this only
+    changes the order of the final sum."""
+    raw = np.concatenate([batch.view(np.uint8).reshape(batch.shape[0], -1),
+                          cells.view(np.uint8).reshape(cells.size, -1)], axis=1)
+    _, first, group = np.unique(raw.view(np.dtype((np.void, raw.shape[1])))[:, 0],
+                                return_index=True, return_inverse=True)
+    kept = np.sort(first)
+    summed = np.zeros(kept.size, dtype=counts.dtype)
+    np.add.at(summed, np.searchsorted(kept, first[group]), counts)
+    return batch[kept], cells[kept], summed
+
+
 def _walk_tree(stages: list[_Stage], rng: np.random.Generator | None = None,
                trials: int = 1) -> np.ndarray:
     """Per key, the summed |leaf first harmonic| over the outcome tree, and
@@ -335,9 +352,17 @@ def _walk_tree(stages: list[_Stage], rng: np.random.Generator | None = None,
     chunks per depth.  Exactly zero rows (impossible outcomes) are
     dropped.  With no stages the sums are a single zero.
 
-    Every row also carries a trial count, which scales its terms: 1 in an
-    exact walk.  With rng the walk samples instead (see the module
-    docstring): the root carries all trials, and a row's trials are drawn
+    Every row also carries a count, which scales its terms.  In an exact
+    walk it is the number of records the row stands for: a chunk of an
+    unmerged stage (only evaluate_exact walks these) folds its rows that
+    are equal bit for bit and share a key into the first of them
+    (_fold_equal_rows).  An all-lost outcome scales the posterior by the
+    real constant p0 and a flat posterior's feedback is exactly 0, so e.g.
+    the records (+, lost) and (lost, +) hold the same bits, and so do their
+    subtrees; a quarter of the N=13 exact walks' last-detection rows are
+    such copies.  Merged stages hold almost none and are not folded.
+    With rng the walk samples instead (see the module docstring): a row's
+    count is its trials, the root carries all of them, and they are drawn
     where an exact walk weights.  A row at depth j stops the number of its
     trials that one binomial draw per chunk gives at h_j (_stop_hazard):
     those leave the stage, unscaled and padded as above, or in the last
@@ -383,6 +408,8 @@ def _walk_tree(stages: list[_Stage], rng: np.random.Generator | None = None,
         cells, counts = cells[flat // fan] + flat % fan * strides[si], counts[flat // fan]
         if drawn is None:
             batch = rows[flat // fan]
+            if stage.lost is None:
+                batch, cells, counts = _fold_equal_rows(batch, cells, counts)
         else:
             parent, outcome, theta = (a[flat] for a in drawn)
             batch = _engine.advance_selected(rows[parent], stage.cmat, outcome, theta)

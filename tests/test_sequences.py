@@ -323,6 +323,16 @@ class TestSplitWalk:
         assert [r.branches_evaluated for r in shuffled] == [
             SPLIT_PLANS[i].speedup_leaf_count() for i in order]
 
+    def test_unmerged_split_keeps_chi_keys_apart(self):
+        # Entering the two-photon stage every row fans out to both chi
+        # values as byte-identical copies with different keys; the exact
+        # walk's fold of equal rows must leave them apart.
+        plans = [SequencePlan(2, 1, chi2, 1, 1.3, 0.6) for chi2 in (1.7, 0.9)]
+        stages, keys = sequences._split_stages(plans, merge_lost=False)
+        mu = sequences._walk_tree(stages)[0]
+        for plan, key in zip(plans, keys):
+            assert abs(mu[key] - evaluate_exact(plan).mu) <= 1e-14, plan
+
     def test_split_wall_time_is_shared(self):
         plans = enumerate_plans(4, 0.5, 0.6)[1:6]
         assert len({(p.n1, p.n2, p.n4) for p in plans}) == 1
@@ -367,6 +377,17 @@ class TestBoundedPrefix:
         assert peak <= 16 * 2 ** 20
 
 
+def distinct_rows_per_depth(stage):
+    """The byte-distinct posterior rows at each depth of one unmerged
+    stage, from every record built one row per kernel call."""
+    level, counts = [np.ones((1, 1), dtype=complex)], []
+    for _ in range(stage.count):
+        counts.append(len({row.tobytes() for row in level}))
+        level = [child[None] for row in level for child in
+                 _engine.advance_batch(row, stage.cmat, stage.thetas(row))[0]]
+    return counts
+
+
 class TestRootTwins:
     """The speedup walk keeps one of the flat root's two children, which
     at theta = 0 are pi-rotation twins, at twice the weight.  The mirror
@@ -381,6 +402,12 @@ class TestRootTwins:
         assert abs(evaluate_exact_with_speedup(plan).mu - exact.mu) <= 1e-12
 
     def test_row_counts(self, monkeypatch):
+        # The exact walk folds bit-identical rows, so its closed form sees
+        # each depth's byte-distinct records once: an all-lost outcome only
+        # scales by p0 and a flat posterior's feedback is exactly 0, so
+        # e.g. the records (+, lost) and (lost, +) hold the same bits.
+        plan = SequencePlan(n1=5, eta=0.6)
+        distinct = distinct_rows_per_depth(_plan_stages(plan)[0])
         rows = []
         kernel = _engine.closed_form_theta_batch
 
@@ -389,13 +416,12 @@ class TestRootTwins:
             return kernel(batch)
 
         monkeypatch.setattr(_engine, "closed_form_theta_batch", counted)
-        plan = SequencePlan(n1=5, eta=0.6)
         report = evaluate_exact_with_speedup(plan)
         assert sum(rows) == 2 ** (plan.n1 - 1)
         assert report.branches_evaluated == plan.speedup_leaf_count()
         rows.clear()
         evaluate_exact(plan)
-        assert sum(rows) == (3 ** plan.n1 - 1) // 2
+        assert rows == distinct == [1, 3, 8, 20, 57]
 
     def test_broken_twin_raises(self, monkeypatch):
         kernel = _engine.advance_batch
