@@ -12,14 +12,16 @@ theta builds no children: there Newton may also stop on the gradient
 
 All feedback objectives are scale-invariant, so rows may carry any positive
 overall factor (branch probabilities are folded into the coefficients).
-The numeric feedback runs in blocks of _BLOCK_ROWS rows, so that its
-(rows, outcomes, d) weight stacks stay small on wide batches; rows are
-independent, so blocking changes no bit.
+The kernels whose temporaries grow with a wide batch (the numeric
+feedback, the predictive probabilities and advance_selected) run in
+blocks of _BLOCK_ROWS rows (_in_blocks), so that their (rows, outcomes, d)
+stacks stay within a core's cache; rows are independent, so blocking
+changes no bit.
 
 Likelihoods are an (outcomes, d) matrix shared by all rows or, in
-numeric_theta_batch, _theta_and_sharpness, advance_batch and
-expected_sharpness_batch, a (rows, outcomes, d) stack of per-row
-matrices.  They come from `OutcomeLikelihoodTable.matrix` (or are
+numeric_theta_batch, _theta_and_sharpness, advance_batch,
+expected_sharpness_batch and predictive_batch, a (rows, outcomes, d) stack
+of per-row matrices.  They come from `OutcomeLikelihoodTable.matrix` (or are
 SINGLE_FRINGE), so they carry the table's port-swap symmetry: shifting
 theta by pi only permutes the outcomes, the expected sharpness has period
 pi, and the feedback grid covers [0, pi) alone.
@@ -27,6 +29,7 @@ pi, and the feedback grid covers [0, pi) alone.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -41,10 +44,15 @@ _NEWTON_TOL = 1e-12
 # and its step below _SETTLE_STEP rad (see _refine_newton).
 _SETTLE_GRAD = 1e-6
 _SETTLE_STEP = 1e-6
-# Rows per block of the numeric feedback (see the module docstring), and
-# per chunk of a sampled tree walk (sequences._walk_tree).  Exact walks
-# pass at most sequences._CHUNK_ROWS = 256 rows, one block.
-_BLOCK_ROWS = 1024
+# Rows per block of the blocked kernels (see the module docstring): a
+# block's (rows, 15, 9) feedback weights take 0.55 MB, well inside a 2 MiB
+# L2, where 1,024 rows took 2.2 MB.  Exact and merged walks pass at most
+# sequences._CHUNK_ROWS = 256 rows, one block; a sampled walk's chunks,
+# up to twice sequences._SAMPLE_ROWS rows, run in several.
+_BLOCK_ROWS = 256
+# Entries (rows times band width) from which _phases mirrors half the band:
+# the mirrored form is slower on one-row calls and about even near 500.
+_MIRROR_MIN = 512
 # Relative slack for grid comparisons.  The refinement must behave as a
 # smooth function of the posterior: the exact and binomial-speedup
 # evaluators feed it inputs differing in the last bits, and any
@@ -59,8 +67,22 @@ def _band(width: int) -> np.ndarray:
 
 
 def _phases(x, width: int) -> np.ndarray:
-    """e^{-i x d} over the band, one row per entry of x."""
-    return np.exp(-1j * np.multiply.outer(np.asarray(x, dtype=float), _band(width)))
+    """e^{-i x d} over the band, one row per entry of x.
+
+    From _MIRROR_MIN entries on, only d >= 0 is exponentiated and the
+    d < 0 half is the conjugate of its mirror, which equals the direct
+    exponential bit for bit (cos is even and sin odd), signed zeros
+    included.  Below it the mirror's extra calls cost more than the
+    exponentials they save.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.size * width < _MIRROR_MIN:
+        return np.exp(-1j * np.multiply.outer(x, _band(width)))
+    order = (width - 1) // 2
+    out = np.empty(x.shape + (width,), dtype=complex)
+    np.exp(-1j * np.multiply.outer(x, np.arange(order + 1)), out=out[..., order:])
+    np.conjugate(out[..., :order:-1], out=out[..., :order])
+    return out
 
 
 def table_matrix(table) -> np.ndarray:
@@ -182,21 +204,37 @@ def _theta_from_weights(w: np.ndarray, settle: bool) -> np.ndarray:
     return np.mod(theta, 2.0 * math.pi)
 
 
-def _blocked_feedback(batch: np.ndarray, cmat: np.ndarray, settle: bool,
-                      sharpness: bool) -> tuple[np.ndarray, ...]:
+def _in_blocks(kernel):
+    """kernel(batch, cmat, *per_row, **options) run _BLOCK_ROWS rows at a
+    time, its outputs (an array or a tuple of arrays) joined along rows.
+
+    The batch, each per_row array and cmat when it is a per-row
+    (rows, outcomes, d) stack are sliced per block; options pass as they
+    are.  Each block builds and drops its own temporaries.  A batch of at
+    most one block, zero rows included, goes to kernel unsliced.
+    """
+    @functools.wraps(kernel)
+    def blocked(batch, cmat, *per_row, **options):
+        if batch.shape[0] <= _BLOCK_ROWS:
+            return kernel(batch, cmat, *per_row, **options)
+        parts = []
+        for lo in range(0, batch.shape[0], _BLOCK_ROWS):
+            rows = slice(lo, lo + _BLOCK_ROWS)
+            parts.append(kernel(batch[rows], cmat[rows] if cmat.ndim == 3 else cmat,
+                                *(a[rows] for a in per_row), **options))
+        if isinstance(parts[0], tuple):
+            return tuple(np.concatenate(column) for column in zip(*parts))
+        return np.concatenate(parts)
+    return blocked
+
+
+@_in_blocks
+def _feedback(batch: np.ndarray, cmat: np.ndarray, *, settle: bool, sharpness: bool):
     """_theta_from_weights, and with sharpness the expected sharpness at
-    its theta, _BLOCK_ROWS rows at a time: each block builds and drops its
-    own weights.  A per-row cmat stack is sliced with the batch; zero rows
-    still run one (empty) block, so the outputs are empty float arrays."""
-    parts = []
-    for lo in range(0, max(batch.shape[0], 1), _BLOCK_ROWS):
-        rows = slice(lo, lo + _BLOCK_ROWS)
-        w = _g1_weights(batch[rows], cmat[rows] if cmat.ndim == 3 else cmat)
-        theta = _theta_from_weights(w, settle)
-        parts.append((theta, _sharpness_from_weights(w, theta)) if sharpness
-                     else (theta,))
-        del w
-    return tuple(np.concatenate(column) for column in zip(*parts))
+    its theta, from one set of weights."""
+    w = _g1_weights(batch, cmat)
+    theta = _theta_from_weights(w, settle)
+    return (theta, _sharpness_from_weights(w, theta)) if sharpness else theta
 
 
 def numeric_theta_batch(batch: np.ndarray, cmat: np.ndarray) -> np.ndarray:
@@ -214,7 +252,7 @@ def numeric_theta_batch(batch: np.ndarray, cmat: np.ndarray) -> np.ndarray:
     short).  Plateaus skip refinement, so e.g. a flat prior returns
     exactly 0.
     """
-    return _blocked_feedback(batch, cmat, False, False)[0]
+    return _feedback(batch, cmat, settle=False, sharpness=False)
 
 
 def _theta_and_sharpness(batch: np.ndarray, cmat: np.ndarray,
@@ -223,7 +261,7 @@ def _theta_and_sharpness(batch: np.ndarray, cmat: np.ndarray,
     one set of weights per block.  With settle, for a feedback whose theta
     builds no children, Newton also stops on the gradient (see
     _refine_newton)."""
-    return _blocked_feedback(batch, cmat, settle, True)
+    return _feedback(batch, cmat, settle=settle, sharpness=True)
 
 
 # Single-photon fringe coefficients over d = -1..1 for the two detection
@@ -322,6 +360,7 @@ def advance_batch(batch: np.ndarray, cmat: np.ndarray,
     return _widen(batch, cmat * phases[:, None, :])
 
 
+@_in_blocks
 def advance_selected(batch: np.ndarray, cmat: np.ndarray, picks: np.ndarray,
                      thetas: np.ndarray) -> np.ndarray:
     """The one-outcome case of advance_batch: outcome picks[b] for row b.
@@ -330,6 +369,15 @@ def advance_selected(batch: np.ndarray, cmat: np.ndarray, picks: np.ndarray,
     """
     coefs = cmat[picks] * _phases(thetas, cmat.shape[-1])
     return _widen(batch, coefs[:, None, :])[:, 0, :]
+
+
+@_in_blocks
+def predictive_batch(batch: np.ndarray, cmat: np.ndarray,
+                     thetas: np.ndarray) -> np.ndarray:
+    """a0 of every child at per-row theta: the predictive probability of
+    each outcome times the row's a0, up to rounding (not clamped)."""
+    w = _g1_weights(batch, cmat, harmonic=0)
+    return np.einsum("bod,bd->bo", w, _phases(thetas, w.shape[2])).real
 
 
 def outcome_probabilities(cmat: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -102,6 +102,10 @@ __all__ = [
 
 DEFAULT_BRANCH_GUARD = 10 ** 8
 _CHUNK_ROWS = 256
+# Rows per chunk of a sampled walk.  Each chunk's binomial and multinomial
+# draws take from the random stream in chunk order, so this size fixes
+# every Monte Carlo mu; the kernels split a chunk into their own blocks.
+_SAMPLE_ROWS = 1024
 
 
 class BranchGuardError(RuntimeError):
@@ -371,9 +375,12 @@ def _walk_tree(stages: list[_Stage], rng: np.random.Generator | None = None,
     further.  Only the drawn children are built, a chunk at a time from
     their parents' chunk, and normalized to a0 = 1; so each depth holds
     one parent chunk and a few integers per drawn child, whatever the
-    trials.  A sampled walk takes chunks of _engine._BLOCK_ROWS rows and
-    the whole rest of a batch once at most one more chunk would remain, so
-    uneven draws leave no small calls.
+    trials.  A sampled walk takes chunks of _SAMPLE_ROWS rows and the
+    whole rest of a batch once at most one more chunk would remain, so
+    uneven draws leave no small calls; the chunk size fixes the order in
+    which the draws use the random stream.  The kernels run such a chunk
+    in blocks of _engine._BLOCK_ROWS rows, so the chunk size sets no
+    kernel temporary.
     """
     fans = [s.cmat.shape[0] if s.cmat.ndim == 3 else 1 for s in stages]
     strides = [math.prod(fans[si + 1:]) for si in range(len(fans))]
@@ -384,7 +391,7 @@ def _walk_tree(stages: list[_Stage], rng: np.random.Generator | None = None,
     if rng is not None:
         hazards = [_stop_hazard(span, p0) for span, p0 in zip(spans, lost)]
     sums = np.zeros((2, math.prod(fans)))
-    chunk, spare = (_CHUNK_ROWS, 0) if rng is None else (_engine._BLOCK_ROWS,) * 2
+    chunk, spare = (_CHUNK_ROWS, 0) if rng is None else (_SAMPLE_ROWS,) * 2
     # (rows, key and trials per fanned-out or drawn row, draws or None,
     #  first row to walk, stage, depth)
     pending = [(np.ones((1, 1), dtype=complex), np.zeros(1, dtype=np.int64),
@@ -451,9 +458,7 @@ def _walk_tree(stages: list[_Stage], rng: np.random.Generator | None = None,
             thetas = stage.thetas(batch, cmat)
         branch = cmat if stage.lost is None else cmat[..., :-1, :]
         if rng is not None:
-            w = _engine._g1_weights(batch, branch, harmonic=0)  # a0 of every child
-            p = np.einsum("bod,bd->bo", w, _engine._phases(thetas, w.shape[2])).real
-            p = p.clip(0.0)
+            p = _engine.predictive_batch(batch, branch, thetas).clip(0.0)
             draws = rng.multinomial(counts, p / p.sum(axis=1, keepdims=True))
             parent, outcome = np.nonzero(draws)
             pending.append((batch, cells[parent], draws[parent, outcome],
@@ -529,8 +534,10 @@ def evaluate_monte_carlo(
     the module docstring).  The error bar is the population std of the
     scores over sqrt(trials): 0 for one trial, and for a plan of one
     detection, whose trials all score the root.  Fully reproducible for a
-    given seed; the cost follows the distinct records drawn, and the
-    memory a few chunks per depth, whatever the trials.
+    given seed (the draws follow chunks of _SAMPLE_ROWS rows); the cost
+    follows the distinct records drawn, and the memory a few chunks per
+    depth and one kernel block of _engine._BLOCK_ROWS rows, whatever the
+    trials.
     """
     _require_integer("trials", trials)
     if trials < 1:

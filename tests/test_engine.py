@@ -108,6 +108,27 @@ TABLE_STATES = {
 }
 
 
+class TestPhases:
+    """_phases exponentiates d >= 0 only on wide calls and mirrors the rest
+    by conjugation."""
+
+    @pytest.mark.parametrize("mirror_min", [0, _engine._MIRROR_MIN])
+    @pytest.mark.parametrize("width", range(3, 62, 2))
+    def test_equals_the_direct_exponential_byte_for_byte(self, width, mirror_min,
+                                                         monkeypatch):
+        # With mirror_min 0 every call mirrors, one-row and scalar calls
+        # too.  Signed zeros included: -0.0 gives 1 - 0j at d > 0 and
+        # 1 + 0j at d < 0, both ways.
+        monkeypatch.setattr(_engine, "_MIRROR_MIN", mirror_min)
+        x = np.concatenate([np.random.default_rng(width).uniform(-40.0, 40.0, 4096),
+                            _engine.THETA_GRID, [0.0, math.pi, -0.0, -math.pi]])
+        want = np.exp(-1j * np.multiply.outer(x, _engine._band(width)))
+        assert _engine._phases(x, width).tobytes() == want.tobytes()
+        for i in range(-4, 0):
+            assert _engine._phases(x[i:][:1], width).tobytes() == want[i:][:1].tobytes()
+            assert _engine._phases(x[i], width).tobytes() == want[i].tobytes()
+
+
 class TestAdvance:
     @pytest.mark.parametrize("eta", [0.6, 1.0])
     @pytest.mark.parametrize("n_photons", [1, 2, 4])
@@ -381,12 +402,15 @@ class TestSettledFeedback:
 
 
 class TestRowBlocks:
-    """The numeric feedback runs _BLOCK_ROWS rows at a time.  Rows are
-    independent, so the blocked kernels equal one pass over the whole
+    """The numeric feedback, the predictive probabilities of the sampled
+    walk's draw and advance_selected run _BLOCK_ROWS rows at a time.  Rows
+    are independent, so the blocked kernels equal one pass over the whole
     batch bit for bit, and the memory peak stops growing with the rows."""
 
     MATS = np.stack([build_likelihood_table(make_loss_resistant(2, chi), 0.6).matrix
                      for chi in (0.5, 1.3, 1.7)])
+    # Sixteen full blocks and a ragged last one, one row, and none.
+    ROWS = [16 * _engine._BLOCK_ROWS + 37, 1, 0]
 
     @staticmethod
     def one_pass(batch, cmat, settle):
@@ -394,14 +418,17 @@ class TestRowBlocks:
         theta = _engine._theta_from_weights(w, settle)
         return theta, _engine._sharpness_from_weights(w, theta)
 
-    @pytest.mark.parametrize("per_row", [False, True])
-    # Several full blocks and a ragged last one.
-    @pytest.mark.parametrize("rows", [4 * _engine._BLOCK_ROWS + 37, 1, 0])
-    def test_blocks_match_one_pass_bit_for_bit(self, rows, per_row):
+    def inputs(self, rows, per_row):
         rng = np.random.default_rng(700 + rows + per_row)
         batch = random_hermitian(rng, rows, 6)
         cmat = self.MATS[rng.integers(0, len(self.MATS), rows)] if per_row \
             else self.MATS[1]
+        return rng, batch, cmat
+
+    @pytest.mark.parametrize("per_row", [False, True])
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_blocks_match_one_pass_bit_for_bit(self, rows, per_row):
+        _, batch, cmat = self.inputs(rows, per_row)
         got = _engine.numeric_theta_batch(batch, cmat)
         assert got.dtype == float and got.shape == (rows,)
         assert np.array_equal(got, self.one_pass(batch, cmat, False)[0])
@@ -410,6 +437,28 @@ class TestRowBlocks:
             for part, want in zip(got, self.one_pass(batch, cmat, settle)):
                 assert part.dtype == float and part.shape == (rows,)
                 assert np.array_equal(part, want)
+
+    @pytest.mark.parametrize("per_row", [False, True])
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_predictive_blocks_match_one_pass_bit_for_bit(self, rows, per_row):
+        rng, batch, cmat = self.inputs(rows, per_row)
+        thetas = rng.uniform(0.0, 2.0 * math.pi, rows)
+        w = _engine._g1_weights(batch, cmat, harmonic=0)
+        want = np.einsum("bod,bd->bo", w, _engine._phases(thetas, w.shape[2])).real
+        got = _engine.predictive_batch(batch, cmat, thetas)
+        assert got.dtype == float and got.shape == (rows, cmat.shape[-2])
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_advance_selected_blocks_match_one_pass_bit_for_bit(self, rows):
+        rng, batch, cmat = self.inputs(rows, False)
+        picks = rng.integers(0, cmat.shape[0], rows)
+        thetas = rng.uniform(0.0, 2.0 * math.pi, rows)
+        coefs = cmat[picks] * _engine._phases(thetas, cmat.shape[-1])
+        want = _engine._widen(batch, coefs[:, None, :])[:, 0, :]
+        got = _engine.advance_selected(batch, cmat, picks, thetas)
+        assert got.shape == (rows, batch.shape[1] + cmat.shape[-1] - 1)
+        assert np.array_equal(got, want)
 
     def test_memory_peak_does_not_grow_with_rows(self):
         # 16,384 rows of a 53-wide band against the 15-outcome table: one

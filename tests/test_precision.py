@@ -2,10 +2,11 @@
 
 The float walks have float witnesses only: the grid oracle integrates on
 a 4,096-point grid and the leaf-summing reference repeats the same float
-arithmetic.  Here the 162 records of (3, 1, 1.7, 0, 0, 0.6) are walked at
-40 digits: the tables are summed from the float amplitude weights, and
-every Bayes update and the last detection's expected sharpness are done
-in mpmath.  Each theta is the float feedback as the walk chooses it, read
+arithmetic.  Here every record of three plans is walked at 40 digits:
+the 162 of (3, 1, 1.7, 0, 0, 0.6), the 45 of (1, 0, 0, 1, 1.3, 0.6) and the
+270 of (1, 1, 1.7, 1, 1.3, 0.6), the last two through a four-photon stage.
+The tables are summed from the float amplitude weights, and every Bayes
+update and the last detection's expected sharpness are done in mpmath.  Each theta is the float feedback as the walk chooses it, read
 off a float row updated beside the exact one, so the difference measures
 the rounding of the updates and sums and not the feedback rule.
 """
@@ -23,7 +24,12 @@ from lossyphase.sequences import (
 )
 from lossyphase.states import make_loss_resistant, make_single_photon
 
-PLAN = SequencePlan(n1=3, n2=1, chi2=1.7, n4=0, chi4=0.0, eta=0.6)
+# Each plan with its record count, 3^N1 6^N2 15^N4.
+PLANS = {
+    "3-1-1.7-0-0": (SequencePlan(n1=3, n2=1, chi2=1.7, eta=0.6), 162),
+    "1-0-0-1-1.3": (SequencePlan(n1=1, n4=1, chi4=1.3, eta=0.6), 45),
+    "1-1-1.7-1-1.3": (SequencePlan(n1=1, n2=1, chi2=1.7, n4=1, chi4=1.3, eta=0.6), 270),
+}
 DIGITS = 40
 
 
@@ -98,28 +104,33 @@ def mp_walk(plan):
     return total, records
 
 
-@pytest.fixture(scope="module")
-def walked():
+@pytest.fixture(scope="module", params=list(PLANS), ids=list(PLANS))
+def walked(request):
+    plan, records = PLANS[request.param]
     with mpmath.workdps(DIGITS):
-        return mp_walk(PLAN)
+        return plan, records, *mp_walk(plan)
 
 
 def test_tables_match_the_float_build():
     with mpmath.workdps(DIGITS):
-        for state in (make_single_photon(), make_loss_resistant(1, 1.7)):
-            want = detection.build_likelihood_table(state, PLAN.eta).matrix
-            got = np.array([[complex(c) for c in row] for row in mp_matrix(state, PLAN.eta)])
+        for state in (make_single_photon(), make_loss_resistant(1, 1.7),
+                      make_loss_resistant(2, 1.3)):
+            want = detection.build_likelihood_table(state, 0.6).matrix
+            got = np.array([[complex(c) for c in row] for row in mp_matrix(state, 0.6)])
             assert np.abs(got - want).max() <= 1e-15
 
 
 def test_walk_covers_every_record(walked):
-    assert walked[1] == PLAN.exact_leaf_count() == 162
+    plan, records, _, walked_records = walked
+    assert walked_records == plan.exact_leaf_count() == records
 
 
 @pytest.mark.parametrize("evaluator", [evaluate_exact, evaluate_exact_with_speedup],
                          ids=["exact", "speedup"])
 def test_float_walk_within_bound_of_40_digits(walked, evaluator):
-    # Measured 1.7e-16 (exact) and 5.3e-17 (speedup), about one ulp of mu.
-    mu_mp = walked[0]
+    # Measured |mu_float - mu_mp|, exact and speedup: 1.7e-16 and 5.3e-17
+    # for (3, 1, 1.7), 1.45e-17 and 1.45e-17 for (1, 0, 0, 1, 1.3), 1.43e-16
+    # and 3.2e-17 for (1, 1, 1.7, 1, 1.3); about one ulp of mu.
+    plan, _, mu_mp, _ = walked
     assert 0.5 < mu_mp < 1.0
-    assert abs(mpmath.mpf(evaluator(PLAN).mu) - mu_mp) <= 1e-15
+    assert abs(mpmath.mpf(evaluator(plan).mu) - mu_mp) <= 1e-15

@@ -800,7 +800,7 @@ class TestSampledRecords:
 
     def test_chunks_do_not_cascade(self, monkeypatch):
         # 16,384 trials of the N=30 SQL row.  Uneven draws leave ragged
-        # batches; chunks of _BLOCK_ROWS rows that take the whole rest once
+        # batches; chunks of _SAMPLE_ROWS rows that take the whole rest once
         # at most one more chunk would remain keep the calls few.
         calls = []
         kernel = _engine.closed_form_theta_batch
@@ -812,13 +812,15 @@ class TestSampledRecords:
         monkeypatch.setattr(_engine, "closed_form_theta_batch", counted)
         evaluate_monte_carlo(SequencePlan(n1=30, eta=0.6), 16384, 5)
         assert len(calls) <= 400
-        assert max(calls) <= 2 * _engine._BLOCK_ROWS
+        assert max(calls) <= 2 * sequences._SAMPLE_ROWS
 
     @pytest.mark.parametrize("trials", [16384, 65536])
     def test_memory_peak_does_not_grow_with_trials(self, trials):
-        # A few chunks per depth are alive, not a row per trial.  A node
-        # per distinct record, updated in place, peaked at 25 MiB for
-        # 16,384 trials of the N=30 row.  A one-trial run fills the caches.
+        # A few chunks per depth are alive, not a row per trial, and the
+        # kernels hold one 256-row block of temporaries.  16,384 trials of
+        # the N=30 row peaked at 25 MiB with a node per distinct record,
+        # updated in place, at 15.3 MiB with 1,024-row kernel blocks, and
+        # at 6.8 MiB now.  A one-trial run fills the caches.
         evaluate_monte_carlo(N30_ROW, 1, 11)
         tracemalloc.start()
         try:
@@ -826,7 +828,7 @@ class TestSampledRecords:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 20 * 2 ** 20
+        assert peak <= 8 * 2 ** 20
 
 
 class TestProperties:
