@@ -6,9 +6,22 @@ harmonic band; each Bayes update returns the band widened by the
 likelihood's order.  The public feedback functions and the sequence
 evaluators are thin wrappers; keeping a single implementation guarantees
 the scalar API and the tree traversal make bit-identical feedback
-decisions.  The one exception is the last detection of a tree walk, whose
-theta builds no children: there Newton may also stop on the gradient
-(_theta_and_sharpness with settle), moving theta by far less than 1e-6.
+decisions (tests/test_engine.py::TestViewsEqualKernels checks each
+one-row view against a many-row call with ==).  The one exception is the
+last detection of a tree walk, whose theta builds no children: there
+Newton may also stop on the gradient (_theta_and_sharpness with settle),
+moving theta by far less than 1e-6.
+
+A one-row call, as the scalar API makes for every detection, costs
+numpy's fixed per-call work far more than arithmetic, so the kernels keep
+that work small without a second code path.  What depends on the band
+width alone (_band, Newton's derivative columns _newton_deriv and the
+grid's phases _grid_phases) is computed on first use per width, cached
+and read-only; nothing is filled at import.  Newton and the closed form
+pass several operands through one ufunc call where the elementwise
+results are the same, and _widen builds its strided window with the
+ndarray constructor.  Every output is the same bit for bit as the
+one-call-per-operand form.
 
 All feedback objectives are scale-invariant, so rows may carry any positive
 overall factor (branch probabilities are folded into the coefficients).
@@ -37,6 +50,7 @@ import numpy as np
 GRID_POINTS = 32
 THETA_GRID = math.pi * np.arange(GRID_POINTS) / GRID_POINTS
 _GRID_STEP = math.pi / GRID_POINTS
+_NEIGHBOURS = np.array([-1, 0, 1])
 _NEWTON_ITERS = 12
 _NEWTON_TOL = 1e-12
 # The settled stop of a feedback whose theta builds no children: a row
@@ -60,10 +74,34 @@ _MIRROR_MIN = 512
 _SNAP = 1e-9
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=None)
 def _band(width: int) -> np.ndarray:
-    """Harmonic indices d = -order..order of a band of width 2 order + 1."""
+    """Harmonic indices d = -order..order of a band of width 2 order + 1
+    (cached per width, read-only)."""
     order = (width - 1) // 2
-    return np.arange(-order, order + 1)
+    return _read_only(np.arange(-order, order + 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _grid_phases(width: int) -> np.ndarray:
+    """(width, GRID_POINTS) phases of THETA_GRID over the band, the
+    transposed view _sharpness_grid multiplies by (cached, read-only)."""
+    return _read_only(_phases(THETA_GRID, width)).T
+
+
+@functools.lru_cache(maxsize=None)
+def _newton_deriv(width: int) -> np.ndarray:
+    """(width, 3): columns 1, -i d and -d^2, which turn the phases into
+    those of g and its first and second theta derivatives (cached,
+    read-only)."""
+    d = _band(width)
+    return _read_only(np.stack([np.ones(d.size), -1j * d, -(d * d.astype(float))],
+                               axis=1))
 
 
 def _phases(x, width: int) -> np.ndarray:
@@ -75,12 +113,13 @@ def _phases(x, width: int) -> np.ndarray:
     included.  Below it the mirror's extra calls cost more than the
     exponentials they save.
     """
-    x = np.asarray(x, dtype=float)
+    # x[..., None] * d is np.multiply.outer(x, d) without its Python cost.
+    x = np.asarray(x, dtype=float)[..., None]
     if x.size * width < _MIRROR_MIN:
-        return np.exp(-1j * np.multiply.outer(x, _band(width)))
+        return np.exp(-1j * (x * _band(width)))
     order = (width - 1) // 2
-    out = np.empty(x.shape + (width,), dtype=complex)
-    np.exp(-1j * np.multiply.outer(x, np.arange(order + 1)), out=out[..., order:])
+    out = np.empty(x.shape[:-1] + (width,), dtype=complex)
+    np.exp(-1j * (x * np.arange(order + 1)), out=out[..., order:])
     np.conjugate(out[..., :order:-1], out=out[..., :order])
     return out
 
@@ -125,7 +164,7 @@ def _sharpness_from_weights(w: np.ndarray, thetas: np.ndarray) -> np.ndarray:
 
 def _sharpness_grid(w: np.ndarray) -> np.ndarray:
     """(branches, GRID_POINTS) objective values on THETA_GRID."""
-    phases = _phases(THETA_GRID, w.shape[2]).T
+    phases = _grid_phases(w.shape[2])
     vals = np.zeros((w.shape[0], GRID_POINTS))
     for o in range(w.shape[1]):
         vals += np.abs(w[:, o, :] @ phases)
@@ -148,36 +187,39 @@ def _refine_newton(w: np.ndarray, theta0: np.ndarray, lo: np.ndarray,
     outcome harmonic makes the steps shrink faster than the gradient; the
     step bound keeps it going on a flat-topped maximum.
     """
-    d = _band(w.shape[2])
-    # Columns 0, 1, 2 give g and its first and second theta derivatives.
-    deriv = np.stack([np.ones(d.size), -1j * d, -(d * d.astype(float))], axis=1)
-    scale = np.abs(w).sum(axis=(1, 2)) + 1e-300
+    width = w.shape[2]
+    deriv = _newton_deriv(width)
+    scale = np.add.reduce(np.abs(w), axis=(1, 2)) + 1e-300
     curv_floor = 1e-9 * scale
     mag_floor = (1e-15 * scale)[:, None]
     theta = theta0.astype(float)
     rows = np.arange(theta.size)
     t = theta.copy()
     for _ in range(_NEWTON_ITERS):
-        phases = _phases(t, d.size)
-        g, g1, g2 = np.moveaxis(w @ (phases[:, :, None] * deriv), 2, 0)
-        mag = np.abs(g)
+        # (rows, outcomes, 3): g, g' and g'' of every outcome.  Each ufunc
+        # below takes g and g' (or g' and g'') in one call; elementwise
+        # results do not depend on the operands' layout.
+        prod = w @ (_phases(t, width)[:, :, None] * deriv)
+        mags = np.abs(prod[..., :2])
+        cross = (np.conj(prod[..., :1]) * prod[..., 1:]).real
+        mag, inner = mags[..., 0], cross[..., 0]
         safe = mag + mag_floor
-        inner = np.real(np.conj(g) * g1)
-        mu1 = (inner / safe).sum(axis=1)
-        mu2 = (
-            (np.abs(g1) ** 2 + np.real(np.conj(g) * g2)) / safe
-            - inner ** 2 / safe ** 3
-        ).sum(axis=1)
-        stepped = np.clip(t + mu1 / (np.abs(mu2) + curv_floor), lo, hi)
+        mu1 = np.add.reduce(inner / safe, axis=1)
+        mu2 = np.add.reduce(
+            (mags[..., 1] ** 2 + cross[..., 1]) / safe
+            - inner ** 2 / safe ** 3, axis=1)
+        stepped = (t + mu1 / (np.abs(mu2) + curv_floor)).clip(lo, hi)
         theta[rows] = stepped
         step = np.abs(stepped - t)
         moving = step > _NEWTON_TOL
         if settle:
-            moving &= ((np.abs(mu1) > _SETTLE_GRAD * mag.sum(axis=1))
+            moving &= ((np.abs(mu1) > _SETTLE_GRAD * np.add.reduce(mag, axis=1))
                        | (step > _SETTLE_STEP))
-        if not moving.all():
-            rows, w, lo, hi = rows[moving], w[moving], lo[moving], hi[moving]
-            curv_floor, mag_floor = curv_floor[moving], mag_floor[moving]
+        if moving.all():
+            t = stepped
+            continue
+        rows, w, lo, hi = rows[moving], w[moving], lo[moving], hi[moving]
+        curv_floor, mag_floor = curv_floor[moving], mag_floor[moving]
         t = stepped[moving]
         if not t.size:
             break
@@ -187,16 +229,15 @@ def _refine_newton(w: np.ndarray, theta0: np.ndarray, lo: np.ndarray,
 def _theta_from_weights(w: np.ndarray, settle: bool) -> np.ndarray:
     """numeric_theta_batch on the weights _g1_weights built."""
     vals = _sharpness_grid(w)
-    top = vals.max(axis=1, keepdims=True)
-    idx = np.argmax(vals >= top * (1.0 - _SNAP), axis=1)
-    rows = np.arange(w.shape[0])
-    f_best = vals[rows, idx]
-    f_prev = vals[rows, (idx - 1) % GRID_POINTS]
-    f_next = vals[rows, (idx + 1) % GRID_POINTS]
-    theta = THETA_GRID[idx].copy()
+    top = np.maximum.reduce(vals, axis=1, keepdims=True)
+    idx = (vals >= top * (1.0 - _SNAP)).argmax(axis=1)
+    # The winner and its two neighbours on the periodic grid, in one gather.
+    f_prev, f_best, f_next = vals[np.arange(w.shape[0])[:, None],
+                                  (idx[:, None] + _NEIGHBOURS) % GRID_POINTS].T
+    theta = THETA_GRID[idx]
     margin = 1.0 + _SNAP
     refine = (f_best > f_prev * margin) & (f_best > f_next * margin)
-    if np.any(refine):
+    if refine.any():
         center = theta[refine]
         theta[refine] = _refine_newton(
             w[refine], center, center - _GRID_STEP, center + _GRID_STEP, settle
@@ -281,33 +322,37 @@ def closed_form_candidates(batch: np.ndarray) -> tuple[np.ndarray, ...]:
     non-flat rows where c1 = 0 leaves theta_+- undefined (their entries
     are placeholders).
     """
-    low = _harmonics(batch, 0, 2)
+    return _candidates(_harmonics(batch, 0, 2))
+
+
+def _candidates(low: np.ndarray) -> tuple[np.ndarray, ...]:
+    """closed_form_candidates from each row's a_0, a_1, a_2."""
     # a and b are the projections of e^{i phi} and e^{2i phi} onto the
     # posterior (the first of these is what the sharpness reads off).
     a0 = low[:, 0]
     a = low[:, 1]
     b = 0.5 * low[:, 2]
     c = 0.5 * a0
+    conj_a, conj_b, conj_c = np.conj(a), np.conj(b), np.conj(c)
+    abs_b = np.abs(b)
     scale = np.abs(a0)
     scale = np.where(scale > 0.0, scale, 1.0)
 
-    flat = (np.abs(a) <= 1e-13 * scale) & (np.abs(b) <= 1e-13 * scale)
-    c1 = (np.conj(a) * c) ** 2 - (a * np.conj(b)) ** 2 \
-        + 4.0 * (np.abs(b) ** 2 - np.abs(c) ** 2) * np.conj(b) * c
-    c2 = -2j * np.imag(a * a * np.conj(b) * np.conj(c))
-    degenerate = ~flat & (np.abs(c1) <= 1e-26 * scale ** 4)
+    flat = (np.abs(a) <= 1e-13 * scale) & (abs_b <= 1e-13 * scale)
+    c1 = (conj_a * c) ** 2 - (a * conj_b) ** 2 \
+        + 4.0 * (abs_b ** 2 - np.abs(c) ** 2) * conj_b * c
+    c2 = -2j * (a * a * conj_b * conj_c).imag
+    abs_c1 = np.abs(c1)
+    degenerate = ~flat & (abs_c1 <= 1e-26 * scale ** 4)
 
     safe_c1 = np.where(c1 == 0.0, 1.0, c1)
-    root = np.sqrt(c2 * c2 + np.abs(c1) ** 2)
-    cand = np.stack(
-        [
-            np.angle(b * np.conj(a) - np.conj(c) * a),
-            np.angle(np.sqrt((c2 + root) / safe_c1)),
-            np.angle(np.sqrt((c2 - root) / safe_c1)),
-        ],
-        axis=1,
-    )
-    return np.mod(cand, 2.0 * math.pi), flat, degenerate
+    root = np.sqrt(c2 * c2 + abs_c1 ** 2)
+    # One arctan2 (np.angle's own ufunc) takes all three angles.
+    z = np.empty((low.shape[0], 3), dtype=complex)
+    np.subtract(b * conj_a, conj_c * a, out=z[:, 0])
+    np.sqrt((c2 + root) / safe_c1, out=z[:, 1])
+    np.sqrt((c2 - root) / safe_c1, out=z[:, 2])
+    return np.mod(np.arctan2(z.imag, z.real), 2.0 * math.pi), flat, degenerate
 
 
 def closed_form_theta_batch(batch: np.ndarray) -> np.ndarray:
@@ -318,14 +363,16 @@ def closed_form_theta_batch(batch: np.ndarray) -> np.ndarray:
     c1 = 0 falls back to the numeric rule.  Photon loss only adds a
     theta-independent term, so the same phases stay optimal for every eta.
     """
-    cand, flat, degenerate = closed_form_candidates(batch)
-    w = _g1_weights(batch, SINGLE_FRINGE)
-    mu = np.stack(
-        [_sharpness_from_weights(w, cand[:, i]) for i in range(3)], axis=1
-    )
+    # a_0..a_2 give both the candidates and the weights (_g1_weights).
+    low = _harmonics(batch, 0, 2)
+    cand, flat, degenerate = _candidates(low)
+    w = SINGLE_FRINGE * low[:, None, :]
+    # All three candidates at once: mu[b, k] is the sharpness at cand[b, k].
+    g = np.einsum("bod,bkd->bko", w, _phases(cand, w.shape[2]))
+    mu = np.add.reduce(np.abs(g), axis=2)
     theta = cand[np.arange(batch.shape[0]), np.argmax(mu, axis=1)]
     theta = np.where(flat, 0.0, theta)
-    if np.any(degenerate):
+    if degenerate.any():
         theta[degenerate] = numeric_theta_batch(batch[degenerate], SINGLE_FRINGE)
     return theta
 
@@ -335,18 +382,24 @@ def _widen(batch: np.ndarray, coefs: np.ndarray) -> np.ndarray:
 
     The product's band is wider by the likelihood order on each side.
     Over the batch padded by twice the order, window[b, d, k] = pad[b, k + d]
-    is a read-only strided view, so the correlation is one batched matrix
-    product; the zeros outside the support make it exact.
+    is a read-only strided view (_window), so the correlation is one
+    batched matrix product; the zeros outside the support make it exact.
     """
-    order = (coefs.shape[-1] - 1) // 2
+    return coefs @ _window(batch, (coefs.shape[-1] - 1) // 2)
+
+
+def _window(batch: np.ndarray, order: int) -> np.ndarray:
+    """window[b, d, k] = pad[b, k + d] over the batch padded by 2 order
+    zeros on each side: a read-only (rows, 2 order + 1, width + 2 order)
+    view, made by the ndarray constructor rather than as_strided's
+    Python wrapper."""
     n_b, n_c = batch.shape
     n_out = n_c + 2 * order
     pad = np.zeros((n_b, n_out + 2 * order), dtype=complex)
     pad[:, 2 * order: 2 * order + n_c] = batch
     s_b, s_k = pad.strides
-    window = np.lib.stride_tricks.as_strided(
-        pad, (n_b, 2 * order + 1, n_out), (s_b, s_k, s_k), writeable=False)
-    return coefs @ window
+    return _read_only(np.ndarray((n_b, 2 * order + 1, n_out), complex, pad, 0,
+                                 (s_b, s_k, s_k)))
 
 
 def advance_batch(batch: np.ndarray, cmat: np.ndarray,

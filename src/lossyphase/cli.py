@@ -56,7 +56,8 @@ _PI_TOKEN = re.compile(
 
 
 def parse_angle(text: str | float) -> float:
-    """Radians from a float, a float literal or a pi token like 'pi/4' or '3*pi/2'."""
+    """Radians from a float, a float literal or a pi token like 'pi/4' or
+    '3*pi/2'; a value that is not finite (nan, inf) is rejected."""
     text = str(text).strip()
     m = _PI_TOKEN.match(text)
     if m:
@@ -65,8 +66,12 @@ def parse_angle(text: str | float) -> float:
             if float(m.group("den")) == 0.0:
                 raise ValueError(f"angle {text!r} divides by zero")
             val /= float(m.group("den"))
-        return -val if m.group("sign") == "-" else val
-    return float(text)
+        val = -val if m.group("sign") == "-" else val
+    else:
+        val = float(text)
+    if not math.isfinite(val):
+        raise ValueError(f"angle {text!r} is not finite")
+    return val
 
 
 # Each command's (flag, cast, default) in the order its artifact's config
@@ -118,7 +123,10 @@ def _resolve(args: argparse.Namespace) -> dict:
             val = default
         if val is None:
             raise ValueError(f"missing required parameter --{flag}")
-        cfg[key] = cast(val)
+        try:
+            cfg[key] = cast(val)
+        except ValueError as exc:
+            raise ValueError(f"--{flag}: {exc}") from exc
     if cfg.get("trials", 1) < 1:
         raise ValueError("trials must be >= 1")
     return cfg

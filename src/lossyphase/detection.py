@@ -241,11 +241,13 @@ def evaluate_outcome(
 ) -> float:
     """P_{L,k}(phi, theta): one entry of `_engine.outcome_probabilities`.
 
-    Raises on an imaginary part above 1e-10 or a value below -1e-12, and
-    clamps the rest to >= 0.
+    Raises on a non-finite phi or theta, an imaginary part above 1e-10 or
+    a value below -1e-12, and clamps the rest to >= 0.
     """
+    if not (math.isfinite(phi) and math.isfinite(theta)):
+        raise ValueError(f"phi and theta must be finite, got {phi!r} and {theta!r}")
     c = table.row(outcome)
-    val = _engine.outcome_probabilities(c[None, :], np.array([phi - theta]))[0, 0]
+    val = _engine.outcome_probabilities(c[None, :], np.array([phi - theta])).item(0)
     if abs(val.imag) > 1e-10:
         raise ValueError(f"probability has imaginary part {val.imag}")
     p = val.real

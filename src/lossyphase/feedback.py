@@ -8,10 +8,16 @@ best is kept.  Multi-photon states take the best of the 32 grid brackets
 on [0, pi), one period of the objective by the tables' port-swap symmetry,
 refined by damped Newton inside that bracket; a near-equal peak in another
 bracket can be missed (see `_engine.numeric_theta_batch`).
-Every function here is a one-row view over the batch kernels of `_engine`.
+Every function here is a one-row view over the batch kernels of `_engine`
+and returns that kernel's row bit for bit; what the views cost is the
+kernels' fixed per-call work (see `_engine`).  The prior's coefficients
+are finite by construction (`PhaseDistribution`), and a non-finite theta
+is rejected.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -33,8 +39,10 @@ def expected_sharpness(
 
     Sums |first harmonic of prior * likelihood| over every outcome in the
     table; outcomes carrying no phase information (total loss) contribute a
-    theta-independent constant.
+    theta-independent constant.  A non-finite theta is rejected.
     """
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
     batch = prior.coeffs[None, :]
     return float(
         _engine.expected_sharpness_batch(batch, table.matrix, np.array([theta]))[0]

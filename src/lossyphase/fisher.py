@@ -88,7 +88,10 @@ def _fisher(w: np.ndarray, x: np.ndarray) -> np.ndarray:
 def fisher_information(
     state: TwoModeState, eta: float, phi: float, theta: float
 ) -> float:
-    """Fisher information of one detection of `state` at efficiency eta."""
+    """Fisher information of one detection of `state` at efficiency eta;
+    a non-finite phi or theta is rejected."""
+    if not (math.isfinite(phi) and math.isfinite(theta)):
+        raise ValueError(f"phi and theta must be finite, got {phi!r} and {theta!r}")
     x = np.array([[phi - theta]])
     return float(_fisher(_weights(state, eta)[None], x)[0, 0])
 

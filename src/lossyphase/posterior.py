@@ -33,19 +33,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PhaseDistribution:
-    """Coefficients a_j over j = -J..J; coeffs[J + j] holds a_j."""
+    """Coefficients a_j over j = -J..J; coeffs[J + j] holds a_j.
+
+    J must be an integer >= 0 (a bool is not) and the 2J + 1 coefficients
+    finite; they are stored as a read-only copy.
+    """
 
     max_harmonic: int
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.shape != (2 * self.max_harmonic + 1,):
-            raise ValueError(
-                f"expected {2 * self.max_harmonic + 1} coefficients, got {c.shape}"
-            )
-        c = c.copy()
+        j = self.max_harmonic
+        if isinstance(j, bool) or not isinstance(j, (int, np.integer)) or j < 0:
+            raise ValueError(f"max_harmonic must be an integer >= 0, got {j!r}")
+        c = np.array(self.coeffs, dtype=complex)
+        if c.shape != (2 * j + 1,):
+            raise ValueError(f"expected {2 * j + 1} coefficients, got {c.shape}")
+        if not np.isfinite(c).all():
+            raise ValueError("coefficients must be finite")
         c.flags.writeable = False
+        object.__setattr__(self, "max_harmonic", int(j))
         object.__setattr__(self, "coeffs", c)
 
     def coefficient(self, j: int) -> complex:
@@ -71,8 +78,16 @@ class PhaseDistribution:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PhaseDistribution":
-        c = np.array(data["re"], dtype=complex) + 1j * np.array(data["im"])
+        re, im = data["re"], data["im"]
+        if len(re) != len(im):
+            raise ValueError(f"re has {len(re)} entries and im {len(im)}")
+        c = np.array(re, dtype=complex) + 1j * np.array(im, dtype=float)
         return cls(data["max_harmonic"], c)
+
+
+# advance_selected's picks for a one-row table: its only row.
+_FIRST_ROW = np.zeros(1, dtype=int)
+_FIRST_ROW.flags.writeable = False
 
 
 def flat_prior() -> PhaseDistribution:
@@ -90,18 +105,21 @@ def bayes_update(
 
     Multiplies the prior by the likelihood Fourier series (the one-row
     case of `_engine.advance_selected`, which widens the band by N - L) and
-    renormalizes so a_0 = 1.  A likelihood that is identically zero (a
-    structurally impossible outcome, e.g. photon loss at eta = 1) is
-    rejected.
+    renormalizes so a_0 = 1.  A non-finite theta is rejected, and so is an
+    outcome of zero predictive probability, which includes a likelihood
+    that is identically zero (a structurally impossible outcome, e.g.
+    photon loss at eta = 1): over the prior's finite coefficients it gives
+    a_0 = 0 exactly.
     """
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
     c = table.row(outcome)
-    n_det = (len(c) - 1) // 2
     raw = _engine.advance_selected(
-        prior.coeffs[None, :], c[None, :], np.zeros(1, dtype=int), np.array([theta])
+        prior.coeffs[None, :], c[None, :], _FIRST_ROW, np.array([theta])
     )[0]
-    mid = prior.max_harmonic + n_det
-    norm = raw[mid].real
-    if norm <= 0.0 or not np.any(c != 0.0):
+    mid = prior.max_harmonic + (len(c) - 1) // 2
+    norm = raw.item(mid).real
+    if norm <= 0.0:
         raise ValueError(f"degenerate update: outcome {outcome} has zero likelihood")
     return PhaseDistribution(mid, raw / norm)
 

@@ -39,6 +39,11 @@ class TestParseAngle:
         with pytest.raises(ValueError):
             parse_angle("about pi")
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN", "1e999", "9" * 400 + "*pi"])
+    def test_non_finite_rejected(self, text):
+        with pytest.raises(ValueError, match="not finite"):
+            parse_angle(text)
+
     @pytest.mark.parametrize("text", ["pi/0", "-3*pi/0.0"])
     def test_zero_denominator_rejected(self, text):
         with pytest.raises(ValueError, match="divides by zero"):
@@ -126,6 +131,14 @@ class TestFisherScan:
                              "--eta", "0.6", "--phi", "pi/0")
         assert code == EXIT_USAGE
         assert "divides by zero" in err and out == ""
+
+    @pytest.mark.parametrize("flag", ["phi", "theta"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_angle_exits_2(self, capsys, flag, value):
+        code, out, err = run(capsys, "fisher-scan", "--n-photons", "2",
+                             "--eta", "0.6", f"--{flag}={value}")
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: --{flag}: angle {value!r} is not finite\n"
 
     @pytest.mark.parametrize("step", ["1e-13", "9e-13", "0", "nan"])
     def test_chi_step_below_resolution_exits_2(self, capsys, step):

@@ -188,6 +188,13 @@ class TestEvaluation:
         with pytest.raises(KeyError):
             evaluate_outcome(table, (5, 0), 0.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phase_rejected(self, bad):
+        table = build_likelihood_table(make_single_photon(), 0.6)
+        for phi, theta in ((bad, 0.3), (0.3, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                evaluate_outcome(table, (0, 0), phi, theta)
+
     @staticmethod
     def hand_table(c0):
         # N=1 rows (0,0), (0,1), (1,0): the second is the first times

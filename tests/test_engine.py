@@ -6,7 +6,10 @@ full-circle 64-point grid search followed by exactly 12 Newton steps.
 """
 
 import math
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,12 @@ from lossyphase.detection import (
     Outcome,
     OutcomeLikelihoodTable,
     build_likelihood_table,
+    evaluate_outcome,
+)
+from lossyphase.feedback import (
+    expected_sharpness,
+    optimal_theta_numeric,
+    optimal_theta_single_photon,
 )
 from lossyphase.posterior import PhaseDistribution, bayes_update, flat_prior
 from lossyphase.states import (
@@ -474,3 +483,187 @@ class TestRowBlocks:
                 tracemalloc.stop()
 
         assert peak(batch.shape[0]) <= 1.5 * peak(_engine._BLOCK_ROWS)
+
+
+class TestCachedConstants:
+    """The per-width constants are filled on first use, read-only, and
+    equal a fresh computation byte for byte; the _widen window made by the
+    ndarray constructor equals the as_strided window."""
+
+    WIDTHS = range(3, 62, 2)
+
+    @staticmethod
+    def fresh(width):
+        order = (width - 1) // 2
+        d = np.arange(-order, order + 1)
+        return {
+            "_band": d,
+            "_newton_deriv": np.stack([np.ones(d.size), -1j * d,
+                                       -(d * d.astype(float))], axis=1),
+            "_grid_phases": np.exp(-1j * np.multiply.outer(_engine.THETA_GRID, d)).T,
+        }
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_equal_a_fresh_computation(self, width):
+        for name, want in self.fresh(width).items():
+            got = getattr(_engine, name)(width)
+            assert got is getattr(_engine, name)(width)
+            assert (got.dtype, got.shape, got.strides) == (want.dtype, want.shape,
+                                                           want.strides), name
+            assert got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_read_only(self, width):
+        for name in self.fresh(width):
+            got = getattr(_engine, name)(width)
+            with pytest.raises(ValueError, match="read-only"):
+                got[0] = 0
+
+    def test_import_fills_none(self):
+        code = ("import lossyphase, lossyphase.cli as c; from lossyphase import _engine as e; "
+                "print([f.cache_info().currsize for f in "
+                "(e._band, e._newton_deriv, e._grid_phases)])")
+        src = str(Path(_engine.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, cwd=src, timeout=60, check=True)
+        assert out.stdout.strip() == "[0, 0, 0]"
+
+    @pytest.mark.parametrize("rows", [0, 1, 5])
+    @pytest.mark.parametrize("order, width", [(1, 1), (2, 9), (4, 23)])
+    def test_window_equals_as_strided(self, rows, order, width):
+        batch = random_hermitian(np.random.default_rng(rows + width), rows,
+                                 (width - 1) // 2)
+        n_out = width + 2 * order
+        pad = np.zeros((rows, n_out + 2 * order), dtype=complex)
+        pad[:, 2 * order: 2 * order + width] = batch
+        want = np.lib.stride_tricks.as_strided(
+            pad, (rows, 2 * order + 1, n_out), pad.strides[:1] + pad.strides[1:] * 2,
+            writeable=False)
+        got = _engine._window(batch, order)
+        assert (got.shape, got.strides) == (want.shape, want.strides)
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+
+
+class TestViewsEqualKernels:
+    """Every one-row view returns its batch kernel's row bit for bit (==):
+    the feedback views and bayes_update against a many-row call on random
+    posteriors, N = 1, 2 and 4 at eta 0.6 and 1.  evaluate_outcome is the
+    clamped entry of its own one-entry kernel call: a call over more rows
+    or outcomes runs another BLAS product (gemv or gemm rather than dot),
+    which rounds differently (about a fifth of the entries differ in the
+    last bits), so it is compared with that call only."""
+
+    @pytest.fixture(scope="class")
+    def groups(self):
+        """Posteriors after 0-4 random updates, grouped by max_harmonic."""
+        rng = np.random.default_rng(2500)
+        tables = [build_likelihood_table(s, 0.6) for s in TABLE_STATES.values()]
+        groups = {}
+        for _ in range(240):
+            post = flat_prior()
+            for _ in range(int(rng.integers(0, 5))):
+                table = tables[int(rng.integers(0, len(tables)))]
+                outcome = table.outcomes[int(rng.integers(0, len(table.outcomes)))]
+                post = bayes_update(post, table, outcome,
+                                    float(rng.uniform(0.0, 2.0 * math.pi)))
+            groups.setdefault(post.max_harmonic, []).append(post)
+        return [(posts, np.stack([p.coeffs for p in posts]))
+                for posts in groups.values()]
+
+    @staticmethod
+    def by_lost(table):
+        """Per number lost: its outcomes and their rows over their own band."""
+        for lost in range(table.n_photons + 1):
+            outcomes = [o for o in table.outcomes if o.lost == lost]
+            yield outcomes, np.stack([table.row(o) for o in outcomes])
+
+    @pytest.mark.parametrize("eta", [0.6, 1.0])
+    @pytest.mark.parametrize("n_photons", [1, 2, 4])
+    def test_numeric_feedback_and_sharpness(self, groups, n_photons, eta):
+        table = build_likelihood_table(TABLE_STATES[n_photons], eta)
+        rng = np.random.default_rng(n_photons)
+        for posts, batch in groups:
+            thetas = rng.uniform(0.0, 2.0 * math.pi, len(posts))
+            numeric = _engine.numeric_theta_batch(batch, table.matrix)
+            sharp = _engine.expected_sharpness_batch(batch, table.matrix, thetas)
+            for i, prior in enumerate(posts):
+                assert optimal_theta_numeric(prior, table) == numeric[i]
+                assert expected_sharpness(prior, table, thetas[i]) == sharp[i]
+
+    def test_closed_form_feedback(self, groups):
+        for posts, batch in groups:
+            closed = _engine.closed_form_theta_batch(batch)
+            for i, prior in enumerate(posts):
+                assert optimal_theta_single_photon(prior) == closed[i]
+
+    @pytest.mark.parametrize("eta", [0.6, 1.0])
+    @pytest.mark.parametrize("n_photons", [1, 2, 4])
+    def test_bayes_update_is_a_normalized_row(self, groups, n_photons, eta):
+        table = build_likelihood_table(TABLE_STATES[n_photons], eta)
+        rng = np.random.default_rng(10 + n_photons)
+        checked = 0
+        for posts, batch in groups:
+            for outcomes, cmat in self.by_lost(table):
+                picks = rng.integers(0, len(outcomes), len(posts))
+                thetas = rng.uniform(0.0, 2.0 * math.pi, len(posts))
+                raw = _engine.advance_selected(batch, cmat, picks, thetas)
+                mid = (raw.shape[1] - 1) // 2
+                for i, prior in enumerate(posts):
+                    if not raw[i, mid].real > 0.0:
+                        continue
+                    post = bayes_update(prior, table, outcomes[picks[i]], thetas[i])
+                    assert post.coeffs.tobytes() == (raw[i] / raw[i, mid].real).tobytes()
+                    checked += 1
+        assert checked >= 200
+
+    @pytest.mark.parametrize("eta", [0.6, 1.0])
+    @pytest.mark.parametrize("n_photons", [1, 2, 4])
+    def test_evaluate_outcome_is_the_clamped_entry(self, n_photons, eta):
+        table = build_likelihood_table(TABLE_STATES[n_photons], eta)
+        rng = np.random.default_rng(20 + n_photons)
+        for phi, theta in rng.uniform(-2.0 * math.pi, 2.0 * math.pi, (50, 2)):
+            for outcomes, cmat in self.by_lost(table):
+                for row, outcome in zip(cmat, outcomes):
+                    entry = _engine.outcome_probabilities(
+                        row[None, :], np.array([phi - theta]))[0, 0]
+                    assert evaluate_outcome(table, outcome, phi, theta) \
+                        == max(entry.real, 0.0)
+
+    # Demo 03's run (seed 42) and a second seed that loses fewer photons:
+    # theta, outcome and probability total per detection, then a_1.
+    TRAJECTORIES = {
+        42: ([("0x0.0p+0", (1, 0), "0x1.0000000000001p+0"),
+              ("0x0.0p+0", (0, 1), "0x1.0000000000001p+0"),
+              ("0x1.921fb54442d18p+0", (1, 0), "0x1.0000000000001p+0"),
+              ("0x1.921fb54442d18p+0", (1, 0), "0x1.0000000000001p+0"),
+              ("0x1.921fb54442d18p+0", (0, 0), "0x1.0000000000001p+0"),
+              ("0x1.921fb54442d20p-1", (2, 0), "0x1.0000000000000p+0"),
+              ("0x1.921fb54442d17p-1", (2, 1), "0x1.ffffffffffffep-1")],
+             ("-0x1.306ea77d3c3b2p-1", "0x1.306ea77d3c3b3p-1")),
+        3: ([("0x0.0p+0", (0, 0), "0x1.0000000000001p+0"),
+             ("0x1.921fb54442d18p+0", (0, 0), "0x1.0000000000001p+0"),
+             ("0x1.5fdbbe9bba775p+2", (1, 0), "0x1.0000000000001p+0"),
+             ("0x1.5fdbbe9bba775p+2", (0, 1), "0x1.0000000000001p+0"),
+             ("0x1.836306adf3ee1p+2", (0, 1), "0x1.0000000000001p+0"),
+             ("0x1.950a91a53ad6cp-2", (1, 0), "0x1.0000000000000p+0"),
+             ("0x1.84d44d06680dep+1", (2, 0), "0x1.ffffffffffffcp-1")],
+            ("-0x1.e4ba26095e882p-3", "0x1.c812c43bba574p-1")),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(TRAJECTORIES))
+    def test_demo_03_trajectory_is_pinned(self, seed):
+        steps, a1 = self.TRAJECTORIES[seed]
+        rng = np.random.default_rng(seed)
+        tables = [build_likelihood_table(TABLE_STATES[n], 0.6) for n in (1,) * 5 + (2, 4)]
+        post = flat_prior()
+        for i, (table, step) in enumerate(zip(tables, steps)):
+            theta = (optimal_theta_single_photon(post) if i < 5
+                     else optimal_theta_numeric(post, table))
+            probs = np.array([evaluate_outcome(table, o, 2.2515, theta)
+                              for o in table.outcomes])
+            outcome = table.outcomes[rng.choice(len(probs), p=probs / probs.sum())]
+            post = bayes_update(post, table, outcome, theta)
+            assert (theta.hex(), tuple(outcome), float(probs.sum()).hex()) == step
+        got = post.coefficient(1)
+        assert (got.real.hex(), got.imag.hex()) == a1

@@ -45,6 +45,11 @@ class TestExpectedSharpness:
                 0.5, abs=1e-12
             )
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_theta_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            expected_sharpness(flat_prior(), T2, bad)
+
     def test_flat_prior_lossy_scales_with_eta(self):
         for theta in (0.0, 2.2):
             assert expected_sharpness(flat_prior(), T06, theta) == pytest.approx(

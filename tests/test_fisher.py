@@ -45,6 +45,13 @@ class TestAnchors:
                 eta, abs=1e-9
             )
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phase_rejected(self, bad):
+        state = make_loss_resistant(1, 0.8)
+        for phi, theta in ((bad, 0.0), (0.5, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                fisher_information(state, 0.6, phi, theta)
+
     def test_eta_zero_gives_zero(self):
         assert fisher_information(make_loss_resistant(1, 0.8), 0.0, 0.5, 0.0) == 0.0
 

@@ -99,6 +99,64 @@ def test_degenerate_update_rejected():
         bayes_update(flat_prior(), table, Outcome(1, 0), 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_theta_rejected(bad):
+    table = build_likelihood_table(make_single_photon(), 0.6)
+    with pytest.raises(ValueError, match="finite"):
+        bayes_update(flat_prior(), table, Outcome(0, 0), bad)
+
+
+class TestValidation:
+    """J is a non-bool integer >= 0, the 2J + 1 coefficients are finite."""
+
+    @pytest.mark.parametrize("j, size", [(1.5, 4), (1.0, 3), (True, 3), (False, 1),
+                                         (-1, 0), ("1", 3), (None, 1)])
+    def test_bad_max_harmonic_rejected(self, j, size):
+        with pytest.raises(ValueError, match="max_harmonic"):
+            PhaseDistribution(j, np.ones(size, dtype=complex))
+
+    def test_numpy_integer_accepted(self):
+        dist = PhaseDistribution(np.int64(1), [0.5, 1.0, 0.5])
+        assert dist.max_harmonic == 1 and type(dist.max_harmonic) is int
+        assert json.loads(json.dumps(dist.to_json_dict()))["max_harmonic"] == 1
+
+    @pytest.mark.parametrize("size", [1, 2, 4])
+    def test_wrong_length_rejected(self, size):
+        with pytest.raises(ValueError, match="expected 3 coefficients"):
+            PhaseDistribution(1, np.ones(size, dtype=complex))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan),
+                                     complex(math.inf, 0.0)])
+    def test_non_finite_coefficient_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            PhaseDistribution(1, np.array([bad, 1.0, 0.5], dtype=complex))
+
+    def test_numeric_feedback_never_sees_a_nan_prior(self):
+        # It used to return 0.0 for one; such a prior cannot be made now.
+        with pytest.raises(ValueError, match="finite"):
+            PhaseDistribution(1, np.array([math.nan, 1.0, math.nan]))
+
+    def test_coefficients_are_a_read_only_copy(self):
+        coeffs = np.array([0.25, 1.0, 0.25], dtype=complex)
+        dist = PhaseDistribution(1, coeffs)
+        coeffs[0] = 9.0
+        assert dist.coeffs[0] == 0.25
+        with pytest.raises(ValueError, match="read-only"):
+            dist.coeffs[0] = 0.0
+
+    @pytest.mark.parametrize("re, im", [([0.25, 1.0, 0.25], [0.0]),
+                                        ([1.0], [0.0, 0.0, 0.0]),
+                                        ([0.25, 1.0, 0.25], [])])
+    def test_json_parts_of_unequal_length_rejected(self, re, im):
+        with pytest.raises(ValueError):
+            PhaseDistribution.from_json_dict({"max_harmonic": 1, "re": re, "im": im})
+
+    def test_json_of_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="expected 5 coefficients"):
+            PhaseDistribution.from_json_dict(
+                {"max_harmonic": 2, "re": [0.25, 1.0, 0.25], "im": [0.0, 0.0, 0.0]})
+
+
 def test_sharpness_reads_first_harmonic():
     coeffs = np.array([0.2 - 0.1j, 0.3 + 0.4j, 1.0, 0.3 - 0.4j, 0.2 + 0.1j])
     dist = PhaseDistribution(2, coeffs)
