@@ -1,20 +1,9 @@
-"""Command-line front end.
+"""Command-line front end (README, "Command line").
 
-Commands: state-prep, probs, fisher-scan, evaluate, optimize.  Every run
-writes a machine-readable artifact embedding the fully resolved
-configuration, the seed, the package version, the wall time and the
-requested BLAS threads (`environment`; in the one `#` line of CSV output);
-rerunning with the same configuration and seed reproduces the numeric payload.
-When neither `OPENBLAS_NUM_THREADS` nor `OMP_NUM_THREADS` is set, the CLI
-runs numpy's bundled OpenBLAS on one thread (see `_cap_blas_threads`).
-
-Each command's parameters are declared once, in `_PARAMS`, which makes the
-flags, reads the config file and fills the defaults.  A parameter comes
-from its flag, else from the `--config` JSON object, else from its default.
-Config keys may be spelled as the flag (`chi-step`) or as the artifact's
-`config` records them (`chi_step`), so an artifact's `config` fed back
-through `--config` reruns it.  `command` and `seed` are accepted too; any
-other key exits 2, naming the key.
+Every run writes an artifact embedding the resolved configuration, the
+seed, the version, the wall time and the requested BLAS threads; the same
+configuration and seed reproduce the numeric payload bit for bit.  Each
+command's parameters are declared once, in `_PARAMS`.
 
 Exit codes: 0 success, 2 usage/validation error, 3 resource guard tripped.
 """
@@ -98,7 +87,9 @@ _PARAMS = {
 
 def _resolve(args: argparse.Namespace) -> dict:
     """The artifact's config: command, the command's parameters, seed.
-    Command-line flag wins, then config file, then the default."""
+    Command-line flag wins, then config file, then the default.  A bool is
+    no number, and an integer parameter refuses a non-integral number rather
+    than truncating it."""
     config = {}
     if args.config:
         try:
@@ -123,9 +114,13 @@ def _resolve(args: argparse.Namespace) -> dict:
             val = default
         if val is None:
             raise ValueError(f"missing required parameter --{flag}")
+        if cast in (int, float) and (isinstance(val, bool) or cast is int and (
+                isinstance(val, float) and not val.is_integer())):
+            kind = "an integer" if cast is int else "a number"
+            raise ValueError(f"--{flag}: {val!r} is not {kind}")
         try:
             cfg[key] = cast(val)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"--{flag}: {exc}") from exc
     if cfg.get("trials", 1) < 1:
         raise ValueError("trials must be >= 1")
@@ -133,14 +128,10 @@ def _resolve(args: argparse.Namespace) -> dict:
 
 
 def _cap_blas_threads() -> int | None:
-    """One thread for numpy's bundled OpenBLAS, unless the environment asks.
-
-    The kernels' matrix products are small: on a 2-core host two threads
-    made `optimize --n 9` 1.8x slower while the other core was busy and
-    gained nothing while it was idle (README, "Performance notes").  Acts
-    only when no variable of _BLAS_THREAD_VARS is set and the bundled
-    library exports its setter; returns the thread count it set.
-    """
+    """One thread for numpy's bundled OpenBLAS, whose second thread costs
+    more than it gains on the kernels' small products (README, "Performance
+    notes").  Acts only when no variable of _BLAS_THREAD_VARS is set and
+    the bundled library exports its setter; returns the thread count set."""
     if any(os.environ.get(k) is not None for k in _BLAS_THREAD_VARS):
         return None
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
@@ -204,11 +195,12 @@ def cmd_probs(cfg: dict):
 
 
 def cmd_fisher_scan(cfg: dict):
-    # chi advances rounded to 12 decimals: a step below 1e-12 may not move it,
-    # and nothing stops an infinite chi-max (the single photon ignores chi).
+    # chi advances rounded to 12 decimals, so a step below 1e-12 may not move
+    # it; the range is checked for every N, since the single photon ignores chi.
     lo, hi = cfg["chi_min"], cfg["chi_max"]
-    if not cfg["chi_step"] >= 1e-12 or not -math.inf < lo <= hi < math.inf:
-        raise ValueError("need chi-step >= 1e-12 and finite chi-max >= chi-min")
+    if not (cfg["chi_step"] >= 1e-12 and 0.0 <= lo <= hi <= 2.0):
+        raise ValueError("need chi-step >= 1e-12 and finite chi-max >= chi-min, "
+                         "both in [0, 2]")
     lines = ["chi,fisher\n"]
     chi = lo
     while chi <= hi + 1e-12:

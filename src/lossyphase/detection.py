@@ -10,10 +10,9 @@ phases only through x = phi - theta and is stored as a short Fourier series
 
 Port-labeling convention: the output beam splitter is taken real,
 b1+ -> (d1+ + d2+)/sqrt(2) and b2+ -> (d1+ - d2+)/sqrt(2), and k counts
-photons in the d2 port.  For the symmetric single-photon input this gives
-the fringes P(k=0) = eta (1 + cos x)/2 and P(k=1) = eta (1 - cos x)/2.
-The companion brute-force simulator `oracle_probabilities` uses the same
-convention and provides an independent check of the closed-form table.
+photons in the d2 port, so the symmetric single photon has the fringes
+eta (1 +- cos x)/2.  The brute-force `oracle_probabilities` uses the same
+convention and checks the closed-form table independently.
 
 Invariant (port-swap symmetry): a pi phase before the final splitter only
 swaps its output ports, so row (L, N-L-k) equals row (L, k) times (-1)^d
@@ -64,11 +63,9 @@ def _port_sum(n_det: int, r: int, k: int) -> float:
 class OutcomeLikelihoodTable:
     """Fourier coefficients of every P_{L,k} for one input state and eta.
 
-    matrix[i] holds outcome i of `iter_outcomes` over the full harmonic
-    band d = -N..N; outcome (L, k) occupies only |d| <= N - L and is zero
-    outside it.  Hermitian symmetry c_{-d} = conj(c_d) holds because
-    probabilities are real.  The matrix is stored read-only, and a matrix
-    without the port-swap symmetry of the module docstring is rejected.
+    matrix[i] holds outcome i of `iter_outcomes` over the full band
+    d = -N..N, zero where |d| > N - L.  It is stored read-only, and a
+    matrix without the port-swap symmetry is rejected.
     """
 
     n_photons: int
@@ -155,11 +152,8 @@ def _port_swap(n_photons: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _BuildKernel(NamedTuple):
-    """Everything in `build_likelihood_table` that depends on N alone.
-
-    Cached per N for the life of the process; `weight` holds O(N^4) floats
-    (3.8 MB at N = 30, 3 kB at N = 4).
-    """
+    """Everything in `build_likelihood_table` that depends on N alone,
+    cached per N for the life of the process (O(N^4) floats)."""
 
     weight: np.ndarray  # (outcome, m, r): sqrt(C C) port sum / sqrt(r! (N-L-r)!)
     gather: np.ndarray  # (m, r): index r + m into psi, clipped to N where weight is 0
@@ -202,10 +196,8 @@ def _amplitude_weights(state: TwoModeState, eta: float) -> np.ndarray:
     """w[outcome, m, r]: the amplitudes behind every outcome probability.
 
     With A_m(x) = sum_r w[., m, r] e^{-irx}, outcome (L, k) has
-    P_{L,k}(x) = pre_{L,k} sum_m |A_m(x)|^2 (pre from the build kernel).
-    The weights are the cached per-N kernel (binomials, port sums,
-    factorial norms) times psi_{r+m} and one loss factor
-    sqrt(eta^(N-L) (1-eta)^L) per L; they vanish for m > L and r > N - L.
+    P_{L,k}(x) = pre_{L,k} sum_m |A_m(x)|^2 (pre from the build kernel);
+    w vanishes for m > L and r > N - L.  Raises on eta outside [0, 1].
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta={eta} outside [0, 1]")
@@ -220,13 +212,9 @@ def build_likelihood_table(state: TwoModeState, eta: float) -> OutcomeLikelihood
     """Closed-form detection probabilities grouped by harmonic d = s - r.
 
     The phase factors Psi_k = psi_k e^{i(N-k)phi} e^{ik theta} make the
-    (r, s) cross term carry e^{i(s-r)(phi-theta)}, so each outcome reduces
-    to a vector over d.  The m / r / s / port sums factorize per m into an
-    outer product of one weight vector with itself, summed along its
-    diagonals: c_d = sum_m sum_r w_r conj(w_{r+d}).  A build is the gather
-    of `_amplitude_weights`, an outer product summed over m, and one
-    product with the kernel's 0/1 diagonal matrix into the padded
-    outcome x d matrix.
+    (r, s) cross term carry e^{i(s-r)(phi-theta)}, so per outcome
+    c_d = pre sum_m sum_r w_r conj(w_{r+d}) over the weights of
+    `_amplitude_weights`: an outer product summed along its diagonals.
     """
     n = state.n_photons
     kernel = _build_kernel(n)

@@ -10,12 +10,9 @@ x = phi - theta (`detection._amplitude_weights`), so per outcome
 which Cauchy-Schwarz bounds by 4 pre sum_m |A_m'|^2.  F is therefore finite
 everywhere; where every A_m vanishes exactly it takes that bound, its limit.
 
-Every maximum is found by one compass search over (state parameters, phi).
-Each candidate state starts at the best point of its 128-point phi grid,
-evaluated one state at a time; the searches then advance in lockstep, one
-numpy call per round for all of them, each with its own step.  The
-port-swap symmetry of the tables, P_{L,k}(x + pi) = P_{L,N-L-k}(x), makes F
-pi-periodic, so the grid covers [0, pi) only.
+Every maximum is one compass search over (state parameters, phi) from the
+best point of each candidate state's phi grid.  The grid covers [0, pi)
+only: the port-swap symmetry of `detection` makes F pi-periodic.
 """
 
 from __future__ import annotations
@@ -45,8 +42,8 @@ _COMPASS_ROUNDS = 200
 def _rows(n_photons: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray,
                                    np.ndarray]:
     """The (outcome, m) rows of `_amplitude_weights` with m <= L, the only
-    ones it can make non-zero (35 of 75 at N = 4), the first of each
-    outcome's rows among them, and pre per outcome."""
+    ones it can make non-zero, the first of each outcome's rows among them,
+    and pre per outcome."""
     kernel = _build_kernel(n_photons)
     outcome, m = np.nonzero(np.arange(n_photons + 1) <= kernel.lost[:, None])
     starts = np.searchsorted(outcome, np.arange(len(kernel.lost)))
@@ -62,12 +59,7 @@ def _weights(state: TwoModeState, eta: float) -> np.ndarray:
 
 def _fisher(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """F of each state of a (states, r, 2 rows) stack of `_weights` at its
-    own row of a (states, points) array of phase differences.
-
-    One product gives A and A' at every point; each outcome sums its rows'
-    |A|^2 and Re(conj(A) A'), and takes the limit 4 pre sum_m |A'|^2 where
-    sum_m |A|^2 is exactly 0.
-    """
+    own row of a (states, points) array of phase differences."""
     r = np.arange(w.shape[-2])
     _, starts, pre = _rows(len(r) - 1)
     both = np.exp(-1j * (x[..., None] * r)) @ w
@@ -106,12 +98,12 @@ def _grid_max(w: np.ndarray) -> tuple[float, float]:
 def _compass(score, x: np.ndarray, fx: np.ndarray, steps: tuple[float, ...],
              lo=-math.inf, hi=math.inf) -> tuple[np.ndarray, np.ndarray]:
     """Lockstep compass searches for a maximum, one from each row of x,
-    where F is fx.
+    where F is fx; returns the final (x, fx).
 
     A round scores the moves of +-h * steps along each axis, clipped to
     [lo, hi], of every live search by one call score(owner, points).  A
-    search takes its best move if that beats it (ties go to the earlier
-    move), or else halves its own h, which starts at 1; it stops once
+    search takes its best move if that beats it (ties to the earlier move),
+    or else halves its own h, which starts at 1; it stops once
     h * max(steps) < _COMPASS_STOP, or after _COMPASS_ROUNDS rounds.  So
     every search takes the steps it would take alone.
     """
@@ -130,18 +122,6 @@ def _compass(score, x: np.ndarray, fx: np.ndarray, steps: tuple[float, ...],
         x[live[up]], fx[live[up]] = trial[up, j[up]], best[up]
         h[live[~up]] /= 2.0
     return x, fx
-
-
-def _max_over_phi_states(states: list[TwoModeState], eta: float) -> np.ndarray:
-    """max over phi of F for each state, each state its own search.
-
-    F depends on phi - theta only, so the search runs at theta = 0; its
-    first step is half the grid spacing.
-    """
-    w = np.stack([_weights(s, eta) for s in states])
-    phi, fx = np.array([_grid_max(ws) for ws in w]).T
-    return _compass(lambda owner, x: _fisher(w[owner], x)[:, 0],
-                    phi[:, None], fx, (math.pi / 256,))[1]
 
 
 def _family_max(make, seeds, steps: tuple[float, ...], eta: float,
@@ -166,12 +146,8 @@ def _family_max(make, seeds, steps: tuple[float, ...], eta: float,
 
 
 def max_fisher_over_chi(n_photons: int, eta: float) -> tuple[float, float]:
-    """Best (chi, F) of the loss-resistant family at a given photon number.
-
-    Seeds chi on [0, 2] in steps of 0.02, then refines (chi, phi) from the
-    best three by the compass search, chi first stepping 0.01 and kept in
-    [0, 2].
-    """
+    """Best (chi, F) of the loss-resistant family at N = 2 or 4: chi seeded
+    on _CHI_GRID, then (chi, phi) refined with chi kept in [0, 2]."""
     if n_photons not in (2, 4):
         raise ValueError("loss-resistant families are built for N = 2 or 4")
     chi, f = _family_max(functools.partial(make_loss_resistant, n_photons // 2),
@@ -181,13 +157,9 @@ def max_fisher_over_chi(n_photons: int, eta: float) -> tuple[float, float]:
 
 
 def max_fisher_exact_optimal4(eta: float) -> tuple[float, float, float]:
-    """Best (chi1p, chi2p, F) over the two-parameter four-photon family.
-
-    Seeds a grid of step 0.25 over [0, 4]^2 and the one-parameter family's
-    slice (so the search space always contains it), then refines
-    (chi1p, chi2p, phi) from the best three by the compass search, both
-    parameters first stepping 0.125.
-    """
+    """Best (chi1p, chi2p, F) over the two-parameter four-photon family,
+    seeded on a 0.25 grid over [0, 4]^2 and on the loss-resistant slice, so
+    the search always contains that family."""
     grid = np.arange(0.0, 4.01, 0.25)
     seeds = [(c1, c2) for c1 in grid for c2 in grid]
     seeds += [(chi, (2.0 + chi * chi) / math.sqrt(6.0))

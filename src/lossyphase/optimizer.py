@@ -123,11 +123,9 @@ def optimize(
 ) -> OptimizationResult:
     """Evaluate every candidate plan and return the variance minimizer.
 
-    Ties are broken toward larger N1, then smaller chi2, then smaller chi4,
-    which is exactly the enumeration order, so the first minimum wins (the
-    all-single-photon plan when every variance is infinite, as at eta = 0).
-    evaluator is one of METHODS (see evaluate_plans).
-    Branch-guard violations name the first offending plan.
+    The first minimum in enumeration order wins, so ties go to larger N1,
+    then smaller chi2, then smaller chi4 (the all-single-photon plan when
+    every variance is infinite).  evaluator is one of METHODS.
     """
     plans = enumerate_plans(total_photons, chi_grid_step, eta)
     reports = evaluate_plans(plans, evaluator, mc_trials, mc_seed)

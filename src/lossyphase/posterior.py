@@ -35,8 +35,8 @@ __all__ = [
 class PhaseDistribution:
     """Coefficients a_j over j = -J..J; coeffs[J + j] holds a_j.
 
-    J must be an integer >= 0 (a bool is not) and the 2J + 1 coefficients
-    finite; they are stored as a read-only copy.
+    J must be a non-bool integer >= 0 and the 2J + 1 coefficients finite;
+    they are stored as a read-only copy.
     """
 
     max_harmonic: int
@@ -101,15 +101,11 @@ def bayes_update(
     outcome: Outcome,
     theta: float,
 ) -> PhaseDistribution:
-    """Posterior after observing `outcome` with controlled phase theta.
-
-    Multiplies the prior by the likelihood Fourier series (the one-row
-    case of `_engine.advance_selected`, which widens the band by N - L) and
-    renormalizes so a_0 = 1.  A non-finite theta is rejected, and so is an
-    outcome of zero predictive probability, which includes a likelihood
-    that is identically zero (a structurally impossible outcome, e.g.
-    photon loss at eta = 1): over the prior's finite coefficients it gives
-    a_0 = 0 exactly.
+    """Posterior after observing `outcome` with controlled phase theta,
+    renormalized to a_0 = 1: the one-row case of `_engine.advance_selected`,
+    which widens the band by N - L.  Raises on a non-finite theta and on an
+    outcome of zero predictive probability; an identically zero likelihood,
+    such as loss at eta = 1, gives a_0 = 0 exactly.
     """
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")

@@ -43,9 +43,12 @@ class TwoModeState:
             raise ValueError(
                 f"expected {self.n_photons + 1} amplitudes, got {amps.shape}"
             )
-        norm = np.linalg.norm(amps)
+        with np.errstate(over="ignore"):  # an overflow is rejected below
+            norm = np.linalg.norm(amps)
         if norm == 0.0:
             raise ValueError("state vector is identically zero")
+        if not math.isfinite(norm):
+            raise ValueError(f"state vector norm {norm} is not finite")
         amps = amps / norm
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
@@ -81,6 +84,29 @@ class TriPortConfig:
                 raise ValueError(f"{name}={r} outside [0, 1]")
 
 
+def _require_integer(name: str, value) -> None:
+    """Reject a bool or a non-integer; numpy integers are integers."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_half_n(half_n: int) -> None:
+    _require_integer("half_n", half_n)
+    if half_n < 1:
+        raise ValueError("half_n must be >= 1")
+
+
+def _fock_amplitudes(coefs) -> np.ndarray:
+    """psi_k = coefs[k] sqrt((N-k)! k!) of the monomials x^(N-k) y^k; raises
+    ValueError where the factorials overflow a float."""
+    n_tot = len(coefs) - 1
+    try:
+        return np.array([c * math.sqrt(math.factorial(n_tot - k) * math.factorial(k))
+                         for k, c in enumerate(coefs)], dtype=complex)
+    except OverflowError as exc:
+        raise ValueError(f"N={n_tot} amplitudes overflow a float") from exc
+
+
 def _check_chi(chi: float) -> float:
     chi = float(chi)
     if not 0.0 <= chi <= 2.0:
@@ -91,26 +117,17 @@ def _check_chi(chi: float) -> float:
 def make_loss_resistant(half_n: int, chi: float) -> TwoModeState:
     """Expand [(b1+)^2 + chi b1+ b2+ + (b2+)^2]^n |0,0> in the |N-k,k> basis.
 
-    half_n is n (the state carries N = 2n photons).  The expansion is done by
-    repeated polynomial multiplication of the quadratic form; monomial
-    coefficients pick up sqrt(k! (N-k)!) when converted to Fock amplitudes.
+    half_n is n, an integer >= 1 (the state carries N = 2n photons).
+    Raises ValueError where the amplitudes overflow a float.
     """
     chi = _check_chi(chi)
-    if half_n < 1:
-        raise ValueError("half_n must be >= 1")
-    # Polynomial coefficients over monomials x^(N-k) y^k, starting from
-    # the quadratic x^2 + chi x y + y^2.
+    _check_half_n(half_n)
+    # Polynomial coefficients over monomials x^(N-k) y^k.
     quad = np.array([1.0, chi, 1.0])
     poly = np.array([1.0])
     for _ in range(half_n):
         poly = np.convolve(poly, quad)
-    n_tot = 2 * half_n
-    amps = np.array(
-        [poly[k] * math.sqrt(math.factorial(n_tot - k) * math.factorial(k))
-         for k in range(n_tot + 1)],
-        dtype=complex,
-    )
-    return TwoModeState(n_tot, amps)
+    return TwoModeState(2 * half_n, _fock_amplitudes(poly))
 
 
 def make_exact_optimal4(chi1p: float, chi2p: float) -> TwoModeState:
@@ -176,12 +193,10 @@ def triport_transfer_matrix(config: TriPortConfig) -> np.ndarray:
 def forward_simulate_triport(config: TriPortConfig, half_n: int) -> TwoModeState:
     """Propagate |n,n,0> through the network and post-select vacuum in port 3.
 
-    The input polynomial (a1+)^n (a2+)^n is expanded over output-mode
-    monomials; every term containing b3+ is dropped, and the rest is
-    converted to |N-k,k> amplitudes and normalized.
+    half_n is n, an integer >= 1.  Raises ValueError where the amplitudes
+    overflow a float or the post-selected output has zero weight.
     """
-    if half_n < 1:
-        raise ValueError("half_n must be >= 1")
+    _check_half_n(half_n)
     m = triport_transfer_matrix(config)
     n_tot = 2 * half_n
 
@@ -198,11 +213,7 @@ def forward_simulate_triport(config: TriPortConfig, half_n: int) -> TwoModeState
             nxt[:, 1:] += m[row, 1] * poly[:, :-1]
             poly = nxt
 
-    amps = np.array(
-        [poly[n_tot - k, k]
-         * math.sqrt(math.factorial(n_tot - k) * math.factorial(k))
-         for k in range(n_tot + 1)]
-    )
+    amps = _fock_amplitudes([poly[n_tot - k, k] for k in range(n_tot + 1)])
     if np.linalg.norm(amps) < 1e-15:
         raise ValueError("post-selected output has zero weight")
     return TwoModeState(n_tot, amps)

@@ -34,7 +34,7 @@ from lossyphase.fisher import (
     max_fisher_exact_optimal4,
     max_fisher_over_chi,
 )
-from lossyphase.fisher import _max_over_phi_states
+from lossyphase.fisher import _compass, _fisher, _grid_max, _weights
 from lossyphase.optimizer import optimize, sql_baseline
 from lossyphase.posterior import (
     PhaseDistribution,
@@ -131,7 +131,10 @@ def test_criterion_3_fisher_peak_location():
 
     peak_paper_point = argmax_at(math.pi / 2.0)
     peak_literal = argmax_at(math.pi / 4.0)
-    vals_maxphi = _max_over_phi_states(states, 0.6)
+    w = np.stack([_weights(s, 0.6) for s in states])
+    phi, fx = np.array([_grid_max(ws) for ws in w]).T
+    vals_maxphi = _compass(lambda owner, x: _fisher(w[owner], x)[:, 0],
+                           phi[:, None], fx, (math.pi / 256,))[1]
     peak_invariant = float(chis[int(np.argmax(vals_maxphi))])
     ok = (0.7 <= peak_paper_point <= 0.9) and (0.7 <= peak_invariant <= 0.9) \
         and peak_literal < 0.1

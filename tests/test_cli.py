@@ -75,6 +75,13 @@ class TestStatePrep:
         assert code == EXIT_USAGE
         assert "chi" in err
 
+    @pytest.mark.parametrize("half_n", ["80", "86"])
+    def test_overflowing_state_exits_2(self, capsys, half_n):
+        # N = 160 once printed an all-zero state with forward_fidelity 0.0.
+        code, out, err = run(capsys, "state-prep", "--chi", "1", "--half-n", half_n)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and ("finite" in err or "overflow" in err)
+
 
 class TestProbs:
     def test_table_schema(self, capsys):
@@ -161,6 +168,18 @@ class TestFisherScan:
             capture_output=True, text=True, cwd=src, timeout=60)
         assert out.returncode == EXIT_USAGE
         assert "finite chi-max >= chi-min" in out.stderr and out.stdout == ""
+
+    @pytest.mark.parametrize("n_photons", ["1", "2", "4"])
+    @pytest.mark.parametrize("bounds", [("0", "40"), ("0", "2.5"), ("-0.5", "1"),
+                                        ("1.5", "1")],
+                             ids=["max-40", "max-2.5", "min-negative", "min-above-max"])
+    def test_chi_range_outside_0_2_exits_2(self, capsys, n_photons, bounds):
+        # Checked before the scan for every N: the single photon ignores chi.
+        code, out, err = run(capsys, "fisher-scan", "--n-photons", n_photons,
+                             "--eta", "0.6", f"--chi-min={bounds[0]}",
+                             f"--chi-max={bounds[1]}")
+        assert code == EXIT_USAGE and out == ""
+        assert "finite chi-max >= chi-min, both in [0, 2]" in err
 
     def test_dash_value_as_separate_argument(self, capsys):
         # argparse reads "-pi/2" as an option unless it is joined to its flag.
@@ -349,6 +368,27 @@ class TestEnvironment:
 
 
 class TestConfigFile:
+    @pytest.mark.parametrize("key, value, kind", [
+        ("n1", 2.7, "an integer"), ("n1", True, "an integer"),
+        ("n1", math.inf, "an integer"), ("eta", True, "a number"),
+    ], ids=["fraction", "bool", "inf", "bool-float"])
+    def test_bool_or_non_integral_number_exits_2(self, capsys, tmp_path, key, value, kind):
+        # int() would truncate 2.7 to 2 and read true as 1, float() true as 1.0.
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n1": 1, "eta": 0.6, key: value}))
+        code, out, err = run(capsys, "--config", str(cfg), "evaluate")
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: --{key}: {value!r} is not {kind}\n"
+
+    def test_integral_float_reads_as_integer(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"n1": 2.0, "eta": 0.6, "method": "mc", "trials": 1e5, '
+                       '"seed": 3.0}')
+        code, out, err = run(capsys, "--config", str(cfg), "evaluate")
+        assert code == EXIT_OK, err
+        config = json.loads(out)["config"]
+        assert (config["n1"], config["trials"], config["seed"]) == (2, 100000, 3)
+        assert all(type(config[k]) is int for k in ("n1", "trials", "seed"))
     def test_flags_override_config(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"n1": 1, "eta": 0.3, "method": "exact"}))
@@ -413,7 +453,8 @@ class TestConfigFile:
         (json.dumps({"n": 2, "eta": 0.6, "chi_stp": 1.0}), "chi_stp"),
         (json.dumps({"n": 2, "eta": 0.6, "n1": 1}), "'n1'"),
         ("[1, 2]", "JSON object"),
-    ], ids=["misspelt", "other-command", "not-an-object"])
+        (json.dumps({"n": [9], "eta": 0.6}), "error: --n: "),
+    ], ids=["misspelt", "other-command", "not-an-object", "list-value"])
     def test_bad_config_key_exits_2(self, capsys, tmp_path, text, needle):
         cfg = tmp_path / "run.json"
         cfg.write_text(text)

@@ -3,8 +3,11 @@
 A name defined by a def, a class or an assignment at the top of a module in
 src/lossyphase must be read somewhere in src/, tests/, demos/ or perfbench/:
 as a name, as an attribute, by an import or as a string equal to it (the
-`__all__` lists and getattr-style lookups).  The repository has no linter;
-this is its guard against dead constants and helpers.
+`__all__` lists and getattr-style lookups).  A private name, one with a
+leading underscore or any name in `_engine`, must be read in src/ or
+perfbench/: a helper that only tests call belongs in the tests.  The
+repository has no linter; this is its guard against dead constants and
+helpers.
 """
 
 import ast
@@ -13,6 +16,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "lossyphase"
 SEARCHED = ("src", "tests", "demos", "perfbench")
+PROGRAM = ("src", "perfbench")
 
 
 def defined_names(tree):
@@ -43,15 +47,28 @@ def used_names(tree):
     return used
 
 
-def test_every_module_level_name_is_used():
+def names_read_in(tops):
     used = set()
-    for top in SEARCHED:
+    for top in tops:
         for path in sorted((ROOT / top).rglob("*.py")):
             used |= used_names(ast.parse(path.read_text(), str(path)))
-    dead = sorted(
-        f"{path.stem}.{name}"
-        for path in sorted(PACKAGE.glob("*.py"))
-        for name in defined_names(ast.parse(path.read_text(), str(path)))
-        if name not in used
-    )
-    assert dead == []
+    return used
+
+
+def package_names():
+    """(module stem, name) of every module-level name of the package."""
+    return [(path.stem, name)
+            for path in sorted(PACKAGE.glob("*.py"))
+            for name in sorted(defined_names(ast.parse(path.read_text(), str(path))))]
+
+
+def test_every_module_level_name_is_used():
+    used = names_read_in(SEARCHED)
+    assert [f"{m}.{n}" for m, n in package_names() if n not in used] == []
+
+
+def test_every_private_name_is_read_by_the_program():
+    used = names_read_in(PROGRAM)
+    test_only = [f"{m}.{n}" for m, n in package_names()
+                 if (n.startswith("_") or m == "_engine") and n not in used]
+    assert test_only == []

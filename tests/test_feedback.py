@@ -65,10 +65,15 @@ class TestExpectedSharpness:
             assert val >= expected_sharpness(prior, T2, float(theta)) - 1e-12
 
 
+def candidates(prior):
+    """The closed form's (candidates, flat, degenerate) for one prior."""
+    return _engine._candidates(_engine._harmonics(prior.coeffs[None], 0, 2))
+
+
 class TestClosedForm:
     def test_flat_prior_returns_zero(self):
         assert optimal_theta_single_photon(flat_prior()) == 0.0
-        _, flat, degenerate = _engine.closed_form_candidates(flat_prior().coeffs[None])
+        _, flat, degenerate = candidates(flat_prior())
         assert flat[0] and not degenerate[0]
 
     def test_cosine_prior_matches_numeric(self):
@@ -83,7 +88,7 @@ class TestClosedForm:
 
     def test_candidates_include_known_stationary_points(self):
         prior = PhaseDistribution(1, np.array([0.5, 1.0, 0.5], dtype=complex))
-        cands, flat, degenerate = _engine.closed_form_candidates(prior.coeffs[None])
+        cands, flat, degenerate = candidates(prior)
         assert not flat[0] and not degenerate[0]
         assert np.allclose(np.sort(cands[0]), [0.0, math.pi / 2.0, math.pi],
                            atol=1e-12)
@@ -92,7 +97,7 @@ class TestClosedForm:
         # a_1 = 0 and |a_2| = a_0 make c1 vanish exactly: theta_+- are
         # undefined and the closed form defers to the numeric search.
         prior = PhaseDistribution(2, np.array([1, 0, 1, 0, 1], dtype=complex))
-        _, flat, degenerate = _engine.closed_form_candidates(prior.coeffs[None])
+        _, flat, degenerate = candidates(prior)
         assert not flat[0] and degenerate[0]
         assert optimal_theta_single_photon(prior) == optimal_theta_numeric(
             prior, T1

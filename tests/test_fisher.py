@@ -14,8 +14,9 @@ from lossyphase.fisher import (
     _COMPASS_ROUNDS,
     _COMPASS_STOP,
     _PHI_GRID,
+    _compass,
     _fisher,
-    _max_over_phi_states,
+    _grid_max,
     _rows,
     _weights,
     fisher_information,
@@ -176,6 +177,16 @@ def reference_compass_over_phi(w):
     return f
 
 
+# max over phi of F for each state, each state its own lockstep compass
+# search from the best point of its phi grid: the package's searches with
+# no state parameter.
+def lockstep_max_over_phi(states, eta):
+    w = np.stack([_weights(s, eta) for s in states])
+    phi, fx = np.array([_grid_max(ws) for ws in w]).T
+    return _compass(lambda owner, x: _fisher(w[owner], x)[:, 0],
+                    phi[:, None], fx, (math.pi / 256,))[1]
+
+
 # A golden-section search within one grid step of the grid winner: a second
 # algorithm, the independent witness of the compass searches' maxima.
 def reference_grid_golden_max(f, grid, vals, lo, hi, iters):
@@ -227,7 +238,7 @@ class TestLockstepWitness:
         states = [TwoModeState(n, rng.normal(size=n + 1)
                                + 1j * rng.normal(size=n + 1))
                   for _ in range(40)]
-        stacked = _max_over_phi_states(states, eta)
+        stacked = lockstep_max_over_phi(states, eta)
         expected = [reference_compass_over_phi(_weights(s, eta)) for s in states]
         assert stacked.tolist() == expected
         golden = [reference_max_over_phi(_weights(s, eta)) for s in states]
@@ -245,7 +256,7 @@ class TestLockstepWitness:
                 for points in (_PHI_GRID, x):
                     assert np.allclose(_fisher(ws[None], points[None])[0], f,
                                        rtol=1e-12, atol=0.0), (n, f)
-            stacked = np.array([_max_over_phi_states([state] * 2, eta)
+            stacked = np.array([lockstep_max_over_phi([state] * 2, eta)
                                 for eta in (0.6, 0.9, 1.0)])
             assert np.allclose(stacked, np.array(expected)[:, None],
                                rtol=1e-12, atol=0.0)
@@ -296,7 +307,7 @@ class TestAmplitudeWitness:
             for s in states)
         for n in (1, 2, 4):
             group = [s for s in states if s.n_photons == n]
-            worst = max(worst, _max_over_phi_states(group, eta).max() - n * n)
+            worst = max(worst, lockstep_max_over_phi(group, eta).max() - n * n)
         worst = max(worst, max_fisher_over_chi(2, eta)[1] - 4.0,
                     max_fisher_exact_optimal4(eta)[2] - 16.0)
         assert worst <= 1e-9
@@ -328,7 +339,7 @@ class TestAmplitudeWitness:
         pairs += [(make_exact_optimal4(0.0, 0.0), make_exact_optimal4(*chi))
                   for chi in ((1e-15, 0.0), (0.0, 1e-15))]
         for pair in pairs:
-            f = _max_over_phi_states(list(pair), eta)
+            f = lockstep_max_over_phi(list(pair), eta)
             assert f[1] == pytest.approx(f[0], rel=1e-9, abs=0.0)
 
 
@@ -363,7 +374,7 @@ class TestCompassSearch:
         for d1 in (-1e-5, 0.0, 1e-5):
             for d2 in (-1e-5, 0.0, 1e-5):
                 state = make_exact_optimal4(c1 + d1, c2 + d2)
-                assert _max_over_phi_states([state], eta)[0] <= f, (d1, d2)
+                assert lockstep_max_over_phi([state], eta)[0] <= f, (d1, d2)
 
     def test_not_below_the_earlier_maximum(self):
         # perfbench/reference.json's value, from a Nelder-Mead refinement.

@@ -2,9 +2,10 @@
 
 The float walks have float witnesses only: the grid oracle integrates on
 a 4,096-point grid and the leaf-summing reference repeats the same float
-arithmetic.  Here every record of three plans is walked at 40 digits:
-the 162 of (3, 1, 1.7, 0, 0, 0.6), the 45 of (1, 0, 0, 1, 1.3, 0.6) and the
-270 of (1, 1, 1.7, 1, 1.3, 0.6), the last two through a four-photon stage.
+arithmetic.  Here every record of four plans is walked at 40 digits:
+the 162 of (3, 1, 1.7, 0, 0, 0.6), the 45 of (1, 0, 0, 1, 1.3, 0.6), the
+270 of (1, 1, 1.7, 1, 1.3, 0.6), those two through a four-photon stage, and
+the 13,122 of the paper's N=9 row (7, 1, 1.7, 0, 0, 0.6).
 The tables are summed from the float amplitude weights, and every Bayes
 update and the last detection's expected sharpness are done in mpmath.  Each theta is the float feedback as the walk chooses it, read
 off a float row updated beside the exact one, so the difference measures
@@ -29,6 +30,7 @@ PLANS = {
     "3-1-1.7-0-0": (SequencePlan(n1=3, n2=1, chi2=1.7, eta=0.6), 162),
     "1-0-0-1-1.3": (SequencePlan(n1=1, n4=1, chi4=1.3, eta=0.6), 45),
     "1-1-1.7-1-1.3": (SequencePlan(n1=1, n2=1, chi2=1.7, n4=1, chi4=1.3, eta=0.6), 270),
+    "7-1-1.7-0-0": (SequencePlan(n1=7, n2=1, chi2=1.7, eta=0.6), 13122),
 }
 DIGITS = 40
 
@@ -130,7 +132,8 @@ def test_walk_covers_every_record(walked):
 def test_float_walk_within_bound_of_40_digits(walked, evaluator):
     # Measured |mu_float - mu_mp|, exact and speedup: 1.7e-16 and 5.3e-17
     # for (3, 1, 1.7), 1.45e-17 and 1.45e-17 for (1, 0, 0, 1, 1.3), 1.43e-16
-    # and 3.2e-17 for (1, 1, 1.7, 1, 1.3); about one ulp of mu.
+    # and 3.2e-17 for (1, 1, 1.7, 1, 1.3), 4.4e-16 and 5.5e-16 for
+    # (7, 1, 1.7); a few ulps of mu at most.
     plan, _, mu_mp, _ = walked
     assert 0.5 < mu_mp < 1.0
     assert abs(mpmath.mpf(evaluator(plan).mu) - mu_mp) <= 1e-15

@@ -493,10 +493,6 @@ class TestBranchGuard:
         with pytest.raises(BranchGuardError):
             evaluate_exact_with_speedup(plan)
 
-    def test_custom_guard(self):
-        with pytest.raises(BranchGuardError):
-            evaluate_exact(SequencePlan(n1=2, eta=0.5), branch_guard=8)
-
 
 class TestMonteCarlo:
     def test_single_photon_matches_analytic(self):

@@ -44,6 +44,39 @@ def test_zero_half_n_rejected():
         make_loss_resistant(0, 1.0)
 
 
+@pytest.mark.parametrize("half_n", [1.5, 2.0, True])
+def test_non_integer_half_n_rejected(half_n):
+    triport = synthesize_triport(1.0)
+    with pytest.raises(ValueError, match="half_n must be an integer"):
+        make_loss_resistant(half_n, 1.0)
+    with pytest.raises(ValueError, match="half_n must be an integer"):
+        forward_simulate_triport(triport, half_n)
+
+
+@pytest.mark.parametrize("half_n", [80, 86])
+def test_overflowing_amplitudes_rejected(half_n):
+    # N = 160 overflows the norm, N = 172 the factorials; neither may come
+    # back as an all-zero state.
+    with pytest.raises(ValueError, match="not finite|overflow"):
+        make_loss_resistant(half_n, 1.0)
+
+
+def test_overflowing_triport_output_rejected():
+    with pytest.raises(ValueError, match="overflow"):
+        forward_simulate_triport(synthesize_triport(1.0), 86)
+
+
+def test_largest_safe_states_keep_their_bits():
+    # The norm's overflow check leaves a valid state as it was.
+    state = make_loss_resistant(60, 1.0)
+    assert np.isfinite(state.amplitudes).all() and state.norm_error() < 1e-12
+    big = make_exact_optimal4(1e150, 1.0)
+    amps = np.array([1.0, 1e150, 1.0, 1e150, 1.0], dtype=complex)
+    assert big.amplitudes.tolist() == (amps / np.linalg.norm(amps)).tolist()
+    with pytest.raises(ValueError, match="not finite"):
+        make_exact_optimal4(1e200, 1.0)
+
+
 def test_family_symmetric_and_normalized():
     for chi in np.arange(0.0, 2.0001, 0.25):
         for n in (1, 2, 3, 4):
@@ -122,5 +155,9 @@ def test_single_photon_state():
 def test_state_validation():
     with pytest.raises(ValueError):
         TwoModeState(2, np.zeros(3))
+    with pytest.raises(ValueError, match="not finite"):
+        TwoModeState(2, np.array([1.0, math.inf, 1.0]))
+    with pytest.raises(ValueError, match="not finite"):
+        TwoModeState(2, np.array([1.0, math.nan, 1.0]))
     with pytest.raises(ValueError):
         TwoModeState(2, np.ones(2))
