@@ -124,6 +124,8 @@ def _resolve(args: argparse.Namespace) -> dict:
             raise ValueError(f"--{flag}: {exc}") from exc
     if cfg.get("trials", 1) < 1:
         raise ValueError("trials must be >= 1")
+    if cfg["seed"] < 0:
+        raise ValueError(f"--seed: {cfg['seed']} is negative")
     return cfg
 
 

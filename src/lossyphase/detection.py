@@ -23,7 +23,6 @@ which lets the feedback search scan theta over [0, pi) only.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -32,7 +31,7 @@ from typing import Iterator, Mapping, NamedTuple
 import numpy as np
 
 from lossyphase import _engine
-from lossyphase.states import TwoModeState
+from lossyphase.states import TwoModeState, _times_linear_form
 
 __all__ = [
     "Outcome",
@@ -244,80 +243,37 @@ def evaluate_outcome(
     return max(p, 0.0)
 
 
-def _linear_form_power(terms: list[tuple[complex, int]], power: int,
-                       shape: tuple[int, ...]) -> np.ndarray:
-    """(sum_i coeff_i * mode_i)^power as a dense monomial-coefficient array."""
-    out = np.zeros(shape, dtype=complex)
-    exps = [idx for _, idx in terms]
-    cfs = [cf for cf, _ in terms]
-    for split in itertools.product(range(power + 1), repeat=len(terms) - 1):
-        if sum(split) > power:
-            continue
-        counts = list(split) + [power - sum(split)]
-        coef = math.factorial(power)
-        mono = [0] * len(shape)
-        for cnt, cf, idx in zip(counts, cfs, exps):
-            coef /= math.factorial(cnt)
-            coef *= cf ** cnt
-            mono[idx] += cnt
-        out[tuple(mono)] += coef
-    return out
-
-
 def oracle_probabilities(
     state: TwoModeState, eta: float, phi: float, theta: float
 ) -> dict[Outcome, float]:
     """Brute-force detection probabilities by explicit 4-mode simulation.
 
-    Applies the arm phases, expands both loss beam splitters into explicit
-    loss modes, applies the real 50/50 output splitter, and marginalizes
-    |amplitude|^2 over loss-mode configurations.  Independent of the
-    Fourier-table construction; limited to N <= ORACLE_MAX_PHOTONS.
+    Expands each arm-phased term psi_k |N-k, k> from the vacuum of modes
+    (d1, d2, c1, c2) by N-k linear-form steps of b1+ and k of b2+, which
+    hold both loss beam splitters and the real 50/50 output splitter, and
+    marginalizes |amplitude|^2 over the loss modes c1, c2.  Reads no
+    likelihood table; limited to N <= ORACLE_MAX_PHOTONS.
     """
     n = state.n_photons
     if n > ORACLE_MAX_PHOTONS:
         raise ValueError(f"oracle limited to N <= {ORACLE_MAX_PHOTONS}")
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta={eta} outside [0, 1]")
-    root_t = math.sqrt(eta / 2.0)
-    root_l = 1j * math.sqrt(1.0 - eta)
-    # modes: (d1, d2, c1, c2); b1 -> rt (d1 + d2) + rl c1, b2 -> rt (d1 - d2) + rl c2
-    b1 = [(root_t, 0), (root_t, 1), (root_l, 2)]
-    b2 = [(root_t, 0), (-root_t, 1), (root_l, 3)]
-    shape = (n + 1,) * 4
-    poly = np.zeros(shape, dtype=complex)
+    rt, rl = math.sqrt(eta / 2.0), 1j * math.sqrt(1.0 - eta)
+    # b1 -> rt (d1 + d2) + rl c1, b2 -> rt (d1 - d2) + rl c2
+    b1, b2 = (rt, rt, rl, 0.0), (rt, -rt, 0.0, rl)
+    poly = np.zeros((n + 1,) * 4, dtype=complex)
     for k in range(n + 1):
-        amp = (
-            state.amplitudes[k]
-            * np.exp(1j * ((n - k) * phi + k * theta))
-            / math.sqrt(math.factorial(n - k) * math.factorial(k))
-        )
-        poly += amp * _mono_product(
-            _linear_form_power(b1, n - k, shape),
-            _linear_form_power(b2, k, shape),
-            shape,
-        )
+        term = np.zeros_like(poly)
+        term[0, 0, 0, 0] = (state.amplitudes[k] * np.exp(1j * ((n - k) * phi + k * theta))
+                            / math.sqrt(math.factorial(n - k) * math.factorial(k)))
+        for form in (b1,) * (n - k) + (b2,) * k:
+            term = _times_linear_form(term, form)
+        poly += term
+    fact = np.array([math.factorial(e) for e in range(n + 1)], dtype=float)
+    # |Fock amplitude|^2 = |coefficient|^2 prod(index!), summed over d1.
+    weight = (np.abs(poly) ** 2 * math.prod(np.ix_(*(fact,) * 4))).sum(axis=0)
     probs = {o: 0.0 for o in iter_outcomes(n)}
-    for e1, e2, l1, l2 in itertools.product(range(n + 1), repeat=4):
-        coef = poly[e1, e2, l1, l2]
-        if coef == 0.0:
-            continue
-        fock = coef * math.sqrt(
-            math.factorial(e1) * math.factorial(e2)
-            * math.factorial(l1) * math.factorial(l2)
-        )
-        probs[Outcome(l1 + l2, e2)] += abs(fock) ** 2
+    for e2, l1, l2 in zip(*np.nonzero(weight)):
+        probs[Outcome(l1 + l2, e2)] += weight[e2, l1, l2]
     return probs
-
-
-def _mono_product(a: np.ndarray, b: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Polynomial product of two monomial-coefficient arrays, truncated to shape."""
-    out = np.zeros(shape, dtype=complex)
-    nz_a = np.argwhere(a)
-    nz_b = np.argwhere(b)
-    for ia in nz_a:
-        for ib in nz_b:
-            idx = tuple(ia + ib)
-            if all(i < s for i, s in zip(idx, shape)):
-                out[idx] += a[tuple(ia)] * b[tuple(ib)]
-    return out

@@ -181,11 +181,11 @@ class _Stage:
     # Merged stages only: p0 of each chi value (the all-lost merge).
     lost: np.ndarray | None = None
 
-    def thetas(self, batch: np.ndarray, cmat: np.ndarray | None = None) -> np.ndarray:
-        """Feedback per row against cmat (default: own)."""
+    def thetas(self, batch: np.ndarray, cmat: np.ndarray) -> np.ndarray:
+        """Feedback per row against cmat."""
         if self.single_photon:
             return _engine.closed_form_theta_batch(batch)
-        return _engine.numeric_theta_batch(batch, self.cmat if cmat is None else cmat)
+        return _engine.numeric_theta_batch(batch, cmat)
 
     def sharpened(self, batch: np.ndarray, cmat: np.ndarray,
                   settle: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -340,36 +340,35 @@ def _walk_tree(stages: list[_Stage], rng: np.random.Generator | None = None,
             batch /= batch[:, batch.shape[1] // 2].real[:, None]
         chi = cells // strides[si] % fans[si]
         cmat = stage.cmat if fans[si] == 1 else stage.cmat[chi]
-        thetas = None
-        if not last or step == span or lost[si].any():
-            # Rows whose remaining merged detections all lose their photons.
-            if rng is None:
-                weight = math.comb(span, step) * lost[si][chi] ** (span - step)
-                stopped = counts
-            else:
-                stopped = rng.binomial(counts, hazards[si][chi, step])
-                weight, counts = (stopped > 0) * 1.0, counts - stopped
-            if last:
-                thetas, sharp = stage.sharpened(batch, cmat, step == span)
-                terms = sharp * (weight * stopped)
-                sums += [np.bincount(cells, terms, sums.shape[1]),
-                         np.bincount(cells, terms * sharp, sums.shape[1])]
-            else:
-                keep = np.flatnonzero(weight)
-                if keep.size:
-                    pad = ((0, 0), ((span - step) * (stage.cmat.shape[-1] // 2),) * 2)
-                    leaving[si].append((np.pad(batch[keep] * weight[keep, None], pad),
-                                        cells[keep], stopped[keep]))
-            if step == span:
-                continue
+        # Rows whose remaining merged detections all lose their photons.
+        if rng is None:
+            weight = math.comb(span, step) * lost[si][chi] ** (span - step)
+            stopped = counts
+        else:
+            stopped = rng.binomial(counts, hazards[si][chi, step])
+            weight, counts = (stopped > 0) * 1.0, counts - stopped
+        if last:
+            thetas, sharp = stage.sharpened(batch, cmat, step == span)
+            terms = sharp * (weight * stopped)
+            sums += [np.bincount(cells, terms, sums.shape[1]),
+                     np.bincount(cells, terms * sharp, sums.shape[1])]
+        else:
+            keep = np.flatnonzero(weight)
+            if keep.size:
+                pad = ((0, 0), ((span - step) * (stage.cmat.shape[-1] // 2),) * 2)
+                leaving[si].append((np.pad(batch[keep] * weight[keep, None], pad),
+                                    cells[keep], stopped[keep]))
+        if step == span:
+            continue
         if rng is not None:  # only rows with trials left go on
             go = np.flatnonzero(counts)
             if not go.size:
                 continue
             batch, cells, counts = batch[go], cells[go], counts[go]
-            thetas = None if thetas is None else thetas[go]
             cmat = cmat if cmat.ndim == 2 else cmat[go]
-        if thetas is None:
+            if last:
+                thetas = thetas[go]
+        if not last:
             thetas = stage.thetas(batch, cmat)
         branch = cmat if stage.lost is None else cmat[..., :-1, :]
         if rng is not None:

@@ -190,6 +190,17 @@ def triport_transfer_matrix(config: TriPortConfig) -> np.ndarray:
     )
 
 
+def _times_linear_form(poly: np.ndarray, coefs) -> np.ndarray:
+    """poly times sum_m coefs[m] a_m+, where poly[e] is the coefficient of
+    prod_m a_m+^e[m]; terms beyond poly's shape are dropped."""
+    out = np.zeros_like(poly)
+    for axis, c in enumerate(coefs):
+        src, dst = [slice(None)] * poly.ndim, [slice(None)] * poly.ndim
+        src[axis], dst[axis] = slice(None, -1), slice(1, None)
+        out[tuple(dst)] += c * poly[tuple(src)]
+    return out
+
+
 def forward_simulate_triport(config: TriPortConfig, half_n: int) -> TwoModeState:
     """Propagate |n,n,0> through the network and post-select vacuum in port 3.
 
@@ -206,12 +217,8 @@ def forward_simulate_triport(config: TriPortConfig, half_n: int) -> TwoModeState
     # never lose their b3 factor).
     poly = np.zeros((n_tot + 1, n_tot + 1), dtype=complex)
     poly[0, 0] = 1.0
-    for row in (0, 1):  # a1+ n times, then a2+ n times
-        for _ in range(half_n):
-            nxt = np.zeros_like(poly)
-            nxt[1:, :] += m[row, 0] * poly[:-1, :]
-            nxt[:, 1:] += m[row, 1] * poly[:, :-1]
-            poly = nxt
+    for coefs in (m[0, :2],) * half_n + (m[1, :2],) * half_n:  # a1+^n, then a2+^n
+        poly = _times_linear_form(poly, coefs)
 
     amps = _fock_amplitudes([poly[n_tot - k, k] for k in range(n_tot + 1)])
     if np.linalg.norm(amps) < 1e-15:

@@ -266,6 +266,18 @@ class TestEvaluate:
         assert code == EXIT_USAGE
         assert err == "error: trials must be >= 1\n"
 
+    @pytest.mark.parametrize("method", ["exact", "speedup", "mc"])
+    def test_negative_seed_exits_2_for_every_method(self, capsys, tmp_path, method):
+        # numpy would reject it under mc without naming the flag, and the
+        # other methods would write it to the artifact.
+        code, out, err = run(capsys, "evaluate", "--n1", "2", "--eta", "0.6",
+                             "--method", method, "--trials", "10", "--seed", "-1")
+        assert (code, out, err) == (EXIT_USAGE, "", "error: --seed: -1 is negative\n")
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n1": 2, "eta": 0.6, "method": method, "seed": -4}))
+        code, out, err = run(capsys, "--config", str(cfg), "evaluate")
+        assert (code, out, err) == (EXIT_USAGE, "", "error: --seed: -4 is negative\n")
+
     def test_mc_is_seeded(self, capsys):
         argv = ("evaluate", "--n1", "1", "--eta", "0.6", "--method", "mc",
                 "--trials", "2000", "--seed", "9")

@@ -7,7 +7,7 @@ as a name, as an attribute, by an import or as a string equal to it (the
 leading underscore or any name in `_engine`, must be read in src/ or
 perfbench/: a helper that only tests call belongs in the tests.  The
 repository has no linter; this is its guard against dead constants and
-helpers.
+helpers, and against imports a module no longer reads.
 """
 
 import ast
@@ -72,3 +72,25 @@ def test_every_private_name_is_read_by_the_program():
     test_only = [f"{m}.{n}" for m, n in package_names()
                  if (n.startswith("_") or m == "_engine") and n not in used]
     assert test_only == []
+
+
+def unused_imports(tree):
+    """Names a module imports but never reads as a name; __future__ is
+    exempt."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+    return bound - read
+
+
+def test_every_import_is_read_by_its_module():
+    # __init__ imports only to re-export.
+    unused = [f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py"))
+              if path.stem != "__init__"
+              for name in sorted(unused_imports(ast.parse(path.read_text(), str(path))))]
+    assert unused == []

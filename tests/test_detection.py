@@ -128,7 +128,7 @@ class TestOracleEquivalence:
 
     def test_random_complex_states_match_oracle(self):
         rng = np.random.default_rng(77)
-        for n in (2, 3, 5):
+        for n in (2, 3, 5, 6):
             for eta in (0.15, 0.85):
                 state = random_state(rng, n)
                 table = build_likelihood_table(state, eta)

@@ -99,7 +99,7 @@ def mp_walk(plan):
             total += mp_sharpness(coeffs, table, theta)
             records += len(table)
             continue
-        theta = stage.thetas(row)[0]
+        theta = stage.thetas(row, stage.cmat)[0]
         children = _engine.advance_batch(row, stage.cmat, np.array([theta]))[0]
         for child, table_row in zip(children, table):
             stack.append((child[None], mp_child(coeffs, table_row, theta), depth + 1))

@@ -202,7 +202,8 @@ def reference_walk(stages):
             leaves += batch.shape[0]
             continue
         stage = stages[si]
-        children = _engine.advance_batch(batch, stage.cmat, stage.thetas(batch))
+        children = _engine.advance_batch(batch, stage.cmat,
+                                         stage.thetas(batch, stage.cmat))
         children = children.reshape(-1, children.shape[2])
         alive = np.abs(children).max(axis=1) > 0.0
         next_si, next_step = (si, step + 1) if step + 1 < stage.count else (si + 1, 0)
@@ -383,8 +384,8 @@ def distinct_rows_per_depth(stage):
     level, counts = [np.ones((1, 1), dtype=complex)], []
     for _ in range(stage.count):
         counts.append(len({row.tobytes() for row in level}))
-        level = [child[None] for row in level for child in
-                 _engine.advance_batch(row, stage.cmat, stage.thetas(row))[0]]
+        level = [child[None] for row in level for child in _engine.advance_batch(
+                     row, stage.cmat, stage.thetas(row, stage.cmat))[0]]
     return counts
 
 
@@ -471,15 +472,17 @@ class TestAllLostMerge:
     def test_lossless_stages_leave_only_at_full_depth(self, monkeypatch):
         # At eta = 1 every weight below full depth is zero: no row leaves
         # early, so the multi-photon stage sees only the 2^(n1-1) records
-        # the twin-merged single-photon stage ends with.
+        # the twin-merged single-photon stage ends with.  That last stage
+        # scores every depth at the fused kernel; with n2 = 2 its depth-0
+        # rows are the ones that do not settle.
         rows = []
-        kernel = _engine.numeric_theta_batch
+        kernel = _engine._theta_and_sharpness
 
-        def counted(batch, cmat):
-            rows.append(batch.shape[0])
-            return kernel(batch, cmat)
+        def counted(batch, cmat, settle):
+            rows.append(0 if settle else batch.shape[0])
+            return kernel(batch, cmat, settle)
 
-        monkeypatch.setattr(_engine, "numeric_theta_batch", counted)
+        monkeypatch.setattr(_engine, "_theta_and_sharpness", counted)
         plan = SequencePlan(n1=4, n2=2, chi2=1.7, eta=1.0)
         evaluate_exact_with_speedup(plan)
         assert sum(rows) == 2 ** (plan.n1 - 1)
@@ -656,7 +659,7 @@ def reference_simulate(stages, rng, n_trials):
     batch = np.ones((n_trials, 1), dtype=complex)
     for stage in stages:
         for _ in range(stage.count):
-            thetas = stage.thetas(batch)
+            thetas = stage.thetas(batch, stage.cmat)
             probs = np.clip(
                 _engine.outcome_probabilities(stage.cmat, phi - thetas).real,
                 0.0, None)
