@@ -198,7 +198,9 @@ def _theta_from_weights(w: np.ndarray, settle: bool) -> np.ndarray:
     theta = THETA_GRID[idx]
     margin = 1.0 + _SNAP
     refine = (f_best > f_prev * margin) & (f_best > f_next * margin)
-    if refine.any():
+    if refine.all():
+        theta = _refine_newton(w, theta, theta - _GRID_STEP, theta + _GRID_STEP, settle)
+    elif refine.any():
         center = theta[refine]
         theta[refine] = _refine_newton(
             w[refine], center, center - _GRID_STEP, center + _GRID_STEP, settle
@@ -216,16 +218,20 @@ def _in_blocks(kernel):
     """
     @functools.wraps(kernel)
     def blocked(batch, cmat, *per_row, **options):
-        if batch.shape[0] <= _BLOCK_ROWS:
+        n_rows = batch.shape[0]
+        if n_rows <= _BLOCK_ROWS:
             return kernel(batch, cmat, *per_row, **options)
-        parts = []
-        for lo in range(0, batch.shape[0], _BLOCK_ROWS):
+        outs = None
+        for lo in range(0, n_rows, _BLOCK_ROWS):
             rows = slice(lo, lo + _BLOCK_ROWS)
-            parts.append(kernel(batch[rows], cmat[rows] if cmat.ndim == 3 else cmat,
-                                *(a[rows] for a in per_row), **options))
-        if isinstance(parts[0], tuple):
-            return tuple(np.concatenate(column) for column in zip(*parts))
-        return np.concatenate(parts)
+            part = kernel(batch[rows], cmat[rows] if cmat.ndim == 3 else cmat,
+                          *(a[rows] for a in per_row), **options)
+            parts = part if isinstance(part, tuple) else (part,)
+            if outs is None:
+                outs = tuple(np.empty((n_rows,) + a.shape[1:], a.dtype) for a in parts)
+            for out, a in zip(outs, parts):
+                out[rows] = a
+        return outs if isinstance(part, tuple) else outs[0]
     return blocked
 
 

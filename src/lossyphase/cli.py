@@ -123,7 +123,7 @@ def _resolve(args: argparse.Namespace) -> dict:
         except (TypeError, ValueError) as exc:
             raise ValueError(f"--{flag}: {exc}") from exc
     if cfg.get("trials", 1) < 1:
-        raise ValueError("trials must be >= 1")
+        raise ValueError(f"--trials: {cfg['trials']} is below 1")
     if cfg["seed"] < 0:
         raise ValueError(f"--seed: {cfg['seed']} is negative")
     return cfg

@@ -65,6 +65,7 @@ Robert, Biometrika 83, 81 (1996)).  The sampled walk keeps both pi twins.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -269,11 +270,28 @@ def _merge_root_twins(children: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return 2.0 * children[:, :1]
 
 
+@functools.lru_cache(maxsize=None)
+def _key_multipliers(words: int) -> np.ndarray:
+    """Odd 64-bit multipliers, one per word position of a row."""
+    halves = np.random.default_rng(words).integers(0, 2 ** 63, words, dtype=np.uint64)
+    return _engine._read_only(halves * np.uint64(2) + np.uint64(1))
+
+
 def _fold_equal_rows(batch: np.ndarray, cells: np.ndarray,
                      counts: np.ndarray) -> tuple[np.ndarray, ...]:
     """Each group of rows equal bit for bit and of one key as its first row,
     counted by the group's summed count, in order of first occurrence (the
-    bit-identical fold of the module docstring)."""
+    bit-identical fold of the module docstring).
+
+    Equal rows have equal integer keys (their words times the multipliers,
+    summed with wraparound, plus the cell), so distinct keys return the
+    inputs untouched; a collision only costs the full fold.
+    """
+    words = batch.view(np.uint64)
+    key = words @ _key_multipliers(words.shape[1]) + cells.view(np.uint64)
+    key.sort()
+    if (key[1:] != key[:-1]).all():
+        return batch, cells, counts
     raw = np.concatenate([batch.view(np.uint8).reshape(batch.shape[0], -1),
                           cells.view(np.uint8).reshape(cells.size, -1)], axis=1)
     _, first, group = np.unique(raw.view(np.dtype((np.void, raw.shape[1])))[:, 0],
@@ -282,6 +300,12 @@ def _fold_equal_rows(batch: np.ndarray, cells: np.ndarray,
     summed = np.zeros(kept.size, dtype=counts.dtype)
     np.add.at(summed, np.searchsorted(kept, first[group]), counts)
     return batch[kept], cells[kept], summed
+
+
+def _index(rows: np.ndarray, size: int) -> np.ndarray | slice:
+    """rows as an index into size rows: a slice of all of them, which
+    gathers nothing, when rows holds all."""
+    return slice(None) if rows.size == size else rows
 
 
 def _walk_tree(stages: list[_Stage], rng: np.random.Generator | None = None,
@@ -327,15 +351,21 @@ def _walk_tree(stages: list[_Stage], rng: np.random.Generator | None = None,
             pending.append((rows, cells, counts, drawn, end, si, step))
         else:
             end = size
-        flat = np.arange(lo, end)
         stage, span, last = stages[si], spans[si], si == len(stages) - 1
-        cells, counts = cells[flat // fan] + flat % fan * strides[si], counts[flat // fan]
+        # A chunk at fan 1 is a view; a fanned chunk gathers its parents.
+        if fan == 1:
+            take = slice(lo, end)
+            cells, counts = cells[take], counts[take]
+        else:
+            flat = np.arange(lo, end)
+            take = flat // fan
+            cells, counts = cells[take] + flat % fan * strides[si], counts[take]
         if drawn is None:
-            batch = rows[flat // fan]
+            batch = rows[take]
             if stage.lost is None:
                 batch, cells, counts = _fold_equal_rows(batch, cells, counts)
         else:
-            parent, outcome, theta = (a[flat] for a in drawn)
+            parent, outcome, theta = (a[take] for a in drawn)
             batch = _engine.advance_selected(rows[parent], stage.cmat, outcome, theta)
             batch /= batch[:, batch.shape[1] // 2].real[:, None]
         chi = cells // strides[si] % fans[si]
@@ -355,15 +385,19 @@ def _walk_tree(stages: list[_Stage], rng: np.random.Generator | None = None,
         else:
             keep = np.flatnonzero(weight)
             if keep.size:
-                pad = ((0, 0), ((span - step) * (stage.cmat.shape[-1] // 2),) * 2)
-                leaving[si].append((np.pad(batch[keep] * weight[keep, None], pad),
-                                    cells[keep], stopped[keep]))
+                pad = (span - step) * (stage.cmat.shape[-1] // 2)
+                left = np.zeros((keep.size, batch.shape[1] + 2 * pad), dtype=complex)
+                keep = _index(keep, weight.size)
+                np.multiply(batch[keep], weight[keep, None],
+                            out=left[:, pad:pad + batch.shape[1]])
+                leaving[si].append((left, cells[keep], stopped[keep]))
         if step == span:
             continue
         if rng is not None:  # only rows with trials left go on
             go = np.flatnonzero(counts)
             if not go.size:
                 continue
+            go = _index(go, counts.size)
             batch, cells, counts = batch[go], cells[go], counts[go]
             cmat = cmat if cmat.ndim == 2 else cmat[go]
             if last:
@@ -383,9 +417,16 @@ def _walk_tree(stages: list[_Stage], rng: np.random.Generator | None = None,
             children = _merge_root_twins(children, thetas)
         n_out = children.shape[1]
         children = children.reshape(-1, children.shape[2])
-        alive = np.flatnonzero(np.abs(children).max(axis=1) > 0.0)
-        pending.append((children[alive], cells[alive // n_out],
-                        counts[alive // n_out], None, 0, si, step + 1))
+        # Drop exactly zero rows: != 0 is |entry| > 0 unless a row holds NaN,
+        # which walks never make.
+        alive = (children != 0.0).any(axis=1)
+        if alive.all():
+            cells, counts = cells.repeat(n_out), counts.repeat(n_out)
+        else:
+            alive = np.flatnonzero(alive)
+            children, cells, counts = (children[alive], cells[alive // n_out],
+                                       counts[alive // n_out])
+        pending.append((children, cells, counts, None, 0, si, step + 1))
     return sums
 
 

@@ -259,12 +259,12 @@ class TestEvaluate:
         code, out, err = run(capsys, "evaluate", "--n1", "1", "--eta", "0.6",
                              "--method", method, "--trials", "0")
         assert code == EXIT_USAGE
-        assert err == "error: trials must be >= 1\n"
+        assert err == "error: --trials: 0 is below 1\n"
         assert out == ""
         code, _, err = run(capsys, "optimize", "--n", "1", "--eta", "0.6",
                            "--method", method, "--trials", "-3")
         assert code == EXIT_USAGE
-        assert err == "error: trials must be >= 1\n"
+        assert err == "error: --trials: -3 is below 1\n"
 
     @pytest.mark.parametrize("method", ["exact", "speedup", "mc"])
     def test_negative_seed_exits_2_for_every_method(self, capsys, tmp_path, method):

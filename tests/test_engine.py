@@ -469,6 +469,19 @@ class TestRowBlocks:
         assert got.shape == (rows, batch.shape[1] + cmat.shape[-1] - 1)
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_tuple_outputs_keep_each_shape_and_dtype(self, rows):
+        # One output array per tuple element, each filled block by block.
+        def kernel(batch, cmat, scale):
+            return batch * scale[:, None], (batch.real > 0).sum(axis=1), scale
+
+        rng, batch, cmat = self.inputs(rows, True)
+        scale = rng.uniform(size=rows)
+        got = _engine._in_blocks(kernel)(batch, cmat, scale)
+        for part, want in zip(got, kernel(batch, cmat, scale)):
+            assert part.dtype == want.dtype and part.shape == want.shape
+            assert np.array_equal(part, want)
+
     def test_memory_peak_does_not_grow_with_rows(self):
         # 16,384 rows of a 53-wide band against the 15-outcome table: one
         # pass would hold about four 35 MB weight stacks at once.
@@ -483,6 +496,28 @@ class TestRowBlocks:
                 tracemalloc.stop()
 
         assert peak(batch.shape[0]) <= 1.5 * peak(_engine._BLOCK_ROWS)
+
+
+class TestRefinePaths:
+    """Newton refines a batch in one call when every row refines and
+    through a row mask when a plateau row (a flat prior, theta exactly 0)
+    is among them; each row equals its one-row call bit for bit."""
+
+    @pytest.mark.parametrize("settle", [False, True])
+    def test_mixed_batch_equals_row_calls(self, settle):
+        cmat = build_likelihood_table(make_loss_resistant(2, 1.3), 0.6).matrix
+        batch = random_hermitian(np.random.default_rng(28), 9, 6)
+        batch[4] = 0.0
+        batch[4, 6] = 1.0
+        got = _engine._theta_and_sharpness(batch, cmat, settle)
+        rows = [_engine._theta_and_sharpness(batch[i:i + 1], cmat, settle)
+                for i in range(batch.shape[0])]
+        for part, want in zip(got, zip(*rows)):
+            assert np.array_equal(part, np.concatenate(want))
+        assert got[0][4] == 0.0
+        assert not np.isin(np.delete(got[0], 4), _engine.THETA_GRID).any()
+        if not settle:
+            assert np.array_equal(_engine.numeric_theta_batch(batch, cmat), got[0])
 
 
 class TestCachedConstants:

@@ -340,6 +340,99 @@ class TestSplitWalk:
         assert len({r.wall_time_s for r in evaluate_plans_with_speedup(plans)}) == 1
 
 
+def unique_fold(batch, cells, counts):
+    """The plain fold: np.unique over each row's bytes and its key."""
+    raw = np.concatenate([batch.view(np.uint8).reshape(batch.shape[0], -1),
+                          cells.view(np.uint8).reshape(cells.size, -1)], axis=1)
+    _, first, group = np.unique(raw.view(np.dtype((np.void, raw.shape[1])))[:, 0],
+                                return_index=True, return_inverse=True)
+    kept = np.sort(first)
+    summed = np.zeros(kept.size, dtype=counts.dtype)
+    np.add.at(summed, np.searchsorted(kept, first[group]), counts)
+    return batch[kept], cells[kept], summed
+
+
+class TestFoldEqualRows:
+    """_fold_equal_rows equals the plain np.unique fold on random chunks,
+    whether its integer key exits early or falls through to the fold."""
+
+    @staticmethod
+    def chunk(seed, duplicates):
+        """256 rows over 4 keys; with duplicates, a third of them copy other
+        rows, some under another key."""
+        rng = np.random.default_rng(seed)
+        batch = rng.normal(size=(256, 9)) + 1j * rng.normal(size=(256, 9))
+        cells = rng.integers(0, 4, 256)
+        if duplicates:
+            copies = rng.choice(256, 85, replace=False)
+            batch[copies] = batch[rng.integers(0, 256, 85)]
+            cells[copies[::2]] = cells[copies[::2] - 1]
+        return batch, cells, rng.integers(1, 5, 256)
+
+    @staticmethod
+    def assert_folds_like_unique(batch, cells, counts):
+        got = sequences._fold_equal_rows(batch, cells, counts)
+        for part, want in zip(got, unique_fold(batch, cells, counts)):
+            assert part.dtype == want.dtype and np.array_equal(part, want)
+        return got
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_duplicates_fold_like_unique(self, seed):
+        batch, cells, counts = self.chunk(seed, duplicates=True)
+        got = self.assert_folds_like_unique(batch, cells, counts)
+        assert got[0].shape[0] < batch.shape[0]
+        assert got[2].sum() == counts.sum()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_distinct_rows_come_back_untouched(self, seed):
+        batch, cells, counts = self.chunk(seed, duplicates=False)
+        got = self.assert_folds_like_unique(batch, cells, counts)
+        assert all(a is b for a, b in zip(got, (batch, cells, counts)))
+
+    def test_signed_zeros_stay_apart(self):
+        batch, cells, counts = self.chunk(5, duplicates=False)
+        batch[:, 4] = 0.0
+        batch[1::2] = batch[::2]
+        batch[1::2, 4] = -0.0
+        cells[1::2] = cells[::2]
+        got = self.assert_folds_like_unique(batch, cells, counts)
+        assert got[0].shape[0] == batch.shape[0]
+
+    @pytest.mark.parametrize("duplicates", [False, True])
+    def test_colliding_keys_still_fold_exactly(self, duplicates, monkeypatch):
+        # Zero multipliers key every row by its cell alone, so every chunk
+        # collides and takes the np.unique fold.
+        monkeypatch.setattr(sequences, "_key_multipliers",
+                            lambda words: np.zeros(words, dtype=np.uint64))
+        batch, cells, counts = self.chunk(6, duplicates)
+        got = self.assert_folds_like_unique(batch, cells, counts)
+        assert got[0] is not batch
+
+
+class TestPinnedBits:
+    """The walks' mu as hex, bit for bit: a drift in the last bits of the
+    tree walk fails here although every tolerance check would pass.  The
+    first plan folds rows and ends in a four-photon stage; at eta = 1 the
+    second's all-lost children are zero and are filtered out."""
+
+    @pytest.mark.parametrize("plan, exact, speedup", [
+        (SequencePlan(9, 0, 0.0, 1, 1.3, 0.6),
+         "0x1.d8139f2ad204ep-1", "0x1.d8139f2ad205ep-1"),
+        (SequencePlan(3, 1, 1.7, 1, 1.3, 1.0),
+         "0x1.e3075f28b2913p-1", "0x1.e3075f28b2911p-1"),
+    ])
+    def test_exact_and_speedup(self, plan, exact, speedup):
+        assert evaluate_exact(plan).mu.hex() == exact
+        assert evaluate_exact_with_speedup(plan).mu.hex() == speedup
+
+    def test_chi_fanned_split(self):
+        plans = [SequencePlan(3, 1, chi2, 1, chi4, 0.6)
+                 for chi2 in (1.2, 1.7) for chi4 in (1.0, 1.3)]
+        assert [r.mu.hex() for r in evaluate_plans_with_speedup(plans)] == [
+            "0x1.b608aa9f62f87p-1", "0x1.b8f1c4564d579p-1",
+            "0x1.bb655c40a97b5p-1", "0x1.be25628e44afcp-1"]
+
+
 class TestBoundedPrefix:
     """The lossless single-photon prefix is walked a chunk at a time, so
     plans rich in single photons never hold a whole level of 2^n1 rows."""
