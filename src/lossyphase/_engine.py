@@ -5,8 +5,8 @@ coefficients over one shared harmonic band; a Bayes update widens the band
 by the likelihood's order.  Rows may carry any positive overall factor:
 every feedback objective is scale-invariant.  A likelihood is an
 (outcomes, d) matrix shared by all rows or, in numeric_theta_batch,
-_theta_and_sharpness, advance_batch, expected_sharpness_batch and
-predictive_batch, a (rows, outcomes, d) stack.  It comes from
+advance_batch, expected_sharpness_batch and predictive_batch, a
+(rows, outcomes, d) stack.  It comes from
 `OutcomeLikelihoodTable.matrix` (or is SINGLE_FRINGE), so it has the
 port-swap symmetry of `detection`: the expected sharpness has period pi and
 the feedback grid covers [0, pi) alone.
@@ -187,34 +187,14 @@ def _refine_newton(w: np.ndarray, theta0: np.ndarray, lo: np.ndarray,
     return theta
 
 
-def _theta_from_weights(w: np.ndarray, settle: bool) -> np.ndarray:
-    """numeric_theta_batch on the weights _g1_weights built."""
-    vals = _sharpness_grid(w)
-    top = np.maximum.reduce(vals, axis=1, keepdims=True)
-    idx = (vals >= top * (1.0 - _SNAP)).argmax(axis=1)
-    # The winner and its two neighbours on the periodic grid, in one gather.
-    f_prev, f_best, f_next = vals[np.arange(w.shape[0])[:, None],
-                                  (idx[:, None] + _NEIGHBOURS) % GRID_POINTS].T
-    theta = THETA_GRID[idx]
-    margin = 1.0 + _SNAP
-    refine = (f_best > f_prev * margin) & (f_best > f_next * margin)
-    if refine.all():
-        theta = _refine_newton(w, theta, theta - _GRID_STEP, theta + _GRID_STEP, settle)
-    elif refine.any():
-        center = theta[refine]
-        theta[refine] = _refine_newton(
-            w[refine], center, center - _GRID_STEP, center + _GRID_STEP, settle
-        )
-    return np.mod(theta, 2.0 * math.pi)
-
-
 def _in_blocks(kernel):
     """kernel(batch, cmat, *per_row, **options) run _BLOCK_ROWS rows at a
     time, its outputs (an array or a tuple of arrays) joined along rows
     (README, "Performance notes", chunks and blocks).
 
     The batch, each per_row array and a per-row cmat stack are sliced per
-    block; a batch of at most one block goes to kernel unsliced.
+    block, so a kernel's options are keyword-only; a batch of at most one
+    block goes to kernel unsliced.
     """
     @functools.wraps(kernel)
     def blocked(batch, cmat, *per_row, **options):
@@ -236,28 +216,33 @@ def _in_blocks(kernel):
 
 
 @_in_blocks
-def _feedback(batch: np.ndarray, cmat: np.ndarray, *, settle: bool, sharpness: bool):
-    """_theta_from_weights, and with sharpness the expected sharpness at
-    its theta."""
-    w = _g1_weights(batch, cmat)
-    theta = _theta_from_weights(w, settle)
-    return (theta, _sharpness_from_weights(w, theta)) if sharpness else theta
-
-
-def numeric_theta_batch(batch: np.ndarray, cmat: np.ndarray) -> np.ndarray:
+def numeric_theta_batch(batch: np.ndarray, cmat: np.ndarray, *, settle: bool = False,
+                        sharpness: bool = False):
     """Per-row feedback phase in [0, 2pi): the best of the GRID_POINTS
     brackets on [0, pi), ties within _SNAP to the smallest theta, refined by
     damped Newton inside it.  Not a guaranteed argmax: a near-equal peak in
     another bracket can be missed.  A plateau skips refinement, so a flat
-    prior gives exactly 0."""
-    return _feedback(batch, cmat, settle=False, sharpness=False)
-
-
-def _theta_and_sharpness(batch: np.ndarray, cmat: np.ndarray,
-                         settle: bool) -> tuple[np.ndarray, np.ndarray]:
-    """numeric_theta_batch and the expected sharpness at its theta; settle
-    (for a theta that builds no children) as in _refine_newton."""
-    return _feedback(batch, cmat, settle=settle, sharpness=True)
+    prior gives exactly 0.  settle (for a theta that builds no children) as
+    in _refine_newton; with sharpness also the expected sharpness at theta."""
+    w = _g1_weights(batch, cmat)
+    vals = _sharpness_grid(w)
+    top = np.maximum.reduce(vals, axis=1, keepdims=True)
+    idx = (vals >= top * (1.0 - _SNAP)).argmax(axis=1)
+    # The winner and its two neighbours on the periodic grid, in one gather.
+    f_prev, f_best, f_next = vals[np.arange(w.shape[0])[:, None],
+                                  (idx[:, None] + _NEIGHBOURS) % GRID_POINTS].T
+    theta = THETA_GRID[idx]
+    margin = 1.0 + _SNAP
+    refine = (f_best > f_prev * margin) & (f_best > f_next * margin)
+    if refine.all():
+        theta = _refine_newton(w, theta, theta - _GRID_STEP, theta + _GRID_STEP, settle)
+    elif refine.any():
+        center = theta[refine]
+        theta[refine] = _refine_newton(
+            w[refine], center, center - _GRID_STEP, center + _GRID_STEP, settle
+        )
+    theta = np.mod(theta, 2.0 * math.pi)
+    return (theta, _sharpness_from_weights(w, theta)) if sharpness else theta
 
 
 # The two single-photon fringes (1 +- cos(phi-theta))/2 over d = -1..1,

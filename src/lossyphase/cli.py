@@ -28,9 +28,9 @@ from lossyphase.fisher import fisher_information
 from lossyphase.optimizer import METHODS, evaluate_plans, optimize, pareto_csv
 from lossyphase.sequences import BranchGuardError, SequencePlan
 from lossyphase.states import (
+    _state_for,
     forward_simulate_triport,
     make_loss_resistant,
-    make_single_photon,
     synthesize_triport,
 )
 
@@ -163,14 +163,6 @@ def _emit(text: str, output_path: str | None):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _state_for(n_photons: int, chi: float):
-    if n_photons == 1:
-        return make_single_photon()
-    if n_photons in (2, 4):
-        return make_loss_resistant(n_photons // 2, chi)
-    raise ValueError("n-photons must be 1, 2, or 4")
 
 
 # Each command returns (JSON result or None, CSV body or None).

@@ -75,7 +75,7 @@ import numpy as np
 from lossyphase import _engine
 from lossyphase.detection import build_likelihood_table
 from lossyphase.posterior import variance_from_sharpness
-from lossyphase.states import _require_integer, make_loss_resistant, make_single_photon
+from lossyphase.states import _require_integer, _state_for
 
 __all__ = [
     "SequencePlan",
@@ -195,7 +195,7 @@ class _Stage:
         if self.single_photon:
             thetas = _engine.closed_form_theta_batch(batch)
             return thetas, _engine.expected_sharpness_batch(batch, cmat, thetas)
-        return _engine._theta_and_sharpness(batch, cmat, settle)
+        return _engine.numeric_theta_batch(batch, cmat, settle=settle, sharpness=True)
 
 
 def _all_lost(mats: np.ndarray) -> np.ndarray:
@@ -241,10 +241,8 @@ def _split_stages(plans: list[SequencePlan],
                                      (4, first.n4, lambda p: p.chi4)):
         if count:
             chis = sorted({chi_of(p) for p in plans})
-            mats = np.stack([build_likelihood_table(
-                make_single_photon() if n_photons == 1
-                else make_loss_resistant(n_photons // 2, chi), first.eta).matrix
-                for chi in chis])
+            mats = np.stack([build_likelihood_table(_state_for(n_photons, chi),
+                                                    first.eta).matrix for chi in chis])
             stages.append(_Stage(count, mats if chis[1:] else mats[0], n_photons == 1,
                                  _all_lost(mats) if merge_lost else None))
             keys = keys * len(chis) + [chis.index(chi_of(p)) for p in plans]

@@ -148,6 +148,16 @@ def make_single_photon() -> TwoModeState:
     return TwoModeState(1, np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0))
 
 
+def _state_for(n_photons: int, chi: float) -> TwoModeState:
+    """The single photon for N = 1 (chi unread), the chi state for N = 2
+    or 4; raises ValueError for any other N."""
+    if n_photons == 1:
+        return make_single_photon()
+    if n_photons in (2, 4):
+        return make_loss_resistant(n_photons // 2, chi)
+    raise ValueError("n-photons must be 1, 2, or 4")
+
+
 def synthesize_triport(chi: float) -> TriPortConfig:
     """Beam-splitter reflectivities and phases that generate the chi state."""
     chi = _check_chi(chi)

@@ -12,6 +12,7 @@ walk, and resolved by the Monte Carlo record walk at 10^6 trials); the
 ordering of this near-tie flips with eta around 0.64.  The README section "The N=13 near-tie" has the full analysis.
 """
 
+import importlib.util
 import json
 import math
 from pathlib import Path
@@ -211,6 +212,19 @@ def test_criterion_6_sequence_table_n13(optimize_n13):
             f"(7,1,1) at V_H={v711:.6f} by {v711 - optimize_n13.best_variance:.2e}; "
             "near-tie analysis in README.md, section 'The N=13 near-tie'"
         )
+
+
+def test_n13_near_tie_flips_between_eta_0635_and_064():
+    # The near-tie analysis of the README, from demos/07_near_tie.py: the
+    # best (9,0,1) plan beats the best (7,1,1) plan up to the crossing at
+    # eta ~ 0.636 (README: +4.9e-6 at 0.635, -3.6e-5 at 0.64).
+    path = Path(__file__).resolve().parents[1] / "demos" / "07_near_tie.py"
+    spec = importlib.util.spec_from_file_location("_near_tie_demo", path)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    below, above = demo.gap(0.635), demo.gap(0.64)
+    assert report(6, "N=13 near-tie flips between eta 0.635 and 0.64",
+                  below > 0.0 > above, f"{below:+.1e}, {above:+.1e}")
 
 
 def test_criterion_6_n30_row_beats_sql_by_monte_carlo():

@@ -344,19 +344,19 @@ def settled_rows(plans):
     from lossyphase.sequences import evaluate_plans_with_speedup
 
     seen = []
-    kernel = _engine._theta_and_sharpness
+    kernel = _engine.numeric_theta_batch
 
-    def spy(batch, cmat, settle):
-        if settle:
+    def spy(batch, cmat, **options):
+        if options.get("sharpness") and options.get("settle"):
             seen.append((batch, np.broadcast_to(
                 cmat, batch.shape[:1] + cmat.shape[-2:])))
-        return kernel(batch, cmat, settle)
+        return kernel(batch, cmat, **options)
 
-    _engine._theta_and_sharpness = spy
+    _engine.numeric_theta_batch = spy
     try:
         evaluate_plans_with_speedup(plans)
     finally:
-        _engine._theta_and_sharpness = kernel
+        _engine.numeric_theta_batch = kernel
     # Zero-padding a posterior band symmetrically leaves it as it is.
     width = max(b.shape[1] for b, _ in seen)
     return (np.concatenate([np.pad(b, ((0, 0), ((width - b.shape[1]) // 2,) * 2))
@@ -365,11 +365,11 @@ def settled_rows(plans):
 
 
 class TestSettledFeedback:
-    """The last detection's fused kernel, which stops Newton on the gradient
-    and returns the sharpness at its theta, against numeric_theta_batch and
-    expected_sharpness_batch on the rows of two real walks.  Both bounds
-    of the settled stop are needed: plan (1, 2, 0.4, 1, 0.8) has a
-    flat-topped maximum, where a gradient-only stop lands 1.4e-4 rad
+    """The last detection's settled feedback, which stops Newton on the
+    gradient and returns the sharpness at its theta, against the unsettled
+    step rule and expected_sharpness_batch on the rows of two real walks.
+    Both bounds of the settled stop are needed: plan (1, 2, 0.4, 1, 0.8)
+    has a flat-topped maximum, where a gradient-only stop lands 1.4e-4 rad
     short, and plan (1, 4, 1.2, 1, 1.2) has a row where one outcome's
     first harmonic nearly vanishes and the Newton steps shrink while the
     gradient does not, so a step-only stop falls 1.4e-4 short in S."""
@@ -390,7 +390,8 @@ class TestSettledFeedback:
     def test_matches_sharpness_at_the_step_rule_theta(self, rows):
         batch, cmat = rows
         want = self.step_rule_sharpness(rows)
-        theta, got = _engine._theta_and_sharpness(batch, cmat, True)
+        theta, got = _engine.numeric_theta_batch(batch, cmat, settle=True,
+                                                 sharpness=True)
         assert np.all(np.abs(got - want) <= 1e-15 * want)
         assert np.array_equal(got, _engine.expected_sharpness_batch(batch, cmat, theta))
 
@@ -406,7 +407,7 @@ class TestSettledFeedback:
     def test_each_bound_is_needed(self, rows, monkeypatch, dropped):
         want = self.step_rule_sharpness(rows)
         monkeypatch.setattr(_engine, dropped, math.inf)
-        _, loose = _engine._theta_and_sharpness(*rows, True)
+        _, loose = _engine.numeric_theta_batch(*rows, settle=True, sharpness=True)
         assert np.max((want - loose) / want) > 1e-12
 
 
@@ -423,9 +424,8 @@ class TestRowBlocks:
 
     @staticmethod
     def one_pass(batch, cmat, settle):
-        w = _engine._g1_weights(batch, cmat)
-        theta = _engine._theta_from_weights(w, settle)
-        return theta, _engine._sharpness_from_weights(w, theta)
+        return _engine.numeric_theta_batch.__wrapped__(batch, cmat, settle=settle,
+                                                       sharpness=True)
 
     def inputs(self, rows, per_row):
         rng = np.random.default_rng(700 + rows + per_row)
@@ -442,10 +442,16 @@ class TestRowBlocks:
         assert got.dtype == float and got.shape == (rows,)
         assert np.array_equal(got, self.one_pass(batch, cmat, False)[0])
         for settle in (False, True):
-            got = _engine._theta_and_sharpness(batch, cmat, settle)
+            got = _engine.numeric_theta_batch(batch, cmat, settle=settle,
+                                              sharpness=True)
             for part, want in zip(got, self.one_pass(batch, cmat, settle)):
                 assert part.dtype == float and part.shape == (rows,)
                 assert np.array_equal(part, want)
+        # An option passed by position would be sliced as a per-row array.
+        for n in (1, _engine._BLOCK_ROWS + 1):
+            with pytest.raises(TypeError):
+                _engine.numeric_theta_batch(batch[:n], cmat[:n] if per_row else cmat,
+                                            True)
 
     @pytest.mark.parametrize("per_row", [False, True])
     @pytest.mark.parametrize("rows", ROWS)
@@ -509,8 +515,9 @@ class TestRefinePaths:
         batch = random_hermitian(np.random.default_rng(28), 9, 6)
         batch[4] = 0.0
         batch[4, 6] = 1.0
-        got = _engine._theta_and_sharpness(batch, cmat, settle)
-        rows = [_engine._theta_and_sharpness(batch[i:i + 1], cmat, settle)
+        got = _engine.numeric_theta_batch(batch, cmat, settle=settle, sharpness=True)
+        rows = [_engine.numeric_theta_batch(batch[i:i + 1], cmat, settle=settle,
+                                            sharpness=True)
                 for i in range(batch.shape[0])]
         for part, want in zip(got, zip(*rows)):
             assert np.array_equal(part, np.concatenate(want))

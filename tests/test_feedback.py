@@ -183,24 +183,16 @@ class TestFeedbackWitness:
         from lossyphase.sequences import SequencePlan, evaluate_exact_with_speedup
 
         seen = []
-        numeric, fused = _engine.numeric_theta_batch, _engine._theta_and_sharpness
+        numeric = _engine.numeric_theta_batch
 
-        def keep(batch, cmat, theta):
+        def spy(batch, cmat, **options):
+            out = numeric(batch, cmat, **options)
+            theta = out[0] if options.get("sharpness") else out
             seen.append((batch, np.broadcast_to(
                 cmat, batch.shape[:1] + cmat.shape[-2:]), theta))
+            return out
 
-        def spy_numeric(batch, cmat):
-            theta = numeric(batch, cmat)
-            keep(batch, cmat, theta)
-            return theta
-
-        def spy_fused(batch, cmat, settle):
-            theta, sharp = fused(batch, cmat, settle)
-            keep(batch, cmat, theta)
-            return theta, sharp
-
-        monkeypatch.setattr(_engine, "numeric_theta_batch", spy_numeric)
-        monkeypatch.setattr(_engine, "_theta_and_sharpness", spy_fused)
+        monkeypatch.setattr(_engine, "numeric_theta_batch", spy)
         evaluate_exact_with_speedup(SequencePlan(*self.PLAN))
         shortfall = []
         for batch, cmat, theta in seen:

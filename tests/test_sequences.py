@@ -440,16 +440,16 @@ class TestBoundedPrefix:
     HEAVY = [SequencePlan(n1=12, eta=0.6),
              SequencePlan(n1=10, n2=1, chi2=1.0, n4=1, chi4=1.3, eta=0.6)]
     KERNELS = ("closed_form_theta_batch", "numeric_theta_batch",
-               "advance_batch", "expected_sharpness_batch", "_theta_and_sharpness")
+               "advance_batch", "expected_sharpness_batch")
 
     def test_kernel_calls_stay_within_row_cap(self, monkeypatch):
         want = [evaluate_exact_with_speedup(p).mu for p in self.HEAVY]
         seen = []
 
         def counted(kernel):
-            def call(batch, *args):
+            def call(batch, *args, **options):
                 seen.append(batch.shape[0])
-                return kernel(batch, *args)
+                return kernel(batch, *args, **options)
             return call
 
         for name in self.KERNELS:
@@ -566,16 +566,17 @@ class TestAllLostMerge:
         # At eta = 1 every weight below full depth is zero: no row leaves
         # early, so the multi-photon stage sees only the 2^(n1-1) records
         # the twin-merged single-photon stage ends with.  That last stage
-        # scores every depth at the fused kernel; with n2 = 2 its depth-0
+        # scores every depth with the sharpness; with n2 = 2 its depth-0
         # rows are the ones that do not settle.
         rows = []
-        kernel = _engine._theta_and_sharpness
+        kernel = _engine.numeric_theta_batch
 
-        def counted(batch, cmat, settle):
-            rows.append(0 if settle else batch.shape[0])
-            return kernel(batch, cmat, settle)
+        def counted(batch, cmat, **options):
+            if options.get("sharpness"):
+                rows.append(0 if options.get("settle") else batch.shape[0])
+            return kernel(batch, cmat, **options)
 
-        monkeypatch.setattr(_engine, "_theta_and_sharpness", counted)
+        monkeypatch.setattr(_engine, "numeric_theta_batch", counted)
         plan = SequencePlan(n1=4, n2=2, chi2=1.7, eta=1.0)
         evaluate_exact_with_speedup(plan)
         assert sum(rows) == 2 ** (plan.n1 - 1)
@@ -692,15 +693,18 @@ class TestMonteCarlo:
 
         known = np.array([0.1, 0.5, 0.3, 0.9, 0.7, 0.2])
         given = []
-        kernel = _engine._theta_and_sharpness
+        kernel = _engine.numeric_theta_batch
 
-        def scored(batch, cmat, settle):
+        def scored(batch, cmat, **options):
+            out = kernel(batch, cmat, **options)
+            if not options.get("sharpness"):
+                return out
             given.append(batch.shape[0])
-            return kernel(batch, cmat, settle)[0], known[sum(given[:-1]):sum(given)]
+            return out[0], known[sum(given[:-1]):sum(given)]
 
         monkeypatch.setattr(np.random, "default_rng",
                             lambda seed: Recording(np.random.PCG64(seed)))
-        monkeypatch.setattr(_engine, "_theta_and_sharpness", scored)
+        monkeypatch.setattr(_engine, "numeric_theta_batch", scored)
         trials = 40
         mc = evaluate_monte_carlo(SequencePlan(0, 2, 1.7, 0, 0, 0.6), trials, 0)
         assert [d.shape for d in draws[:2]] == [(1,), (1, 5)] and len(draws) == 3
@@ -807,20 +811,21 @@ class TestSampledRecords:
         # the depth-1 and the depth-2 records and scores them.  No all-lost
         # child is built.  A per-trial sampler sends 5,000 rows to each.
         rows = {"closed_form_theta_batch": [], "numeric_theta_batch": [],
-                "_theta_and_sharpness": [], "advance_selected": []}
+                "advance_selected": []}
+        scored = []  # the numeric feedback's calls with the sharpness
         for name, seen in rows.items():
             kernel = getattr(_engine, name)
 
-            def counted(batch, *args, _kernel=kernel, _seen=seen):
-                _seen.append(batch.shape[0])
-                return _kernel(batch, *args)
+            def counted(batch, *args, _kernel=kernel, _seen=seen, **options):
+                (scored if options.get("sharpness") else _seen).append(batch.shape[0])
+                return _kernel(batch, *args, **options)
 
             monkeypatch.setattr(_engine, name, counted)
         evaluate_monte_carlo(SequencePlan(n1=2, n2=1, chi2=1.7, eta=0.6), 5000, 3)
         closed, built = rows["closed_form_theta_batch"], rows["advance_selected"]
         assert closed == [1, built[0]] and built[0] <= 2
         assert len(built) == 2 and built[1] <= 4
-        assert rows["_theta_and_sharpness"] == [1 + built[0] + built[1]]
+        assert scored == [1 + built[0] + built[1]]
         assert rows["numeric_theta_batch"] == []
 
     def test_lossless_trials_stop_only_at_the_last_detection(self, monkeypatch):
