@@ -5,7 +5,9 @@ seed, the version, the wall time and the requested BLAS threads; the same
 configuration and seed reproduce the numeric payload bit for bit.  Each
 command's parameters are declared once, in `_PARAMS`.
 
-Exit codes: 0 success, 2 usage/validation error, 3 resource guard tripped.
+Exit codes: 0 success, 2 usage/validation error (an --output that cannot
+be written is one, found before any work), 3 resource guard tripped; a
+run that exits 2 or 3 writes no file.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import os
 import re
 import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -157,12 +160,29 @@ def _artifact(config: dict, t0: float, **result) -> dict:
     }
 
 
-def _emit(text: str, output_path: str | None):
-    if output_path:
-        with open(output_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _check_output(output_path: str | None):
+    """Refuse, before any work, an --output that could not be written."""
+    if not output_path:
+        return
+    folder = os.path.dirname(os.path.abspath(output_path))
+    if not os.path.isdir(folder):
+        raise ValueError(f"--output: {folder} is not a directory")
+    if os.path.isdir(output_path):
+        raise ValueError(f"--output: {output_path} is a directory")
+    if not os.access(output_path if os.path.exists(output_path) else folder, os.W_OK):
+        raise ValueError(f"--output: {output_path} cannot be written")
+
+
+def _emit(content: str | dict, output_path: str | None):
+    """Write CSV text as it is, or a JSON document as the encoder makes it
+    (the bytes of json.dumps(content, indent=2) + "\n", never held whole),
+    to the file or to stdout."""
+    with open(output_path, "w") if output_path else nullcontext(sys.stdout) as fh:
+        if isinstance(content, str):
+            fh.write(content)
+        else:
+            json.dump(content, fh, indent=2)
+            fh.write("\n")
 
 
 # Each command returns (JSON result or None, CSV body or None).
@@ -284,6 +304,7 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.perf_counter()
     try:
         cfg = _resolve(args)
+        _check_output(args.output)
         payload, csv_body = _COMMANDS[args.command][0](cfg)
     except BranchGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -295,8 +316,7 @@ def main(argv: list[str] | None = None) -> int:
     if payload is None or (csv_text and args.format == "csv"):
         _emit(csv_text, args.output)
     else:
-        _emit(json.dumps(_artifact(cfg, t0, result=payload), indent=2) + "\n",
-              args.output)
+        _emit(_artifact(cfg, t0, result=payload), args.output)
         if csv_text and args.output:
             _emit(csv_text, args.output + ".csv")
     return EXIT_OK

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from lossyphase import cli
 from lossyphase.cli import (
@@ -17,6 +18,7 @@ from lossyphase.cli import (
     main,
     parse_angle,
 )
+from lossyphase.optimizer import optimize, pareto_csv
 
 
 def run(capsys, *argv):
@@ -237,13 +239,15 @@ class TestEvaluate:
         )
         assert doc["branches_evaluated"] == (2 ** 8 - 1) * 6
 
-    def test_branch_guard_exits_3(self, capsys):
+    def test_branch_guard_exits_3(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "evaluate", "--n1", "2", "--n2", "2", "--chi2", "1.8",
             "--n4", "6", "--chi4", "1.3", "--eta", "0.6", "--method", "exact",
+            "--output", str(tmp_path / "o.json"),
         )
         assert code == EXIT_GUARD
         assert "guard" in err
+        assert sorted(tmp_path.iterdir()) == []
 
     def test_out_of_range_chi_of_absent_state_exits_2(self, capsys):
         code, out, err = run(capsys, "evaluate", "--n1", "1", "--chi2", "7",
@@ -474,6 +478,60 @@ class TestConfigFile:
         assert code == EXIT_USAGE
         assert needle in err
         assert out == ""
+
+
+class TestArtifactWriter:
+    OPTIMIZE = ("optimize", "--n", "4", "--eta", "0.6", "--chi-step", "1.0")
+
+    @pytest.mark.parametrize("where", ["missing/o.json", "."],
+                             ids=["no-directory", "a-directory"])
+    def test_unwritable_output_exits_2_before_the_search(
+            self, capsys, monkeypatch, tmp_path, where):
+        calls = []
+        monkeypatch.setattr(cli, "optimize", lambda *a, **k: calls.append(a))
+        target = tmp_path / where
+        code, out, err = run(capsys, *self.OPTIMIZE, "--output", str(target))
+        assert (code, out, calls) == (EXIT_USAGE, "", [])
+        assert err.startswith("error: --output: ")
+        assert sorted(tmp_path.iterdir()) == []
+
+    def test_json_bytes_are_the_encoders(self, capsys, tmp_path):
+        # Floats read back exactly, so the stdout artifact re-encodes to
+        # itself; the writer's edge values (non-finite, non-ASCII, empty)
+        # are checked on the writer itself, to a file and to stdout.
+        code, out, _ = run(capsys, *self.OPTIMIZE)
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert out == json.dumps(doc, indent=2) + "\n"
+        doc["edge"] = {"inf": math.inf, "nan": math.nan, "text": "\u03c7\u00b2",
+                       "empty": [[], {}], "none": None, "flag": True}
+        want = json.dumps(doc, indent=2) + "\n"
+        cli._emit(doc, str(tmp_path / "o.json"))
+        cli._emit(doc, None)
+        assert (tmp_path / "o.json").read_bytes() == want.encode()
+        assert capsys.readouterr().out == want
+
+    def test_csv_sidecar_bytes_are_kept(self, capsys, tmp_path):
+        target = tmp_path / "o.json"
+        code, _, _ = run(capsys, *self.OPTIMIZE, "--output", str(target))
+        assert code == EXIT_OK
+        text = (tmp_path / "o.json.csv").read_text()
+        comment, body = text.split("\n", 1)
+        assert comment.startswith("# {")
+        assert body == pareto_csv(optimize(4, 0.6, chi_grid_step=1.0))
+        cli._emit(text, str(target))
+        assert target.read_bytes() == text.encode()
+
+    def test_artifact_memory_stays_bounded(self, monkeypatch, tmp_path):
+        # Encoding the N=9 artifact into one string before writing it
+        # peaked at about 5 times the result's own to_json_dict; written as
+        # it is encoded, the document and the CSV body set the peak.
+        result = optimize(9, 0.6, chi_grid_step=0.1)
+        monkeypatch.setattr(cli, "optimize", lambda *a, **k: result)
+        argv = ["optimize", "--n", "9", "--eta", "0.6",
+                "--output", str(tmp_path / "o.json")]
+        assert main(argv) == EXIT_OK
+        assert traced_peak(main, argv) <= 2 * traced_peak(result.to_json_dict)
 
 
 def _drop_wall_time(obj):

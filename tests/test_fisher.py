@@ -1,11 +1,11 @@
 import math
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from lossyphase import _engine, fisher
 from lossyphase.detection import build_likelihood_table, evaluate_outcome
@@ -356,12 +356,7 @@ def test_eta_outside_unit_interval_rejected(eta):
 def test_optimal4_memory_stays_flat():
     """The seed scan holds one block of tables, not all 310 at once."""
     max_fisher_exact_optimal4(0.6)
-    tracemalloc.start()
-    try:
-        max_fisher_exact_optimal4(0.6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(max_fisher_exact_optimal4, 0.6)
     assert peak <= 2e6, f"tracemalloc peak {peak / 1e6:.2f} MB"
 
 

@@ -1,11 +1,11 @@
 import json
 import math
-import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from lossyphase import _engine, sequences
 from lossyphase.detection import (
@@ -462,12 +462,7 @@ class TestBoundedPrefix:
     def test_peak_memory_does_not_grow_with_levels(self):
         # Level by level, n1 = 16 holds 2^17 rows of 33 complex coefficients
         # (69 MB per copy); a chunked walk holds a few chunks per depth.
-        tracemalloc.start()
-        try:
-            evaluate_exact_with_speedup(SequencePlan(n1=16, eta=0.6))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(evaluate_exact_with_speedup, SequencePlan(n1=16, eta=0.6))
         assert peak <= 16 * 2 ** 20
 
 
@@ -919,12 +914,7 @@ class TestSampledRecords:
         # updated in place, at 15.3 MiB with 1,024-row kernel blocks, and
         # at 6.8 MiB now.  A one-trial run fills the caches.
         evaluate_monte_carlo(N30_ROW, 1, 11)
-        tracemalloc.start()
-        try:
-            evaluate_monte_carlo(N30_ROW, trials, 11)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(evaluate_monte_carlo, N30_ROW, trials, 11)
         assert peak <= 8 * 2 ** 20
 
 
