@@ -15,9 +15,11 @@ The scalar API's one-row views and the tree walks call these kernels, and
 each view returns its own kernel's row bit for bit.  That holds per kernel,
 not across the two update kernels: advance_selected matches advance_batch's
 row only to rounding, since numpy's matmul takes another path for a single
-outcome.  Blocking (_in_blocks), the per-width caches (read-only, filled
-on first use) and the ufunc calls that take several operands at once, which
-keep a one-row call cheap, change no bit.
+outcome.  Blocking (_in_blocks: the numeric feedback, the expected
+sharpness, the predictive probabilities and advance_selected), the
+per-width caches (read-only, filled on first use) and the ufunc calls that
+take several operands at once, which keep a one-row call cheap, change no
+bit.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ _GRID_STEP = math.pi / GRID_POINTS
 _NEIGHBOURS = np.array([-1, 0, 1])
 _NEWTON_ITERS = 12
 _NEWTON_TOL = 1e-12
-# The settled stop of a feedback whose theta builds no children
+# The settled stop of the last detection and of a sampled walk
 # (_refine_newton).
 _SETTLE_GRAD = 1e-6
 _SETTLE_STEP = 1e-6
@@ -73,6 +75,13 @@ def _newton_deriv(width: int) -> np.ndarray:
     d = _band(width)
     return _read_only(np.stack([np.ones(d.size), -1j * d, -(d * d.astype(float))],
                                axis=1))
+
+
+@functools.lru_cache(maxsize=None)
+def _newton_start(width: int) -> np.ndarray:
+    """(GRID_POINTS, width, 3): _newton_deriv times the phases of each grid
+    point, the factor of Newton's first step from that point."""
+    return _read_only(_phases(THETA_GRID, width)[:, :, None] * _newton_deriv(width))
 
 
 def _phases(x, width: int) -> np.ndarray:
@@ -115,13 +124,6 @@ def _g1_weights(batch: np.ndarray, cmat: np.ndarray, harmonic: int = 1) -> np.nd
     return cmat * window[:, None, :]
 
 
-def expected_sharpness_batch(batch: np.ndarray, cmat: np.ndarray,
-                             thetas: np.ndarray) -> np.ndarray:
-    """Sum over outcomes of |predicted first harmonic| at per-row theta."""
-    w = _g1_weights(batch, cmat)
-    return _sharpness_from_weights(w, np.asarray(thetas, dtype=float))
-
-
 def _sharpness_from_weights(w: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     phases = _phases(thetas, w.shape[2])
     return np.abs(np.einsum("bod,bd->bo", w, phases)).sum(axis=1)
@@ -136,10 +138,10 @@ def _sharpness_grid(w: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _refine_newton(w: np.ndarray, theta0: np.ndarray, lo: np.ndarray,
-                   hi: np.ndarray, settle: bool) -> np.ndarray:
-    """Curvature-damped ascent from theta0 to the local objective maximum,
-    every step clamped to [lo, hi].
+def _refine_newton(w: np.ndarray, start: np.ndarray, settle: bool) -> np.ndarray:
+    """Curvature-damped ascent from the grid points THETA_GRID[start] to the
+    local objective maximum, every step clamped to the point's bracket
+    (_newton_start holds the first step's phases).
 
     A smooth map of the weights, unlike a bracketing search, so inputs that
     agree to rounding stay together.  A row stops once its step is below
@@ -148,19 +150,23 @@ def _refine_newton(w: np.ndarray, theta0: np.ndarray, lo: np.ndarray,
     times the objective and the step at most _SETTLE_STEP.  Both bounds are
     needed: a near-vanishing outcome harmonic shrinks the steps faster than
     the gradient, and a flat-topped maximum the gradient faster than the
-    steps.
+    steps.  The settled stop comes after a step in the quadratic regime, so
+    its theta is as good as converged for any use but a bit-for-bit one
+    (the `sequences` module docstring, sampled walk).
     """
     width = w.shape[2]
     deriv = _newton_deriv(width)
     scale = np.add.reduce(np.abs(w), axis=(1, 2)) + 1e-300
     curv_floor = 1e-9 * scale
     mag_floor = (1e-15 * scale)[:, None]
-    theta = theta0.astype(float)
+    theta = THETA_GRID[start]
+    lo, hi = theta - _GRID_STEP, theta + _GRID_STEP
     rows = np.arange(theta.size)
     t = theta.copy()
-    for _ in range(_NEWTON_ITERS):
+    for it in range(_NEWTON_ITERS):
         # (rows, outcomes, 3): g, g' and g'' of every outcome.
-        prod = w @ (_phases(t, width)[:, :, None] * deriv)
+        prod = w @ (_phases(t, width)[:, :, None] * deriv if it
+                    else _newton_start(width)[start])
         mags = np.abs(prod[..., :2])
         cross = (np.conj(prod[..., :1]) * prod[..., 1:]).real
         mag, inner = mags[..., 0], cross[..., 0]
@@ -216,14 +222,23 @@ def _in_blocks(kernel):
 
 
 @_in_blocks
+def expected_sharpness_batch(batch: np.ndarray, cmat: np.ndarray,
+                             thetas: np.ndarray) -> np.ndarray:
+    """Sum over outcomes of |predicted first harmonic| at per-row theta."""
+    w = _g1_weights(batch, cmat)
+    return _sharpness_from_weights(w, np.asarray(thetas, dtype=float))
+
+
+@_in_blocks
 def numeric_theta_batch(batch: np.ndarray, cmat: np.ndarray, *, settle: bool = False,
                         sharpness: bool = False):
     """Per-row feedback phase in [0, 2pi): the best of the GRID_POINTS
     brackets on [0, pi), ties within _SNAP to the smallest theta, refined by
     damped Newton inside it.  Not a guaranteed argmax: a near-equal peak in
     another bracket can be missed.  A plateau skips refinement, so a flat
-    prior gives exactly 0.  settle (for a theta that builds no children) as
-    in _refine_newton; with sharpness also the expected sharpness at theta."""
+    prior gives exactly 0.  settle (for a theta that builds no children, or
+    only sampled ones) as in _refine_newton; with sharpness also the
+    expected sharpness at theta."""
     w = _g1_weights(batch, cmat)
     vals = _sharpness_grid(w)
     top = np.maximum.reduce(vals, axis=1, keepdims=True)
@@ -235,12 +250,9 @@ def numeric_theta_batch(batch: np.ndarray, cmat: np.ndarray, *, settle: bool = F
     margin = 1.0 + _SNAP
     refine = (f_best > f_prev * margin) & (f_best > f_next * margin)
     if refine.all():
-        theta = _refine_newton(w, theta, theta - _GRID_STEP, theta + _GRID_STEP, settle)
+        theta = _refine_newton(w, idx, settle)
     elif refine.any():
-        center = theta[refine]
-        theta[refine] = _refine_newton(
-            w[refine], center, center - _GRID_STEP, center + _GRID_STEP, settle
-        )
+        theta[refine] = _refine_newton(w[refine], idx[refine], settle)
     theta = np.mod(theta, 2.0 * math.pi)
     return (theta, _sharpness_from_weights(w, theta)) if sharpness else theta
 

@@ -160,17 +160,19 @@ def _artifact(config: dict, t0: float, **result) -> dict:
     }
 
 
-def _check_output(output_path: str | None):
-    """Refuse, before any work, an --output that could not be written."""
+def _check_output(output_path: str | None, sidecar: bool):
+    """Refuse, before any work, an --output, or with sidecar its .csv
+    sidecar, that could not be written."""
     if not output_path:
         return
     folder = os.path.dirname(os.path.abspath(output_path))
     if not os.path.isdir(folder):
         raise ValueError(f"--output: {folder} is not a directory")
-    if os.path.isdir(output_path):
-        raise ValueError(f"--output: {output_path} is a directory")
-    if not os.access(output_path if os.path.exists(output_path) else folder, os.W_OK):
-        raise ValueError(f"--output: {output_path} cannot be written")
+    for path in (output_path, output_path + ".csv")[:1 + sidecar]:
+        if os.path.isdir(path):
+            raise ValueError(f"--output: {path} is a directory")
+        if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+            raise ValueError(f"--output: {path} cannot be written")
 
 
 def _emit(content: str | dict, output_path: str | None):
@@ -304,7 +306,8 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.perf_counter()
     try:
         cfg = _resolve(args)
-        _check_output(args.output)
+        # optimize is the one command with both a JSON result and a CSV body.
+        _check_output(args.output, args.command == "optimize" and args.format == "json")
         payload, csv_body = _COMMANDS[args.command][0](cfg)
     except BranchGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)

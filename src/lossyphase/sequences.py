@@ -61,6 +61,15 @@ mean |a1| / a0; averaged over the last outcome that is S / a0 = S.  So each
 record scores S, and the mean score estimates mu without bias and with less
 variance than the residuals: it is their Rao-Blackwellisation (Casella and
 Robert, Biometrika 83, 81 (1996)).  The sampled walk keeps both pi twins.
+
+Only rows that stop trials add to the sum, so below the last detection the
+sampled walk scores S on those rows alone; every row still gets its
+feedback, which the draw for its other trials needs.  And a sampled
+feedback builds no exact subtree: a theta off in its last bits moves a draw
+only if a uniform falls that close to a boundary, and S, at its maximum,
+only to second order.  So every numeric feedback of a sampled walk takes
+the settled stop, which ends in Newton's quadratic regime, while the exact
+and merged walks settle the last detection alone and stay bit for bit.
 """
 
 from __future__ import annotations
@@ -182,20 +191,17 @@ class _Stage:
     # Merged stages only: p0 of each chi value (the all-lost merge).
     lost: np.ndarray | None = None
 
-    def thetas(self, batch: np.ndarray, cmat: np.ndarray) -> np.ndarray:
-        """Feedback per row against cmat."""
-        if self.single_photon:
-            return _engine.closed_form_theta_batch(batch)
-        return _engine.numeric_theta_batch(batch, cmat)
-
-    def sharpened(self, batch: np.ndarray, cmat: np.ndarray,
-                  settle: bool) -> tuple[np.ndarray, np.ndarray]:
-        """Feedback per row and the expected sharpness at it; settle for a
-        feedback whose theta builds no children."""
-        if self.single_photon:
-            thetas = _engine.closed_form_theta_batch(batch)
-            return thetas, _engine.expected_sharpness_batch(batch, cmat, thetas)
-        return _engine.numeric_theta_batch(batch, cmat, settle=settle, sharpness=True)
+    def feedback(self, batch: np.ndarray, cmat: np.ndarray, *, settle: bool = False,
+                 sharpness: bool = False):
+        """Feedback per row against cmat and, with sharpness, the expected
+        sharpness at it; settle as in `_engine.numeric_theta_batch`."""
+        if not self.single_photon:
+            return _engine.numeric_theta_batch(batch, cmat, settle=settle,
+                                               sharpness=sharpness)
+        thetas = _engine.closed_form_theta_batch(batch)
+        if not sharpness:
+            return thetas
+        return thetas, _engine.expected_sharpness_batch(batch, cmat, thetas)
 
 
 def _all_lost(mats: np.ndarray) -> np.ndarray:
@@ -375,11 +381,22 @@ def _walk_tree(stages: list[_Stage], rng: np.random.Generator | None = None,
         else:
             stopped = rng.binomial(counts, hazards[si][chi, step])
             weight, counts = (stopped > 0) * 1.0, counts - stopped
+        # A sampled walk's feedback builds only sampled children: it settles.
+        settle = rng is not None or step == span
         if last:
-            thetas, sharp = stage.sharpened(batch, cmat, step == span)
-            terms = sharp * (weight * stopped)
-            sums += [np.bincount(cells, terms, sums.shape[1]),
-                     np.bincount(cells, terms * sharp, sums.shape[1])]
+            if rng is None or stopped.all():
+                thetas, sharp = stage.feedback(batch, cmat, settle=settle,
+                                               sharpness=True)
+                scored = slice(None)
+            else:  # score only the rows that stop trials
+                thetas = stage.feedback(batch, cmat, settle=settle)
+                scored = np.flatnonzero(stopped)
+                sharp = _engine.expected_sharpness_batch(
+                    batch[scored], cmat if cmat.ndim == 2 else cmat[scored],
+                    thetas[scored])
+            terms = sharp * (weight[scored] * stopped[scored])
+            sums += [np.bincount(cells[scored], terms, sums.shape[1]),
+                     np.bincount(cells[scored], terms * sharp, sums.shape[1])]
         else:
             keep = np.flatnonzero(weight)
             if keep.size:
@@ -401,7 +418,7 @@ def _walk_tree(stages: list[_Stage], rng: np.random.Generator | None = None,
             if last:
                 thetas = thetas[go]
         if not last:
-            thetas = stage.thetas(batch, cmat)
+            thetas = stage.feedback(batch, cmat, settle=settle)
         branch = cmat if stage.lost is None else cmat[..., :-1, :]
         if rng is not None:
             p = _engine.predictive_batch(batch, branch, thetas).clip(0.0)

@@ -495,6 +495,26 @@ class TestArtifactWriter:
         assert err.startswith("error: --output: ")
         assert sorted(tmp_path.iterdir()) == []
 
+    def test_unwritable_sidecar_exits_2_before_the_search(
+            self, capsys, monkeypatch, tmp_path):
+        # A directory where the .csv sidecar goes: nothing is written, not
+        # even the JSON artifact beside it.
+        calls = []
+        monkeypatch.setattr(cli, "optimize", lambda *a, **k: calls.append(a))
+        (tmp_path / "o.json.csv").mkdir()
+        target = tmp_path / "o.json"
+        code, out, err = run(capsys, *self.OPTIMIZE, "--output", str(target))
+        assert (code, out, calls) == (EXIT_USAGE, "", [])
+        assert err == f"error: --output: {target}.csv is a directory\n"
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "o.json.csv"]
+        assert list((tmp_path / "o.json.csv").iterdir()) == []
+        # As CSV the artifact is the one file, so the directory is no obstacle.
+        monkeypatch.undo()
+        code, _, err = run(capsys, "--format", "csv", *self.OPTIMIZE,
+                           "--output", str(target))
+        assert code == EXIT_OK, err
+        assert target.read_text().startswith("# {")
+
     def test_json_bytes_are_the_encoders(self, capsys, tmp_path):
         # Floats read back exactly, so the stdout artifact re-encodes to
         # itself; the writer's edge values (non-finite, non-ASCII, empty)

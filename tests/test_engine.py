@@ -412,10 +412,11 @@ class TestSettledFeedback:
 
 
 class TestRowBlocks:
-    """The numeric feedback, the predictive probabilities of the sampled
-    walk's draw and advance_selected run _BLOCK_ROWS rows at a time.  Rows
-    are independent, so the blocked kernels equal one pass over the whole
-    batch bit for bit, and the memory peak stops growing with the rows."""
+    """The numeric feedback, the expected sharpness, the predictive
+    probabilities of the sampled walk's draw and advance_selected run
+    _BLOCK_ROWS rows at a time.  Rows are independent, so the blocked
+    kernels equal one pass over the whole batch bit for bit, and the memory
+    peak stops growing with the rows."""
 
     MATS = np.stack([build_likelihood_table(make_loss_resistant(2, chi), 0.6).matrix
                      for chi in (0.5, 1.3, 1.7)])
@@ -437,7 +438,7 @@ class TestRowBlocks:
     @pytest.mark.parametrize("per_row", [False, True])
     @pytest.mark.parametrize("rows", ROWS)
     def test_blocks_match_one_pass_bit_for_bit(self, rows, per_row):
-        _, batch, cmat = self.inputs(rows, per_row)
+        rng, batch, cmat = self.inputs(rows, per_row)
         got = _engine.numeric_theta_batch(batch, cmat)
         assert got.dtype == float and got.shape == (rows,)
         assert np.array_equal(got, self.one_pass(batch, cmat, False)[0])
@@ -447,6 +448,12 @@ class TestRowBlocks:
             for part, want in zip(got, self.one_pass(batch, cmat, settle)):
                 assert part.dtype == float and part.shape == (rows,)
                 assert np.array_equal(part, want)
+        thetas = rng.uniform(0.0, 2.0 * math.pi, rows)
+        for n in (1, _engine._BLOCK_ROWS + 1, rows):
+            args = batch[:n], cmat[:n] if per_row else cmat, thetas[:n]
+            got = _engine.expected_sharpness_batch(*args)
+            assert got.dtype == float and got.shape == (min(n, rows),)
+            assert np.array_equal(got, _engine.expected_sharpness_batch.__wrapped__(*args))
         # An option passed by position would be sliced as a per-row array.
         for n in (1, _engine._BLOCK_ROWS + 1):
             with pytest.raises(TypeError):
@@ -543,6 +550,9 @@ class TestCachedConstants:
             "_newton_deriv": np.stack([np.ones(d.size), -1j * d,
                                        -(d * d.astype(float))], axis=1),
             "_grid_phases": np.exp(-1j * np.multiply.outer(_engine.THETA_GRID, d)).T,
+            "_newton_start": np.exp(-1j * np.multiply.outer(_engine.THETA_GRID, d))[
+                :, :, None] * np.stack([np.ones(d.size), -1j * d, -(d * d.astype(float))],
+                                       axis=1),
         }
 
     @pytest.mark.parametrize("width", WIDTHS)
@@ -564,11 +574,25 @@ class TestCachedConstants:
     def test_import_fills_none(self):
         code = ("import lossyphase, lossyphase.cli as c; from lossyphase import _engine as e; "
                 "print([f.cache_info().currsize for f in "
-                "(e._band, e._newton_deriv, e._grid_phases)])")
+                "(e._band, e._newton_deriv, e._grid_phases, e._newton_start)])")
         src = str(Path(_engine.__file__).resolve().parents[1])
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, cwd=src, timeout=60, check=True)
-        assert out.stdout.strip() == "[0, 0, 0]"
+        assert out.stdout.strip() == "[0, 0, 0, 0]"
+
+    @pytest.mark.parametrize("width", [3, 5, 9])
+    def test_newton_start_is_the_first_step(self, width):
+        # Newton's first step reads its factor at grid point idx from the
+        # table; one point at a time takes _phases' direct path, all of
+        # them eight times over its mirrored one.
+        table = _engine._newton_start(width)
+        deriv = _engine._newton_deriv(width)
+        idx = np.arange(_engine.GRID_POINTS)
+        tiled = np.tile(idx, 8)
+        assert tiled.size * width >= _engine._MIRROR_MIN
+        for start in [*([i] for i in idx), tiled]:
+            want = _engine._phases(_engine.THETA_GRID[start], width)[:, :, None] * deriv
+            assert table[start].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("rows", [0, 1, 5])
     @pytest.mark.parametrize("order, width", [(1, 1), (2, 9), (4, 23)])

@@ -95,11 +95,11 @@ def mp_walk(plan):
         row, coeffs, depth = stack.pop()
         stage, table = detections[depth]
         if depth == len(detections) - 1:
-            theta = stage.sharpened(row, stage.cmat, True)[0][0]
+            theta = stage.feedback(row, stage.cmat, settle=True, sharpness=True)[0][0]
             total += mp_sharpness(coeffs, table, theta)
             records += len(table)
             continue
-        theta = stage.thetas(row, stage.cmat)[0]
+        theta = stage.feedback(row, stage.cmat)[0]
         children = _engine.advance_batch(row, stage.cmat, np.array([theta]))[0]
         for child, table_row in zip(children, table):
             stack.append((child[None], mp_child(coeffs, table_row, theta), depth + 1))

@@ -203,7 +203,7 @@ def reference_walk(stages):
             continue
         stage = stages[si]
         children = _engine.advance_batch(batch, stage.cmat,
-                                         stage.thetas(batch, stage.cmat))
+                                         stage.feedback(batch, stage.cmat))
         children = children.reshape(-1, children.shape[2])
         alive = np.abs(children).max(axis=1) > 0.0
         next_si, next_step = (si, step + 1) if step + 1 < stage.count else (si + 1, 0)
@@ -473,7 +473,7 @@ def distinct_rows_per_depth(stage):
     for _ in range(stage.count):
         counts.append(len({row.tobytes() for row in level}))
         level = [child[None] for row in level for child in _engine.advance_batch(
-                     row, stage.cmat, stage.thetas(row, stage.cmat))[0]]
+                     row, stage.cmat, stage.feedback(row, stage.cmat))[0]]
     return counts
 
 
@@ -665,43 +665,34 @@ class TestMonteCarlo:
         assert 0.8 <= np.std(z) <= 1.2
         assert abs(np.mean(z)) <= 0.3
 
-    def test_error_bar_is_the_projected_spread(self, monkeypatch):
+    def test_error_bar_is_the_projected_spread(self, monkeypatch, recorded_draws):
         # Two two-photon detections, merged: at the first the trials that
         # lose both photons stop (a recorded binomial draw) and the rest
         # split among the root's 5 phase-carrying outcomes (a recorded
         # multinomial); the last detection stops every drawn record.  The
         # root's stopped trials and each drawn record score known values,
-        # in call order.  mu is the count-weighted mean score and the error
-        # bar their count-weighted std over sqrt(trials).
-        draws = []
-
-        class Recording(np.random.Generator):
-            def binomial(self, n, p):
-                out = super().binomial(n, p)
-                draws.append(out)
-                return out
-
-            def multinomial(self, n, pvals):
-                out = super().multinomial(n, pvals)
-                draws.append(out)
-                return out
-
+        # in call order, wherever the sharpness is computed.  mu is the
+        # count-weighted mean score and the error bar their count-weighted
+        # std over sqrt(trials).
         known = np.array([0.1, 0.5, 0.3, 0.9, 0.7, 0.2])
         given = []
-        kernel = _engine.numeric_theta_batch
 
-        def scored(batch, cmat, **options):
-            out = kernel(batch, cmat, **options)
-            if not options.get("sharpness"):
-                return out
-            given.append(batch.shape[0])
-            return out[0], known[sum(given[:-1]):sum(given)]
+        def scoring(kernel, fused):
+            def call(batch, cmat, *args, **options):
+                out = kernel(batch, cmat, *args, **options)
+                if fused and not options.get("sharpness"):
+                    return out
+                given.append(batch.shape[0])
+                scores = known[sum(given[:-1]):sum(given)]
+                return (out[0], scores) if fused else scores
+            return call
 
-        monkeypatch.setattr(np.random, "default_rng",
-                            lambda seed: Recording(np.random.PCG64(seed)))
-        monkeypatch.setattr(_engine, "numeric_theta_batch", scored)
+        for name, fused in (("numeric_theta_batch", True),
+                            ("expected_sharpness_batch", False)):
+            monkeypatch.setattr(_engine, name, scoring(getattr(_engine, name), fused))
         trials = 40
         mc = evaluate_monte_carlo(SequencePlan(0, 2, 1.7, 0, 0, 0.6), trials, 0)
+        draws = [out for *_, out in recorded_draws]
         assert [d.shape for d in draws[:2]] == [(1,), (1, 5)] and len(draws) == 3
         drawn = draws[1][draws[1] > 0]
         assert np.array_equal(draws[2], drawn)  # the last detection stops all
@@ -751,7 +742,7 @@ def reference_simulate(stages, rng, n_trials):
     batch = np.ones((n_trials, 1), dtype=complex)
     for stage in stages:
         for _ in range(stage.count):
-            thetas = stage.thetas(batch, stage.cmat)
+            thetas = stage.feedback(batch, stage.cmat)
             probs = np.clip(
                 _engine.outcome_probabilities(stage.cmat, phi - thetas).real,
                 0.0, None)
@@ -823,21 +814,12 @@ class TestSampledRecords:
         assert scored == [1 + built[0] + built[1]]
         assert rows["numeric_theta_batch"] == []
 
-    def test_lossless_trials_stop_only_at_the_last_detection(self, monkeypatch):
+    def test_lossless_trials_stop_only_at_the_last_detection(self, recorded_draws):
         # At eta = 1 no detection loses its photons: every stop probability
         # is 0 before a stage's last merged depth and 1 there.
-        draws = []
-
-        class Recording(np.random.Generator):
-            def binomial(self, n, p):
-                out = super().binomial(n, p)
-                draws.append((n, p, out))
-                return out
-
-        monkeypatch.setattr(np.random, "default_rng",
-                            lambda seed: Recording(np.random.PCG64(seed)))
         evaluate_monte_carlo(
             SequencePlan(n1=2, n2=1, chi2=1.7, n4=1, chi4=1.3, eta=1.0), 2000, 3)
+        draws = [draw[1:] for draw in recorded_draws if draw[0] == "binomial"]
         assert draws
         for n, p, out in draws:
             assert np.all((p == 0.0) | (p == 1.0))
@@ -916,6 +898,77 @@ class TestSampledRecords:
         evaluate_monte_carlo(N30_ROW, 1, 11)
         peak = traced_peak(evaluate_monte_carlo, N30_ROW, trials, 11)
         assert peak <= 8 * 2 ** 20
+
+
+class TestSampledFeedback:
+    """A sampled walk's feedback builds only sampled children, so every
+    numeric feedback settles, and below the last detection it scores the
+    sharpness only on the rows whose stop draw stopped trials."""
+
+    PLAN = SequencePlan(n1=3, n2=2, chi2=1.2, n4=2, chi4=1.5, eta=0.6)
+
+    def test_every_numeric_feedback_settles(self, monkeypatch):
+        settles = []
+        kernel = _engine.numeric_theta_batch
+
+        def spy(batch, cmat, **options):
+            settles.append(options.get("settle", False))
+            return kernel(batch, cmat, **options)
+
+        monkeypatch.setattr(_engine, "numeric_theta_batch", spy)
+        evaluate_monte_carlo(self.PLAN, 2000, 5)
+        assert len(settles) >= 4 and all(settles)
+        # The merged walk keeps full convergence below the last detection.
+        settles.clear()
+        evaluate_exact_with_speedup(self.PLAN)
+        assert True in settles and False in settles
+
+    @pytest.mark.parametrize("plan", [
+        SequencePlan(n1=0, n4=4, chi4=1.3, eta=0.6), SequencePlan(n1=8, eta=0.6),
+    ], ids=["four-photon", "single-photon"])
+    def test_sharpness_only_on_stopping_rows(self, monkeypatch, recorded_draws, plan):
+        # One stage, so every binomial draw is a stop draw of the last
+        # stage, and its chunk's feedback and scoring follow it before the
+        # next draw.  Each event is tagged with the draws made before it.
+        events = []
+
+        def spy(name, kind):
+            kernel = getattr(_engine, name)
+
+            def call(batch, *args, **options):
+                events.append((len(recorded_draws), kind, batch))
+                if options.get("sharpness"):
+                    events.append((len(recorded_draws), "sharpness", batch))
+                return kernel(batch, *args, **options)
+
+            monkeypatch.setattr(_engine, name, call)
+
+        spy("numeric_theta_batch", "theta")
+        spy("closed_form_theta_batch", "theta")
+        spy("expected_sharpness_batch", "sharpness")
+        evaluate_monte_carlo(plan, 4000, 2)
+        partial = 0
+        for i, (method, _, _, stopped) in enumerate(recorded_draws):
+            if method != "binomial":
+                continue
+            after = [(kind, batch) for tag, kind, batch in events if tag == i + 1]
+            assert [kind for kind, _ in after] == ["theta", "sharpness"]
+            (_, fed), (_, scored) = after
+            assert fed.shape[0] == stopped.size
+            assert np.array_equal(scored, fed[stopped > 0])
+            partial += 0 < np.count_nonzero(stopped) < stopped.size
+        assert partial
+
+    def test_settled_mu_is_the_converged_mu(self, monkeypatch):
+        # The settled stop leaves theta within rounding of full convergence
+        # for the draws and the scores alike, at the same seed.
+        settled = [evaluate_monte_carlo(self.PLAN, 4096, seed).mu for seed in range(3)]
+        kernel = _engine.numeric_theta_batch
+        monkeypatch.setattr(_engine, "numeric_theta_batch",
+                            lambda batch, cmat, **options: kernel(
+                                batch, cmat, **{**options, "settle": False}))
+        converged = [evaluate_monte_carlo(self.PLAN, 4096, seed).mu for seed in range(3)]
+        assert np.max(np.abs(np.subtract(settled, converged))) <= 1e-13
 
 
 class TestProperties:
