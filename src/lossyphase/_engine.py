@@ -20,6 +20,15 @@ sharpness, the predictive probabilities and advance_selected), the
 per-width caches (read-only, filled on first use) and the ufunc calls that
 take several operands at once, which keep a one-row call cheap, change no
 bit.
+
+advance_selected's keep builds only the harmonics |k| <= keep of each
+child, those a sampled walk can still read (the harmonic horizon of the
+`sequences` module docstring), from the centre columns of the window.
+With one outcome per row the product rounds each output harmonic alike
+whatever the output width, so that is bit for bit the centre of the whole
+band for every keep >= 1 (a horizon is at least 2).  A product over
+several outcomes is a matrix product whose rounding depends on the output
+width, so advance_batch keeps whole bands.
 """
 
 from __future__ import annotations
@@ -315,11 +324,17 @@ def closed_form_theta_batch(batch: np.ndarray) -> np.ndarray:
     return theta
 
 
-def _widen(batch: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+def _widen(batch: np.ndarray, coefs: np.ndarray, *,
+           keep: int | None = None) -> np.ndarray:
     """out[b, o, :] = posterior_b * sum_d coefs[b, o, d] e^{-i d phi}, the
     band widened by the likelihood order on each side: one batched product
-    with the strided window."""
-    return coefs @ _window(batch, (coefs.shape[-1] - 1) // 2)
+    with the strided window.  With keep, only the harmonics |k| <= keep of
+    that band, from a view of the window's centre columns."""
+    window = _window(batch, (coefs.shape[-1] - 1) // 2)
+    half = window.shape[2] // 2
+    if keep is not None and keep < half:
+        window = window[:, :, half - keep: half + keep + 1]
+    return coefs @ window
 
 
 def _window(batch: np.ndarray, order: int) -> np.ndarray:
@@ -348,11 +363,12 @@ def advance_batch(batch: np.ndarray, cmat: np.ndarray,
 
 @_in_blocks
 def advance_selected(batch: np.ndarray, cmat: np.ndarray, picks: np.ndarray,
-                     thetas: np.ndarray) -> np.ndarray:
+                     thetas: np.ndarray, *, keep: int | None = None) -> np.ndarray:
     """advance_batch's child picks[b] of each row b, equal to it up to
-    rounding: (n_b, n_c + 2 order)."""
+    rounding: (n_b, n_c + 2 order), or with keep only its harmonics
+    |k| <= keep, bit for bit the centre of the whole band."""
     coefs = cmat[picks] * _phases(thetas, cmat.shape[-1])
-    return _widen(batch, coefs[:, None, :])[:, 0, :]
+    return _widen(batch, coefs[:, None, :], keep=keep)[:, 0, :]
 
 
 @_in_blocks

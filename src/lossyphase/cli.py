@@ -41,6 +41,9 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_GUARD = 3
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+# The work guard of fisher-scan: chi points, each one Fisher evaluation and
+# one CSV line.
+_SCAN_BUDGET = 10 ** 6
 
 _PI_TOKEN = re.compile(
     r"^(?P<sign>[+-]?)(?P<num>\d+(\.\d*)?)?\s*\*?\s*pi(\s*/\s*(?P<den>\d+(\.\d*)?))?$"
@@ -217,6 +220,10 @@ def cmd_fisher_scan(cfg: dict):
     if not (cfg["chi_step"] >= 1e-12 and 0.0 <= lo <= hi <= 2.0):
         raise ValueError("need chi-step >= 1e-12 and finite chi-max >= chi-min, "
                          "both in [0, 2]")
+    points = int((hi - lo) / cfg["chi_step"]) + 1
+    if points > _SCAN_BUDGET:
+        raise BranchGuardError(f"{points} chi points exceed the work guard "
+                               f"{_SCAN_BUDGET} for fisher-scan")
     lines = ["chi,fisher\n"]
     chi = lo
     while chi <= hi + 1e-12:

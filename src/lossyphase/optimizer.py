@@ -13,13 +13,16 @@ import math
 from dataclasses import asdict, dataclass
 
 from lossyphase.sequences import (
+    BranchGuardError,
     EvaluationReport,
     SequencePlan,
+    _check_guard,
     evaluate_exact,
     evaluate_exact_with_speedup,
     evaluate_monte_carlo,
     evaluate_plans_with_speedup,
 )
+from lossyphase.states import _require_integer
 
 __all__ = [
     "OptimizationResult",
@@ -33,6 +36,11 @@ __all__ = [
 
 PARETO_CSV_HEADER = "n1,n2,chi2,n4,chi4,eta,mu,holevo_variance,branches,method"
 METHODS = ("exact", "speedup", "mc")
+# The work guard of optimize: plans, and records walked (trials with "mc")
+# summed over the plans, counted before any plan is built (README,
+# "Command line").
+PLAN_BUDGET = 10 ** 6
+WORK_BUDGET = 10 ** 10
 
 
 @dataclass(frozen=True)
@@ -58,10 +66,29 @@ class OptimizationResult:
         }
 
 
-def _chi_grid(step: float) -> list[float]:
+def _chi_grid_size(step: float) -> int:
+    """Points of the chi grid, i step rounded to 12 decimals up to 2,
+    counted without building it."""
     n_steps = int(round(2.0 / step))
-    grid = [round(i * step, 12) for i in range(n_steps + 1)]
-    return [g for g in grid if g <= 2.0 + 1e-12]
+    while round(n_steps * step, 12) > 2.0 + 1e-12:
+        n_steps -= 1
+    return n_steps + 1
+
+
+def _splits(total_photons: int, chi_grid_step: float) -> list[tuple[int, int, int]]:
+    """The splits (N1, N2, N4) by decreasing N1, then N2, once the
+    arguments are checked."""
+    if total_photons < 1:
+        raise ValueError("total_photons must be >= 1")
+    if not 0.0 < chi_grid_step <= 2.0:
+        raise ValueError("chi_grid_step must be in (0, 2]")
+    splits = [
+        (n1, n2, n4)
+        for n4 in range(total_photons // 4 + 1)
+        for n2 in range((total_photons - 4 * n4) // 2 + 1)
+        for n1 in (total_photons - 2 * n2 - 4 * n4,)
+    ]
+    return sorted(splits, key=lambda s: (-s[0], -s[1]))
 
 
 def enumerate_plans(
@@ -73,19 +100,9 @@ def enumerate_plans(
     ascending, matching the tie-breaking rule of `optimize`.  chi entries
     are omitted (held at 0) when the corresponding count is zero.
     """
-    if total_photons < 1:
-        raise ValueError("total_photons must be >= 1")
-    if not 0.0 < chi_grid_step <= 2.0:
-        raise ValueError("chi_grid_step must be in (0, 2]")
-    grid = _chi_grid(chi_grid_step)
+    splits = _splits(total_photons, chi_grid_step)
+    grid = [round(i * chi_grid_step, 12) for i in range(_chi_grid_size(chi_grid_step))]
     plans = []
-    splits = [
-        (n1, n2, n4)
-        for n4 in range(total_photons // 4 + 1)
-        for n2 in range((total_photons - 4 * n4) // 2 + 1)
-        for n1 in (total_photons - 2 * n2 - 4 * n4,)
-    ]
-    splits.sort(key=lambda s: (-s[0], -s[1]))
     for n1, n2, n4 in splits:
         chi2s = grid if n2 > 0 else [0.0]
         chi4s = grid if n4 > 0 else [0.0]
@@ -113,6 +130,36 @@ def evaluate_plans(
     raise ValueError(f"unknown method {method!r}: expected exact, speedup or mc")
 
 
+def _check_work(total_photons: int, chi_grid_step: float, eta: float,
+                evaluator: str, mc_trials: int) -> None:
+    """Raise BranchGuardError when a search asks for more than PLAN_BUDGET
+    plans or WORK_BUDGET records (trials with "mc"), from the arguments
+    alone.  A split whose plans exceed the branch guard is refused first,
+    naming its first plan as its evaluator would."""
+    splits = _splits(total_photons, chi_grid_step)
+    size = _chi_grid_size(chi_grid_step)
+    if evaluator == "mc":
+        _require_integer("trials", mc_trials)
+    plans = work = 0
+    for n1, n2, n4 in splits:
+        count = size ** ((n2 > 0) + (n4 > 0))
+        per_plan = mc_trials
+        if evaluator != "mc":
+            first = SequencePlan(n1, n2, 0.0, n4, 0.0, eta)
+            per_plan = (first.exact_leaf_count() if evaluator == "exact"
+                        else first.speedup_leaf_count())
+            _check_guard(first, per_plan)
+        plans, work = plans + count, work + count * per_plan
+    asked = f"for optimize --n {total_photons} --chi-step {chi_grid_step!r}"
+    if plans > PLAN_BUDGET:
+        raise BranchGuardError(f"{plans} plans exceed the work guard {PLAN_BUDGET} {asked}")
+    if work > WORK_BUDGET:
+        unit = "trials" if evaluator == "mc" else "records"
+        raise BranchGuardError(
+            f"{work} {unit} exceed the work guard {WORK_BUDGET} {asked} "
+            f"--method {evaluator}")
+
+
 def optimize(
     total_photons: int,
     eta: float,
@@ -125,8 +172,11 @@ def optimize(
 
     The first minimum in enumeration order wins, so ties go to larger N1,
     then smaller chi2, then smaller chi4 (the all-single-photon plan when
-    every variance is infinite).  evaluator is one of METHODS.
+    every variance is infinite).  evaluator is one of METHODS.  Raises
+    BranchGuardError, before any plan is built, beyond the work guard
+    (PLAN_BUDGET plans, WORK_BUDGET records or trials) or the branch guard.
     """
+    _check_work(total_photons, chi_grid_step, eta, evaluator, mc_trials)
     plans = enumerate_plans(total_photons, chi_grid_step, eta)
     reports = evaluate_plans(plans, evaluator, mc_trials, mc_seed)
     table = tuple(zip(plans, reports))

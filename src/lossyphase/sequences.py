@@ -70,6 +70,24 @@ only if a uniform falls that close to a boundary, and S, at its maximum,
 only to second order.  So every numeric feedback of a sampled walk takes
 the settled stop, which ends in Newton's quadratic regime, while the exact
 and merged walks settle the last detection alone and stay bit for bit.
+
+Harmonic horizon.  A detection whose table has order q (q = 1, 2 or 4, its
+photon number) reads a row's harmonics 1 - q..1 + q for the feedback and
+the expected sharpness, -q..q for the predictive probabilities and a0 for
+the normalization, and its child's harmonic k is sum_d c_d a_(k-d) over
+|d| <= q.  So the detections ahead of a row at depth step of stage si
+read at most its harmonics |k| <= H = 1 + q_si (count_si - step) + sum over
+the later stages of q_s count_s: at the last detection H = 1 + q, and one
+depth up H grows by q, just what the child's harmonics inside its own H
+read of the parent.  A sampled row keeps only |k| <= min(its band, H):
+advance_selected builds only those (its keep), and rows leaving a stage
+are cut, or padded, to the next stage's H at depth 0.  Every kept harmonic
+has the bits it has in the whole row, since a one-outcome product does not
+round with its output width (`_engine`), so no mu or error bar moves.
+Exact and merged walks keep whole rows.  Their advance_batch multiplies
+several outcomes at once, which rounds with the output width; cutting
+after that product costs a copy, and rows that then agree bit for bit fold
+in evaluate_exact, which moves mu in the last bits.
 """
 
 from __future__ import annotations
@@ -333,6 +351,13 @@ def _walk_tree(stages: list[_Stage], rng: np.random.Generator | None = None,
     # Detections a stage's merged losses fall among: the last stage's last
     # detection is scored, not branched on.
     spans = [s.count - (si == len(stages) - 1) for si, s in enumerate(stages)]
+    orders = [s.cmat.shape[-1] // 2 for s in stages]
+    # 1 + the orders of the detections from stage si on: a sampled row at
+    # (si, step) keeps |k| <= reach[si] - orders[si] step (the harmonic
+    # horizon of the module docstring); a row that leaves stage si has the
+    # half-width reach[0] - reach[si + 1].
+    reach = [1 + sum(q * s.count for q, s in zip(orders[si:], stages[si:]))
+             for si in range(len(stages) + 1)]
     if rng is not None:
         hazards = [_stop_hazard(span, p0) for span, p0 in zip(spans, lost)]
     sums = np.zeros((2, math.prod(fans)))
@@ -370,7 +395,8 @@ def _walk_tree(stages: list[_Stage], rng: np.random.Generator | None = None,
                 batch, cells, counts = _fold_equal_rows(batch, cells, counts)
         else:
             parent, outcome, theta = (a[take] for a in drawn)
-            batch = _engine.advance_selected(rows[parent], stage.cmat, outcome, theta)
+            batch = _engine.advance_selected(rows[parent], stage.cmat, outcome, theta,
+                                             keep=reach[si] - orders[si] * step)
             batch /= batch[:, batch.shape[1] // 2].real[:, None]
         chi = cells // strides[si] % fans[si]
         cmat = stage.cmat if fans[si] == 1 else stage.cmat[chi]
@@ -400,11 +426,16 @@ def _walk_tree(stages: list[_Stage], rng: np.random.Generator | None = None,
         else:
             keep = np.flatnonzero(weight)
             if keep.size:
-                pad = (span - step) * (stage.cmat.shape[-1] // 2)
-                left = np.zeros((keep.size, batch.shape[1] + 2 * pad), dtype=complex)
+                # The stage's final half-width, cut to the next stage's
+                # horizon when sampling.
+                half, wide = batch.shape[1] // 2, reach[0] - reach[si + 1]
+                if rng is not None:
+                    wide = min(wide, reach[si + 1])
+                cut, pad = max(half - wide, 0), max(wide - half, 0)
+                left = np.zeros((keep.size, 2 * wide + 1), dtype=complex)
                 keep = _index(keep, weight.size)
-                np.multiply(batch[keep], weight[keep, None],
-                            out=left[:, pad:pad + batch.shape[1]])
+                np.multiply(batch[keep, cut:batch.shape[1] - cut], weight[keep, None],
+                            out=left[:, pad:left.shape[1] - pad])
                 leaving[si].append((left, cells[keep], stopped[keep]))
         if step == span:
             continue

@@ -208,6 +208,19 @@ class TestFisherScan:
         header = json.loads(out.split("\n")[0][2:])
         assert header["config"]["theta"] == -0.5
 
+    def test_chi_points_beyond_work_guard_exit_3(self, capsys, monkeypatch, tmp_path):
+        # 2e12 Fisher evaluations are refused before the first one.
+        def never(*args):
+            raise AssertionError("fisher_information called past the work guard")
+
+        monkeypatch.setattr(cli, "fisher_information", never)
+        code, out, err = run(capsys, "fisher-scan", "--n-photons", "2", "--eta", "0.6",
+                             "--chi-step", "1e-12", "--output", str(tmp_path / "f.csv"))
+        assert code == EXIT_GUARD and out == ""
+        assert err == ("error: 2000000000001 chi points exceed the work guard "
+                       "1000000 for fisher-scan\n")
+        assert sorted(tmp_path.iterdir()) == []
+
     def test_chi_step_at_resolution_accepted(self, capsys):
         code, out, _ = run(
             capsys, "fisher-scan", "--n-photons", "2", "--eta", "0.6",
@@ -307,6 +320,30 @@ class TestOptimize:
         lines = [l for l in out.strip().split("\n") if not l.startswith("#")]
         assert lines[0] == "n1,n2,chi2,n4,chi4,eta,mu,holevo_variance,branches,method"
 
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--n", "3", "--chi-step", "1e-9"),
+         "2000000002 plans exceed the work guard 1000000 for optimize --n 3 "
+         "--chi-step 1e-09"),
+        (("--n", "19"),
+         "16695879987 records exceed the work guard 10000000000 for optimize "
+         "--n 19 --chi-step 0.1 --method speedup"),
+        (("--n", "9", "--method", "mc", "--trials", "100000000"),
+         "100900000000 trials exceed the work guard 10000000000 for optimize "
+         "--n 9 --chi-step 0.1 --method mc"),
+    ], ids=["plans", "records", "trials"])
+    def test_work_beyond_guard_exits_3_before_enumerating(self, capsys, monkeypatch,
+                                                          tmp_path, argv, message):
+        # Counted from the arguments: no plan is built.
+        def never(*args):
+            raise AssertionError("plans enumerated past the work guard")
+
+        monkeypatch.setattr("lossyphase.optimizer.enumerate_plans", never)
+        code, out, err = run(capsys, "optimize", "--eta", "0.6", *argv,
+                             "--output", str(tmp_path / "o.json"))
+        assert code == EXIT_GUARD and out == ""
+        assert err == f"error: {message}\n"
+        assert sorted(tmp_path.iterdir()) == []
 
     def test_sql_baseline_is_the_single_photon_row(self, capsys):
         # At N=26 the SQL plan is beyond the exact branch guard, so the

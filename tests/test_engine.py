@@ -161,6 +161,25 @@ class TestAdvance:
         np.testing.assert_allclose(sel, ref[np.arange(40), picks],
                                    rtol=0.0, atol=atol)
 
+    @pytest.mark.parametrize("rows", [1, _engine._BLOCK_ROWS, _engine._BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("n_photons", [1, 2, 4])
+    def test_keep_is_the_centre_of_the_whole_band(self, n_photons, rows):
+        # One outcome per row: each kept harmonic is the same dot product
+        # over the window whatever the output width, for every keep from 1
+        # to beyond the band, across the block boundary.
+        rng = np.random.default_rng(200 + 10 * n_photons + rows)
+        cmat = build_likelihood_table(TABLE_STATES[n_photons], 0.6).matrix
+        batch = random_hermitian(rng, rows, 5)
+        picks = rng.integers(0, cmat.shape[0], rows)
+        thetas = rng.uniform(0.0, 2.0 * math.pi, rows)
+        whole = _engine.advance_selected(batch, cmat, picks, thetas)
+        half = whole.shape[1] // 2
+        for keep in range(1, half + 2):
+            got = _engine.advance_selected(batch, cmat, picks, thetas, keep=keep)
+            lo = max(half - keep, 0)
+            assert got.shape == (rows, whole.shape[1] - 2 * lo)
+            assert got.tobytes() == whole[:, lo:whole.shape[1] - lo].tobytes()
+
 
 class TestLeafSharpness:
     """The identity the exact walk ends on: the expected sharpness at theta

@@ -104,6 +104,29 @@ class TestOptimize:
             optimize(27, 0.6, chi_grid_step=2.0)
         assert str(info.value).count("n1=27") == 1
 
+    def test_work_guard_admits_the_n17_search(self):
+        # 5,545 plans and 2.9e9 merged records, counted without a walk;
+        # at exact, the split (17, 0, 0) trips the branch guard first.
+        from lossyphase import optimizer
+        from lossyphase.sequences import BranchGuardError
+        plans = enumerate_plans(17, 0.1, 0.6)
+        assert len(plans) == 5545 <= optimizer.PLAN_BUDGET
+        assert sum(p.speedup_leaf_count() for p in plans) < optimizer.WORK_BUDGET
+        optimizer._check_work(17, 0.1, 0.6, "speedup", 1)
+        with pytest.raises(BranchGuardError, match="n1=17, n2=0"):
+            optimizer._check_work(17, 0.1, 0.6, "exact", 1)
+
+    @pytest.mark.parametrize("step", [0.1, 0.3, 0.7, 1 / 3, 0.15, 2.0, 1e-3])
+    def test_counted_grid_is_the_filtered_grid(self, step):
+        # The guard counts the grid the plans use: i step rounded to 12
+        # decimals for i up to round(2 / step), those above 2 dropped.
+        from lossyphase.optimizer import _chi_grid_size
+        grid = [g for g in (round(i * step, 12) for i in range(round(2.0 / step) + 1))
+                if g <= 2.0 + 1e-12]
+        assert _chi_grid_size(step) == len(grid)
+        assert [p.chi2 for p in enumerate_plans(2, step)[1:]] == grid
+
+
 class TestSqlBaseline:
     def test_single_photon_value(self):
         assert sql_baseline(1, 0.6) == pytest.approx(

@@ -432,6 +432,18 @@ class TestPinnedBits:
             "0x1.b608aa9f62f87p-1", "0x1.b8f1c4564d579p-1",
             "0x1.bb655c40a97b5p-1", "0x1.be25628e44afcp-1"]
 
+    @pytest.mark.parametrize("plan, mu, std_error", [
+        (SequencePlan(9, 2, 1.5, 0, 0, 0.6),
+         "0x1.d7c4cc553e3e5p-1", "0x1.dbfd9f2cbaa13p-12"),
+        (SequencePlan(20, 0, 0.0, 2, 1.3, 0.7),
+         "0x1.f2de6f9b52ddep-1", "0x1.4d3f362cf567fp-14"),
+    ])
+    def test_monte_carlo(self, plan, mu, std_error):
+        # Both plans' leaving rows are cut to the next stage's horizon and
+        # advanced again; these bits are those of the whole bands.
+        mc = evaluate_monte_carlo(plan, 3000, 1)
+        assert (mc.mu.hex(), mc.mc_std_error.hex()) == (mu, std_error)
+
 
 class TestBoundedPrefix:
     """The lossless single-photon prefix is walked a chunk at a time, so
@@ -814,6 +826,43 @@ class TestSampledRecords:
         assert scored == [1 + built[0] + built[1]]
         assert rows["numeric_theta_batch"] == []
 
+    @pytest.mark.parametrize("plan", [N30_ROW, SequencePlan(9, 2, 1.5, 0, 0, 0.6)],
+                             ids=["n30-row", "9-2-1.5"])
+    def test_rows_keep_only_their_horizon(self, monkeypatch, plan):
+        # A row at depth s of a stage of order q holds the band J = (orders
+        # of the earlier stages' detections) + q s, and the detections
+        # ahead of it read at most H = 1 + q (count - s) + (orders of the
+        # later stages' detections): it keeps min(J, H).  advance_selected
+        # builds depth s + 1 from depth s with keep = H; the feedback sees
+        # every depth below count, the rows that left the stage before at
+        # depth 0 included.
+        stages = [(q, n) for q, n in ((1, plan.n1), (2, plan.n2), (4, plan.n4)) if n]
+        horizons, kept = {}, {}
+        for i, (q, n) in enumerate(stages):
+            head = sum(qq * nn for qq, nn in stages[:i])
+            tail = sum(qq * nn for qq, nn in stages[i + 1:])
+            depths = n if i + 1 < len(stages) else n - 1
+            horizons[q] = [1 + q * (n - s) + tail for s in range(depths + 1)]
+            kept[q] = [min(head + q * s, h) for s, h in enumerate(horizons[q])]
+        fed, built = set(), set()
+        feedback, advance = sequences._Stage.feedback, _engine.advance_selected
+
+        def fed_spy(stage, batch, cmat, **options):
+            fed.add((cmat.shape[-1] // 2, batch.shape[1]))
+            return feedback(stage, batch, cmat, **options)
+
+        def built_spy(batch, cmat, picks, thetas, **options):
+            out = advance(batch, cmat, picks, thetas, **options)
+            built.add((cmat.shape[-1] // 2, batch.shape[1], options["keep"], out.shape[1]))
+            return out
+
+        monkeypatch.setattr(sequences._Stage, "feedback", fed_spy)
+        monkeypatch.setattr(_engine, "advance_selected", built_spy)
+        evaluate_monte_carlo(plan, 4096, 1)
+        assert fed == {(q, 2 * w + 1) for q, n in stages for w in kept[q][:n]}
+        assert built == {(q, 2 * ws[s] + 1, horizons[q][s + 1], 2 * ws[s + 1] + 1)
+                         for q, ws in kept.items() for s in range(len(ws) - 1)}
+
     def test_lossless_trials_stop_only_at_the_last_detection(self, recorded_draws):
         # At eta = 1 no detection loses its photons: every stop probability
         # is 0 before a stage's last merged depth and 1 there.
@@ -894,10 +943,17 @@ class TestSampledRecords:
         # kernels hold one 256-row block of temporaries.  16,384 trials of
         # the N=30 row peaked at 25 MiB with a node per distinct record,
         # updated in place, at 15.3 MiB with 1,024-row kernel blocks, and
-        # at 6.8 MiB now.  A one-trial run fills the caches.
+        # at 4.6 MiB (16,384 trials) and 4.9 MiB (65,536) now.  A one-trial
+        # run fills the caches.
         evaluate_monte_carlo(N30_ROW, 1, 11)
         peak = traced_peak(evaluate_monte_carlo, N30_ROW, trials, 11)
         assert peak <= 8 * 2 ** 20
+
+    def test_rows_past_their_horizon_are_not_held(self):
+        # Rows kept at their whole band, up to 53 coefficients, peaked at
+        # 6.0 MiB; rows cut to the harmonics still read peak at 4.6 MiB.
+        evaluate_monte_carlo(N30_ROW, 1, 11)
+        assert traced_peak(evaluate_monte_carlo, N30_ROW, 16384, 11) <= 5.5 * 2 ** 20
 
 
 class TestSampledFeedback:
