@@ -12,23 +12,22 @@ port-swap symmetry of `detection`: the expected sharpness has period pi and
 the feedback grid covers [0, pi) alone.
 
 The scalar API's one-row views and the tree walks call these kernels, and
-each view returns its own kernel's row bit for bit.  That holds per kernel,
-not across the two update kernels: advance_selected matches advance_batch's
-row only to rounding, since numpy's matmul takes another path for a single
-outcome.  Blocking (_in_blocks: the numeric feedback, the expected
-sharpness, the predictive probabilities and advance_selected), the
-per-width caches (read-only, filled on first use) and the ufunc calls that
-take several operands at once, which keep a one-row call cheap, change no
-bit.
+each view returns its kernel's row bit for bit.  Blocking (_in_blocks: the
+numeric feedback, the expected sharpness, the predictive probabilities and
+advance_batch), the per-width caches (read-only, filled on first use) and
+the ufunc calls that take several operands at once, which keep a one-row
+call cheap, change no bit.
 
-advance_selected's keep builds only the harmonics |k| <= keep of each
-child, those a sampled walk can still read (the harmonic horizon of the
-`sequences` module docstring), from the centre columns of the window.
-With one outcome per row the product rounds each output harmonic alike
-whatever the output width, so that is bit for bit the centre of the whole
-band for every keep >= 1 (a horizon is at least 2).  A product over
-several outcomes is a matrix product whose rounding depends on the output
-width, so advance_batch keeps whole bands.
+advance_batch is the one Bayes update.  How a child's bits round depends on
+how many outcomes each row multiplies: with one outcome per row the product
+rounds each output harmonic alike whatever the output width, but a product
+over several outcomes is a matrix product whose rounding depends on it.  So
+keep, which builds only the harmonics |k| <= keep of each child from the
+centre columns of the window, is bit for bit the centre of the whole band
+(for every keep >= 1) only with one outcome per row, as in the sampled walk
+(whose keep is the harmonic horizon of the `sequences` module docstring)
+and bayes_update.  The exact and merged walks multiply several outcomes per
+row, so they pass no keep (ROADMAP, measured dead ends).
 """
 
 from __future__ import annotations
@@ -324,19 +323,6 @@ def closed_form_theta_batch(batch: np.ndarray) -> np.ndarray:
     return theta
 
 
-def _widen(batch: np.ndarray, coefs: np.ndarray, *,
-           keep: int | None = None) -> np.ndarray:
-    """out[b, o, :] = posterior_b * sum_d coefs[b, o, d] e^{-i d phi}, the
-    band widened by the likelihood order on each side: one batched product
-    with the strided window.  With keep, only the harmonics |k| <= keep of
-    that band, from a view of the window's centre columns."""
-    window = _window(batch, (coefs.shape[-1] - 1) // 2)
-    half = window.shape[2] // 2
-    if keep is not None and keep < half:
-        window = window[:, :, half - keep: half + keep + 1]
-    return coefs @ window
-
-
 def _window(batch: np.ndarray, order: int) -> np.ndarray:
     """window[b, d, k] = pad[b, k + d] over the batch padded by 2 order
     zeros on each side: a read-only (rows, 2 order + 1, width + 2 order)
@@ -350,25 +336,28 @@ def _window(batch: np.ndarray, order: int) -> np.ndarray:
                                  (s_b, s_k, s_k)))
 
 
-def advance_batch(batch: np.ndarray, cmat: np.ndarray,
-                  thetas: np.ndarray) -> np.ndarray:
+@_in_blocks
+def advance_batch(batch: np.ndarray, cmat: np.ndarray, thetas: np.ndarray, *,
+                  keep: int | None = None) -> np.ndarray:
     """Unnormalized posteriors after one detection, for every outcome.
 
     Returns out[b, o, :] = coefficients of posterior_b * likelihood_o(theta_b),
-    a band widened by the table's order on each side: (n_b, n_o, n_c + 2 order).
+    a band widened by the table's order on each side: (n_b, n_o, n_c + 2 order),
+    one batched product with the strided window.  With keep, only the
+    harmonics |k| <= keep of that band, from a view of the window's centre
+    columns.
     """
-    phases = _phases(thetas, cmat.shape[-1])
-    return _widen(batch, cmat * phases[:, None, :])
+    window = _window(batch, (cmat.shape[-1] - 1) // 2)
+    half = window.shape[2] // 2
+    if keep is not None and keep < half:
+        window = window[:, :, half - keep: half + keep + 1]
+    return (cmat * _phases(thetas, cmat.shape[-1])[:, None, :]) @ window
 
 
-@_in_blocks
-def advance_selected(batch: np.ndarray, cmat: np.ndarray, picks: np.ndarray,
-                     thetas: np.ndarray, *, keep: int | None = None) -> np.ndarray:
-    """advance_batch's child picks[b] of each row b, equal to it up to
-    rounding: (n_b, n_c + 2 order), or with keep only its harmonics
-    |k| <= keep, bit for bit the centre of the whole band."""
-    coefs = cmat[picks] * _phases(thetas, cmat.shape[-1])
-    return _widen(batch, coefs[:, None, :], keep=keep)[:, 0, :]
+# No caller: perfbench's tracer looks up every _engine name it wraps, this
+# one included, until ROADMAP items 4 and 5 delete it with its tracer entry.
+def advance_selected(batch, cmat, picks, thetas, *, keep=None):
+    return advance_batch(batch, cmat[picks][:, None], thetas, keep=keep)[:, 0]
 
 
 @_in_blocks

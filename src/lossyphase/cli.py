@@ -213,24 +213,29 @@ def cmd_probs(cfg: dict):
     return build_likelihood_table(state, cfg["eta"]).to_json_dict(), None
 
 
+def _chi_points(lo: float, hi: float, step: float) -> int:
+    """Points of the fisher-scan grid lo + k step, each rounded to 12
+    decimals, up to hi: the last may pass hi by half that resolution."""
+    return int((hi - lo + 5e-13) / step) + 1
+
+
 def cmd_fisher_scan(cfg: dict):
-    # chi advances rounded to 12 decimals, so a step below 1e-12 may not move
-    # it; the range is checked for every N, since the single photon ignores chi.
-    lo, hi = cfg["chi_min"], cfg["chi_max"]
-    if not (cfg["chi_step"] >= 1e-12 and 0.0 <= lo <= hi <= 2.0):
+    # chi is rounded to 12 decimals, so a step below 1e-12 may not move it;
+    # the range is checked for every N, since the single photon ignores chi.
+    lo, hi, step = cfg["chi_min"], cfg["chi_max"], cfg["chi_step"]
+    if not (step >= 1e-12 and 0.0 <= lo <= hi <= 2.0):
         raise ValueError("need chi-step >= 1e-12 and finite chi-max >= chi-min, "
                          "both in [0, 2]")
-    points = int((hi - lo) / cfg["chi_step"]) + 1
+    points = _chi_points(lo, hi, step)
     if points > _SCAN_BUDGET:
         raise BranchGuardError(f"{points} chi points exceed the work guard "
                                f"{_SCAN_BUDGET} for fisher-scan")
     lines = ["chi,fisher\n"]
-    chi = lo
-    while chi <= hi + 1e-12:
+    for k in range(points):
+        chi = round(lo + k * step, 12)
         f = fisher_information(_state_for(cfg["n_photons"], chi), cfg["eta"],
                                cfg["phi"], cfg["theta"])
         lines.append(f"{chi:.10g},{f!r}\n")
-        chi = round(chi + cfg["chi_step"], 12)
     return None, "".join(lines)
 
 

@@ -85,11 +85,6 @@ class PhaseDistribution:
         return cls(data["max_harmonic"], c)
 
 
-# advance_selected's picks for a one-row table: its only row.
-_FIRST_ROW = np.zeros(1, dtype=int)
-_FIRST_ROW.flags.writeable = False
-
-
 def flat_prior() -> PhaseDistribution:
     """The uniform distribution 1/2pi (a_0 = 1, J = 0)."""
     return PhaseDistribution(0, np.ones(1, dtype=complex))
@@ -102,17 +97,17 @@ def bayes_update(
     theta: float,
 ) -> PhaseDistribution:
     """Posterior after observing `outcome` with controlled phase theta,
-    renormalized to a_0 = 1: the one-row case of `_engine.advance_selected`,
-    which widens the band by N - L.  Raises on a non-finite theta and on an
-    outcome of zero predictive probability; an identically zero likelihood,
-    such as loss at eta = 1, gives a_0 = 0 exactly.
+    renormalized to a_0 = 1: the one-row, one-outcome case of
+    `_engine.advance_batch`, which widens the band by N - L.  Raises on a
+    non-finite theta and on an outcome of zero predictive probability; an
+    identically zero likelihood, such as loss at eta = 1, gives a_0 = 0
+    exactly.
     """
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
     c = table.row(outcome)
-    raw = _engine.advance_selected(
-        prior.coeffs[None, :], c[None, :], _FIRST_ROW, np.array([theta])
-    )[0]
+    raw = _engine.advance_batch(prior.coeffs[None, :], c[None, None, :],
+                                np.array([theta]))[0, 0]
     mid = prior.max_harmonic + (len(c) - 1) // 2
     norm = raw.item(mid).real
     if norm <= 0.0:

@@ -80,7 +80,7 @@ read at most its harmonics |k| <= H = 1 + q_si (count_si - step) + sum over
 the later stages of q_s count_s: at the last detection H = 1 + q, and one
 depth up H grows by q, just what the child's harmonics inside its own H
 read of the parent.  A sampled row keeps only |k| <= min(its band, H):
-advance_selected builds only those (its keep), and rows leaving a stage
+advance_batch builds only those (its keep), and rows leaving a stage
 are cut, or padded, to the next stage's H at depth 0.  Every kept harmonic
 has the bits it has in the whole row, since a one-outcome product does not
 round with its output width (`_engine`), so no mu or error bar moves.
@@ -205,15 +205,15 @@ def _check_guard(plan: SequencePlan, total: int) -> None:
 class _Stage:
     count: int
     cmat: np.ndarray  # (outcomes, d), or (chi values, outcomes, d) in a split
-    single_photon: bool  # closed-form feedback instead of numeric
     # Merged stages only: p0 of each chi value (the all-lost merge).
     lost: np.ndarray | None = None
 
     def feedback(self, batch: np.ndarray, cmat: np.ndarray, *, settle: bool = False,
                  sharpness: bool = False):
         """Feedback per row against cmat and, with sharpness, the expected
-        sharpness at it; settle as in `_engine.numeric_theta_batch`."""
-        if not self.single_photon:
+        sharpness at it; settle as in `_engine.numeric_theta_batch`.  A
+        single-photon table (order 1) takes the closed form."""
+        if cmat.shape[-1] != 3:
             return _engine.numeric_theta_batch(batch, cmat, settle=settle,
                                                sharpness=sharpness)
         thetas = _engine.closed_form_theta_batch(batch)
@@ -267,7 +267,7 @@ def _split_stages(plans: list[SequencePlan],
             chis = sorted({chi_of(p) for p in plans})
             mats = np.stack([build_likelihood_table(_state_for(n_photons, chi),
                                                     first.eta).matrix for chi in chis])
-            stages.append(_Stage(count, mats if chis[1:] else mats[0], n_photons == 1,
+            stages.append(_Stage(count, mats if chis[1:] else mats[0],
                                  _all_lost(mats) if merge_lost else None))
             keys = keys * len(chis) + [chis.index(chi_of(p)) for p in plans]
     return stages, keys
@@ -395,8 +395,8 @@ def _walk_tree(stages: list[_Stage], rng: np.random.Generator | None = None,
                 batch, cells, counts = _fold_equal_rows(batch, cells, counts)
         else:
             parent, outcome, theta = (a[take] for a in drawn)
-            batch = _engine.advance_selected(rows[parent], stage.cmat, outcome, theta,
-                                             keep=reach[si] - orders[si] * step)
+            batch = _engine.advance_batch(rows[parent], stage.cmat[outcome][:, None],
+                                          theta, keep=reach[si] - orders[si] * step)[:, 0]
             batch /= batch[:, batch.shape[1] // 2].real[:, None]
         chi = cells // strides[si] % fans[si]
         cmat = stage.cmat if fans[si] == 1 else stage.cmat[chi]
@@ -459,7 +459,7 @@ def _walk_tree(stages: list[_Stage], rng: np.random.Generator | None = None,
                             (parent, outcome, thetas[parent]), 0, si, step + 1))
             continue
         children = _engine.advance_batch(batch, branch, thetas)
-        if stage.lost is not None and stage.single_photon and si == step == 0:
+        if stage.lost is not None and orders[si] == 1 and si == step == 0:
             children = _merge_root_twins(children, thetas)
         n_out = children.shape[1]
         children = children.reshape(-1, children.shape[2])

@@ -229,6 +229,43 @@ class TestFisherScan:
         assert code == EXIT_OK
         assert out.strip().split("\n")[-1].startswith("0.5,")
 
+    def test_work_guard_counts_the_rows_the_scan_writes(self, monkeypatch):
+        # On the 0.1 grid, (hi - lo) / step often rounds just below an
+        # integer, e.g. 0.3 / 0.1 = 2.9999999999999996, and the scan still
+        # reaches hi: the count must include that point.
+        monkeypatch.setattr(cli, "fisher_information", lambda *args: 0.0)
+        monkeypatch.setattr(cli, "_state_for", lambda *args: None)
+        undercounted = 0
+        for a in range(21):
+            for b in range(a, 21):
+                for step in (0.1, 0.02, 0.05, 0.3, 0.07, 0.25):
+                    lo, hi = a / 10, b / 10
+                    _, csv = cli.cmd_fisher_scan({
+                        "chi_min": lo, "chi_max": hi, "chi_step": step,
+                        "n_photons": 2, "eta": 0.6, "phi": 0.0, "theta": 0.0})
+                    rows = csv.count("\n") - 1
+                    assert cli._chi_points(lo, hi, step) == rows, (lo, hi, step)
+                    assert float(csv.split("\n")[-2].split(",")[0]) <= hi
+                    undercounted += int((hi - lo) / step) + 1 < rows
+        assert undercounted > 200
+
+    @pytest.mark.parametrize("bounds", [("0", "0.3", "0.1"), ("0.5", "0.5", "1e-12"),
+                                        ("0", "2", "0.02")])
+    def test_work_guard_refuses_one_row_past_the_budget(self, capsys, monkeypatch,
+                                                         bounds):
+        args = ["fisher-scan", "--n-photons", "2", "--eta", "0.6"]
+        for flag, value in zip(("--chi-min", "--chi-max", "--chi-step"), bounds):
+            args += [flag, value]
+        code, out, _ = run(capsys, *args)
+        rows = len([line for line in out.strip().split("\n")
+                    if not line.startswith("#")]) - 1
+        assert code == EXIT_OK
+        monkeypatch.setattr(cli, "_SCAN_BUDGET", rows - 1)
+        code, out, err = run(capsys, *args)
+        assert code == EXIT_GUARD and out == ""
+        assert err == (f"error: {rows} chi points exceed the work guard {rows - 1} "
+                       "for fisher-scan\n")
+
 
 class TestEvaluate:
     def test_exact_single_photon(self, capsys):

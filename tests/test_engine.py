@@ -156,7 +156,7 @@ class TestAdvance:
         np.testing.assert_allclose(out, ref, rtol=0.0, atol=atol)
 
         picks = rng.integers(0, cmat.shape[0], 40)
-        sel = _engine.advance_selected(batch, cmat, picks, thetas)
+        sel = _engine.advance_batch(batch, cmat[picks][:, None], thetas)[:, 0]
         assert sel.shape == (40, batch.shape[1] + 2 * order)
         np.testing.assert_allclose(sel, ref[np.arange(40), picks],
                                    rtol=0.0, atol=atol)
@@ -170,15 +170,34 @@ class TestAdvance:
         rng = np.random.default_rng(200 + 10 * n_photons + rows)
         cmat = build_likelihood_table(TABLE_STATES[n_photons], 0.6).matrix
         batch = random_hermitian(rng, rows, 5)
-        picks = rng.integers(0, cmat.shape[0], rows)
+        stack = cmat[rng.integers(0, cmat.shape[0], rows)][:, None]
         thetas = rng.uniform(0.0, 2.0 * math.pi, rows)
-        whole = _engine.advance_selected(batch, cmat, picks, thetas)
+        whole = _engine.advance_batch(batch, stack, thetas)[:, 0]
         half = whole.shape[1] // 2
         for keep in range(1, half + 2):
-            got = _engine.advance_selected(batch, cmat, picks, thetas, keep=keep)
+            got = _engine.advance_batch(batch, stack, thetas, keep=keep)[:, 0]
             lo = max(half - keep, 0)
             assert got.shape == (rows, whole.shape[1] - 2 * lo)
             assert got.tobytes() == whole[:, lo:whole.shape[1] - lo].tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 7, _engine._BLOCK_ROWS, _engine._BLOCK_ROWS + 1,
+                                      1000])
+    @pytest.mark.parametrize("n_photons", [1, 2, 4])
+    def test_advance_selected_is_advance_batch_on_one_outcome(self, n_photons, rows):
+        # The name the benchmark's tracer still wraps is advance_batch's
+        # child picks[b] of each row b, hex-equal with and without keep,
+        # across the block boundary.
+        rng = np.random.default_rng(400 + 10 * n_photons + rows)
+        cmat = build_likelihood_table(TABLE_STATES[n_photons], 0.6).matrix
+        batch = random_hermitian(rng, rows, 5)
+        picks = rng.integers(0, cmat.shape[0], rows)
+        thetas = rng.uniform(0.0, 2.0 * math.pi, rows)
+        for keep in (None, 1, 3, 6):
+            want = _engine.advance_batch(batch, cmat[picks][:, None], thetas,
+                                         keep=keep)[:, 0]
+            got = _engine.advance_selected(batch, cmat, picks, thetas, keep=keep)
+            assert got.shape == want.shape
+            assert got.tobytes().hex() == want.tobytes().hex()
 
 
 class TestLeafSharpness:
@@ -432,7 +451,7 @@ class TestSettledFeedback:
 
 class TestRowBlocks:
     """The numeric feedback, the expected sharpness, the predictive
-    probabilities of the sampled walk's draw and advance_selected run
+    probabilities of the sampled walk's draw and advance_batch run
     _BLOCK_ROWS rows at a time.  Rows are independent, so the blocked
     kernels equal one pass over the whole batch bit for bit, and the memory
     peak stops growing with the rows."""
@@ -491,15 +510,20 @@ class TestRowBlocks:
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("rows", ROWS)
-    def test_advance_selected_blocks_match_one_pass_bit_for_bit(self, rows):
+    def test_advance_batch_blocks_match_one_pass_bit_for_bit(self, rows):
+        # The sampled walk's one-outcome stack against the per-pick product
+        # in one pass, and the exact walks' shared table.
         rng, batch, cmat = self.inputs(rows, False)
         picks = rng.integers(0, cmat.shape[0], rows)
         thetas = rng.uniform(0.0, 2.0 * math.pi, rows)
         coefs = cmat[picks] * _engine._phases(thetas, cmat.shape[-1])
-        want = _engine._widen(batch, coefs[:, None, :])[:, 0, :]
-        got = _engine.advance_selected(batch, cmat, picks, thetas)
-        assert got.shape == (rows, batch.shape[1] + cmat.shape[-1] - 1)
+        want = coefs[:, None, :] @ _engine._window(batch, (cmat.shape[-1] - 1) // 2)
+        got = _engine.advance_batch(batch, cmat[picks][:, None], thetas)
+        assert got.shape == (rows, 1, batch.shape[1] + cmat.shape[-1] - 1)
         assert np.array_equal(got, want)
+        got = _engine.advance_batch(batch, cmat, thetas)
+        assert got.shape == (rows, cmat.shape[0], batch.shape[1] + cmat.shape[-1] - 1)
+        assert np.array_equal(got, _engine.advance_batch.__wrapped__(batch, cmat, thetas))
 
     @pytest.mark.parametrize("rows", ROWS)
     def test_tuple_outputs_keep_each_shape_and_dtype(self, rows):
@@ -555,8 +579,8 @@ class TestRefinePaths:
 
 class TestCachedConstants:
     """The per-width constants are filled on first use, read-only, and
-    equal a fresh computation byte for byte; the _widen window made by the
-    ndarray constructor equals the as_strided window."""
+    equal a fresh computation byte for byte; advance_batch's window made by
+    the ndarray constructor equals the as_strided window."""
 
     WIDTHS = range(3, 62, 2)
 
@@ -692,7 +716,7 @@ class TestViewsEqualKernels:
             for outcomes, cmat in self.by_lost(table):
                 picks = rng.integers(0, len(outcomes), len(posts))
                 thetas = rng.uniform(0.0, 2.0 * math.pi, len(posts))
-                raw = _engine.advance_selected(batch, cmat, picks, thetas)
+                raw = _engine.advance_batch(batch, cmat[picks][:, None], thetas)[:, 0]
                 mid = (raw.shape[1] - 1) // 2
                 for i, prior in enumerate(posts):
                     if not raw[i, mid].real > 0.0:

@@ -762,7 +762,7 @@ def reference_simulate(stages, rng, n_trials):
             cdf /= cdf[:, -1:]
             u = rng.random(n_trials)
             picks = (u[:, None] > cdf).sum(axis=1)
-            batch = _engine.advance_selected(batch, stage.cmat, picks, thetas)
+            batch = _engine.advance_batch(batch, stage.cmat[picks][:, None], thetas)[:, 0]
             norms = np.abs(batch).max(axis=1)
             norms[norms == 0.0] = 1.0
             batch /= norms[:, None]
@@ -803,13 +803,13 @@ class TestSampledRecords:
     def test_kernels_see_distinct_records(self, monkeypatch):
         # 5,000 trials of (2, 1, 1.7), merged: the closed form sees the
         # flat root, then the at most 2 records of one phase-carrying
-        # single photon, which advance_selected builds, as it then builds
+        # single photon, which advance_batch builds, as it then builds
         # the at most 4 of two.  Trials that lost photons stop at every
         # depth, so the last detection's settled feedback sees the root,
         # the depth-1 and the depth-2 records and scores them.  No all-lost
         # child is built.  A per-trial sampler sends 5,000 rows to each.
         rows = {"closed_form_theta_batch": [], "numeric_theta_batch": [],
-                "advance_selected": []}
+                "advance_batch": []}
         scored = []  # the numeric feedback's calls with the sharpness
         for name, seen in rows.items():
             kernel = getattr(_engine, name)
@@ -820,7 +820,7 @@ class TestSampledRecords:
 
             monkeypatch.setattr(_engine, name, counted)
         evaluate_monte_carlo(SequencePlan(n1=2, n2=1, chi2=1.7, eta=0.6), 5000, 3)
-        closed, built = rows["closed_form_theta_batch"], rows["advance_selected"]
+        closed, built = rows["closed_form_theta_batch"], rows["advance_batch"]
         assert closed == [1, built[0]] and built[0] <= 2
         assert len(built) == 2 and built[1] <= 4
         assert scored == [1 + built[0] + built[1]]
@@ -832,7 +832,7 @@ class TestSampledRecords:
         # A row at depth s of a stage of order q holds the band J = (orders
         # of the earlier stages' detections) + q s, and the detections
         # ahead of it read at most H = 1 + q (count - s) + (orders of the
-        # later stages' detections): it keeps min(J, H).  advance_selected
+        # later stages' detections): it keeps min(J, H).  advance_batch
         # builds depth s + 1 from depth s with keep = H; the feedback sees
         # every depth below count, the rows that left the stage before at
         # depth 0 included.
@@ -845,19 +845,19 @@ class TestSampledRecords:
             horizons[q] = [1 + q * (n - s) + tail for s in range(depths + 1)]
             kept[q] = [min(head + q * s, h) for s, h in enumerate(horizons[q])]
         fed, built = set(), set()
-        feedback, advance = sequences._Stage.feedback, _engine.advance_selected
+        feedback, advance = sequences._Stage.feedback, _engine.advance_batch
 
         def fed_spy(stage, batch, cmat, **options):
             fed.add((cmat.shape[-1] // 2, batch.shape[1]))
             return feedback(stage, batch, cmat, **options)
 
-        def built_spy(batch, cmat, picks, thetas, **options):
-            out = advance(batch, cmat, picks, thetas, **options)
-            built.add((cmat.shape[-1] // 2, batch.shape[1], options["keep"], out.shape[1]))
+        def built_spy(batch, cmat, thetas, **options):
+            out = advance(batch, cmat, thetas, **options)
+            built.add((cmat.shape[-1] // 2, batch.shape[1], options["keep"], out.shape[2]))
             return out
 
         monkeypatch.setattr(sequences._Stage, "feedback", fed_spy)
-        monkeypatch.setattr(_engine, "advance_selected", built_spy)
+        monkeypatch.setattr(_engine, "advance_batch", built_spy)
         evaluate_monte_carlo(plan, 4096, 1)
         assert fed == {(q, 2 * w + 1) for q, n in stages for w in kept[q][:n]}
         assert built == {(q, 2 * ws[s] + 1, horizons[q][s + 1], 2 * ws[s + 1] + 1)
@@ -877,10 +877,10 @@ class TestSampledRecords:
     def test_all_lost_trials_build_no_child(self, monkeypatch):
         # At eta = 0 every detection loses its photons: every trial stops
         # at depth 0 of every stage and nothing is drawn or built.
-        def never(*args):
-            raise AssertionError("advance_selected called at eta = 0")
+        def never(*args, **options):
+            raise AssertionError("advance_batch called at eta = 0")
 
-        monkeypatch.setattr(_engine, "advance_selected", never)
+        monkeypatch.setattr(_engine, "advance_batch", never)
         mc = evaluate_monte_carlo(
             SequencePlan(n1=2, n2=1, chi2=1.7, n4=1, chi4=1.3, eta=0.0), 5000, 3)
         assert mc.mu == 0.0

@@ -15,6 +15,7 @@ import inspect
 from pathlib import Path
 
 import pytest
+from test_dead_names import names_read_in
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -65,3 +66,18 @@ def test_no_side_door_around_the_traced_kernels(module):
                and list(inspect.signature(fn).parameters)[:1] == ["batch"]}
     hidden = kernels - set(TRACER.ENTRY_POINTS["_engine"]) - UNTRACED_KERNELS
     assert not hidden, (module, sorted(hidden))
+
+
+# _engine names that only the benchmark reads: they stay while the tracer
+# wraps them, and no program code may call them again (ROADMAP, items 4, 5
+# and 7, which delete them with their tracer entries).
+TRACER_ONLY = {"advance_selected", "table_matrix", "first_harmonic"}
+
+
+def test_tracer_only_names_are_pinned():
+    from lossyphase import _engine
+
+    engine = {name for name, value in vars(_engine).items()
+              if getattr(value, "__module__", None) == _engine.__name__}
+    read_by_benchmark = names_read_in(["perfbench"])
+    assert (engine & read_by_benchmark) - names_read_in(["src"]) == TRACER_ONLY
