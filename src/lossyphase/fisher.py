@@ -23,7 +23,8 @@ import math
 import numpy as np
 
 from lossyphase.detection import _amplitude_weights, _build_kernel
-from lossyphase.states import TwoModeState, make_exact_optimal4, make_loss_resistant
+from lossyphase.states import (TwoModeState, _require_integer, make_exact_optimal4,
+                               make_loss_resistant)
 
 __all__ = [
     "fisher_information",
@@ -148,6 +149,7 @@ def _family_max(make, seeds, steps: tuple[float, ...], eta: float,
 def max_fisher_over_chi(n_photons: int, eta: float) -> tuple[float, float]:
     """Best (chi, F) of the loss-resistant family at N = 2 or 4: chi seeded
     on _CHI_GRID, then (chi, phi) refined with chi kept in [0, 2]."""
+    _require_integer("n_photons", n_photons)
     if n_photons not in (2, 4):
         raise ValueError("loss-resistant families are built for N = 2 or 4")
     chi, f = _family_max(functools.partial(make_loss_resistant, n_photons // 2),

@@ -70,7 +70,7 @@ def _chi_grid_size(step: float) -> int:
     """Points of the chi grid, i step rounded to 12 decimals up to 2,
     counted without building it."""
     n_steps = int(round(2.0 / step))
-    while round(n_steps * step, 12) > 2.0 + 1e-12:
+    while round(n_steps * step, 12) > 2.0:
         n_steps -= 1
     return n_steps + 1
 
@@ -78,6 +78,7 @@ def _chi_grid_size(step: float) -> int:
 def _splits(total_photons: int, chi_grid_step: float) -> list[tuple[int, int, int]]:
     """The splits (N1, N2, N4) by decreasing N1, then N2, once the
     arguments are checked."""
+    _require_integer("total_photons", total_photons)
     if total_photons < 1:
         raise ValueError("total_photons must be >= 1")
     if not 0.0 < chi_grid_step <= 2.0:
@@ -192,6 +193,7 @@ def optimize(
 
 def sql_baseline(total_photons: int, eta: float) -> float:
     """Holevo variance of the all-single-photon plan (the SQL reference)."""
+    _require_integer("total_photons", total_photons)
     if total_photons < 1:
         raise ValueError("total_photons must be >= 1")
     plan = SequencePlan(n1=total_photons, eta=eta)

@@ -62,14 +62,16 @@ record scores S, and the mean score estimates mu without bias and with less
 variance than the residuals: it is their Rao-Blackwellisation (Casella and
 Robert, Biometrika 83, 81 (1996)).  The sampled walk keeps both pi twins.
 
-Only rows that stop trials add to the sum, so below the last detection the
-sampled walk scores S on those rows alone; every row still gets its
-feedback, which the draw for its other trials needs.  And a sampled
-feedback builds no exact subtree: a theta off in its last bits moves a draw
-only if a uniform falls that close to a boundary, and S, at its maximum,
-only to second order.  So every numeric feedback of a sampled walk takes
-the settled stop, which ends in Newton's quadratic regime, while the exact
-and merged walks settle the last detection alone and stay bit for bit.
+Only rows of nonzero score add to the sum: in a sampled walk those that
+stop trials, in the others those of nonzero weight, which an unmerged
+stage's rows below full depth lack.  So every walk scores S on those rows
+alone, though every row gets its feedback, which its children or its
+other trials need.  And a sampled feedback builds no exact subtree: a
+theta off in its last bits moves a draw only if a uniform falls that close
+to a boundary, and S, at its maximum, only to second order.  So every
+numeric feedback of a sampled walk takes the settled stop, which ends in
+Newton's quadratic regime, while the exact and merged walks settle the
+last detection alone and stay bit for bit.
 
 Harmonic horizon.  A detection whose table has order q (q = 1, 2 or 4, its
 photon number) reads a row's harmonics 1 - q..1 + q for the feedback and
@@ -343,7 +345,7 @@ def _walk_tree(stages: list[_Stage], rng: np.random.Generator | None = None,
     (see the module docstring for all three).  Rows go depth first in
     chunks of _CHUNK_ROWS, or _SAMPLE_ROWS when sampling, where a chunk
     takes the whole rest of a batch once at most one more would remain; so
-    the order of every sum is fixed.  Exactly zero rows are dropped.
+    the order of every sum is fixed.  Exactly zero rows are skipped by index.
     """
     fans = [s.cmat.shape[0] if s.cmat.ndim == 3 else 1 for s in stages]
     strides = [math.prod(fans[si + 1:]) for si in range(len(fans))]
@@ -362,42 +364,40 @@ def _walk_tree(stages: list[_Stage], rng: np.random.Generator | None = None,
         hazards = [_stop_hazard(span, p0) for span, p0 in zip(spans, lost)]
     sums = np.zeros((2, math.prod(fans)))
     chunk, spare = (_CHUNK_ROWS, 0) if rng is None else (_SAMPLE_ROWS,) * 2
-    # (rows, key and trials per fanned-out or drawn row, draws or None,
-    #  first row to walk, stage, depth)
-    pending = [(np.ones((1, 1), dtype=complex), np.zeros(1, dtype=np.int64),
-                np.array([trials]), None, 0, 0, 0)]
+
+    def enter(si, rows, cells, counts):  # rows entering stage si, fanned out
+        fan = fans[si]
+        return (rows, None if fan == 1 else np.arange(rows.shape[0]).repeat(fan), None,
+                (cells[:, None] + np.arange(fan) * strides[si]).ravel(),
+                counts.repeat(fan), 0, si, 0)
+
+    # (rows, the row of rows each walked row reads or None for all, its
+    #  (outcome, theta) or None, key and trials, first row to walk, stage, depth)
+    pending = [enter(0, np.ones((1, 1), dtype=complex), np.zeros(1, dtype=np.int64),
+                     np.array([trials]))] if stages else []
     leaving: list[list] = [[] for _ in stages]  # rows that left stage si
-    while stages and (pending or any(leaving)):
+    while pending or any(leaving):
         for si, out in enumerate(leaving):
             if out and (not pending or sum(c.size for _, c, _ in out) >= chunk):
-                pending.append((*map(np.concatenate, zip(*out)), None, 0, si + 1, 0))
+                pending.append(enter(si + 1, *map(np.concatenate, zip(*out))))
                 leaving[si] = []
-        rows, cells, counts, drawn, lo, si, step = pending.pop()
-        fan = fans[si] if step == 0 else 1
-        size = rows.shape[0] * fan if drawn is None else drawn[0].size
+        rows, parent, drawn, cells, counts, lo, si, step = pending.pop()
         end = lo + chunk
-        if end + spare < size:
-            pending.append((rows, cells, counts, drawn, end, si, step))
+        if end + spare < cells.size:
+            pending.append((rows, parent, drawn, cells, counts, end, si, step))
         else:
-            end = size
+            end = cells.size
         stage, span, last = stages[si], spans[si], si == len(stages) - 1
-        # A chunk at fan 1 is a view; a fanned chunk gathers its parents.
-        if fan == 1:
-            take = slice(lo, end)
-            cells, counts = cells[take], counts[take]
-        else:
-            flat = np.arange(lo, end)
-            take = flat // fan
-            cells, counts = cells[take] + flat % fan * strides[si], counts[take]
-        if drawn is None:
-            batch = rows[take]
-            if stage.lost is None:
-                batch, cells, counts = _fold_equal_rows(batch, cells, counts)
-        else:
-            parent, outcome, theta = (a[take] for a in drawn)
-            batch = _engine.advance_batch(rows[parent], stage.cmat[outcome][:, None],
-                                          theta, keep=reach[si] - orders[si] * step)[:, 0]
+        take = slice(lo, end)
+        batch = rows[take] if parent is None else rows[parent[take]]
+        cells, counts = cells[take], counts[take]
+        if drawn is not None:
+            outcome, theta = (a[take] for a in drawn)
+            batch = _engine.advance_batch(batch, stage.cmat[outcome][:, None], theta,
+                                          keep=reach[si] - orders[si] * step)[:, 0]
             batch /= batch[:, batch.shape[1] // 2].real[:, None]
+        elif stage.lost is None:
+            batch, cells, counts = _fold_equal_rows(batch, cells, counts)
         chi = cells // strides[si] % fans[si]
         cmat = stage.cmat if fans[si] == 1 else stage.cmat[chi]
         # Rows whose remaining merged detections all lose their photons.
@@ -410,19 +410,22 @@ def _walk_tree(stages: list[_Stage], rng: np.random.Generator | None = None,
         # A sampled walk's feedback builds only sampled children: it settles.
         settle = rng is not None or step == span
         if last:
-            if rng is None or stopped.all():
-                thetas, sharp = stage.feedback(batch, cmat, settle=settle,
-                                               sharpness=True)
-                scored = slice(None)
-            else:  # score only the rows that stop trials
+            # Only rows of nonzero score add to the sums, so S is taken on
+            # them alone, fused with the feedback when every row scores.
+            score = weight * stopped
+            scored = np.flatnonzero(score)
+            if scored.size == score.size:
+                thetas, sharp = stage.feedback(batch, cmat, settle=settle, sharpness=True)
+            else:
                 thetas = stage.feedback(batch, cmat, settle=settle)
-                scored = np.flatnonzero(stopped)
-                sharp = _engine.expected_sharpness_batch(
-                    batch[scored], cmat if cmat.ndim == 2 else cmat[scored],
-                    thetas[scored])
-            terms = sharp * (weight[scored] * stopped[scored])
-            sums += [np.bincount(cells[scored], terms, sums.shape[1]),
-                     np.bincount(cells[scored], terms * sharp, sums.shape[1])]
+                if scored.size:
+                    sharp = _engine.expected_sharpness_batch(
+                        batch[scored], cmat if cmat.ndim == 2 else cmat[scored],
+                        thetas[scored])
+            if scored.size:
+                terms = sharp * score[scored]
+                sums += [np.bincount(cells[scored], terms, sums.shape[1]),
+                         np.bincount(cells[scored], terms * sharp, sums.shape[1])]
         else:
             keep = np.flatnonzero(weight)
             if keep.size:
@@ -437,42 +440,32 @@ def _walk_tree(stages: list[_Stage], rng: np.random.Generator | None = None,
                 np.multiply(batch[keep, cut:batch.shape[1] - cut], weight[keep, None],
                             out=left[:, pad:left.shape[1] - pad])
                 leaving[si].append((left, cells[keep], stopped[keep]))
-        if step == span:
+        # Only rows with trials left go on: every row of an exact walk.
+        go = np.flatnonzero(counts)
+        if step == span or not go.size:
             continue
-        if rng is not None:  # only rows with trials left go on
-            go = np.flatnonzero(counts)
-            if not go.size:
-                continue
-            go = _index(go, counts.size)
-            batch, cells, counts = batch[go], cells[go], counts[go]
-            cmat = cmat if cmat.ndim == 2 else cmat[go]
-            if last:
-                thetas = thetas[go]
-        if not last:
-            thetas = stage.feedback(batch, cmat, settle=settle)
+        go = _index(go, counts.size)
+        batch, cells, counts = batch[go], cells[go], counts[go]
+        cmat = cmat if cmat.ndim == 2 else cmat[go]
+        thetas = thetas[go] if last else stage.feedback(batch, cmat, settle=settle)
         branch = cmat if stage.lost is None else cmat[..., :-1, :]
+        # The children read batch[parent]; source is each one's row of this chunk.
         if rng is not None:
             p = _engine.predictive_batch(batch, branch, thetas).clip(0.0)
             draws = rng.multinomial(counts, p / p.sum(axis=1, keepdims=True))
-            parent, outcome = np.nonzero(draws)
-            pending.append((batch, cells[parent], draws[parent, outcome],
-                            (parent, outcome, thetas[parent]), 0, si, step + 1))
-            continue
-        children = _engine.advance_batch(batch, branch, thetas)
-        if stage.lost is not None and orders[si] == 1 and si == step == 0:
-            children = _merge_root_twins(children, thetas)
-        n_out = children.shape[1]
-        children = children.reshape(-1, children.shape[2])
-        # Drop exactly zero rows: != 0 is |entry| > 0 unless a row holds NaN,
-        # which walks never make.
-        alive = (children != 0.0).any(axis=1)
-        if alive.all():
-            cells, counts = cells.repeat(n_out), counts.repeat(n_out)
+            parent, picks = np.nonzero(draws)
+            source, drawn, counts = parent, (picks, thetas[parent]), draws[parent, picks]
         else:
-            alive = np.flatnonzero(alive)
-            children, cells, counts = (children[alive], cells[alive // n_out],
-                                       counts[alive // n_out])
-        pending.append((children, cells, counts, None, 0, si, step + 1))
+            children = _engine.advance_batch(batch, branch, thetas)
+            if stage.lost is not None and orders[si] == 1 and si == step == 0:
+                children = _merge_root_twins(children, thetas)
+            n_out, batch = children.shape[1], children.reshape(-1, children.shape[2])
+            # Skip exactly zero rows: != 0 is |entry| > 0 unless a row holds
+            # NaN, which walks never make.
+            alive = np.flatnonzero((batch != 0.0).any(axis=1))
+            parent = None if alive.size == batch.shape[0] else alive
+            source, drawn, counts = alive // n_out, None, counts[alive // n_out]
+        pending.append((batch, parent, drawn, cells[source], counts, 0, si, step + 1))
     return sums
 
 
@@ -520,10 +513,11 @@ def evaluate_monte_carlo(
     """Mean score of trials sampled records (the sampled walk of the module
     docstring) and its standard error, the population std of the scores
     over sqrt(trials): 0 for one trial and for a one-detection plan.  The
-    same rng_seed gives the same bits."""
-    _require_integer("trials", trials)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    same rng_seed, a non-negative integer, gives the same bits."""
+    for name, value, least in (("trials", trials, 1), ("rng_seed", rng_seed, 0)):
+        _require_integer(name, value)
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}")
     t0 = time.perf_counter()
     rng = np.random.default_rng(np.random.SeedSequence(rng_seed).spawn(1)[0])
     total, squares = _walk_tree(_split_stages([plan], merge_lost=True)[0], rng,

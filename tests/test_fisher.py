@@ -107,6 +107,10 @@ class TestMaximization:
         with pytest.raises(ValueError):
             max_fisher_over_chi(3, 0.6)
 
+    def test_non_integer_photon_number_is_named(self):
+        with pytest.raises(ValueError, match="n_photons must be an integer, got 2.0"):
+            max_fisher_over_chi(2.0, 0.6)
+
     def test_eta_zero_maximum_is_zero(self):
         _, f = max_fisher_over_chi(2, 0.0)
         assert f == 0.0

@@ -83,6 +83,12 @@ class TestOptimize:
         assert res.best_variance == math.inf
         assert res.to_json_dict()["best_variance"] == "inf"
 
+    @pytest.mark.parametrize("total", [9.5, True])
+    def test_non_integer_photon_count_is_named(self, total):
+        with pytest.raises(ValueError,
+                           match=f"total_photons must be an integer, got {total}"):
+            optimize(total, 0.6)
+
     def test_unknown_evaluator_rejected(self):
         with pytest.raises(ValueError, match="'bogus'.*exact, speedup or mc"):
             optimize(2, 0.6, evaluator="bogus")
@@ -116,13 +122,17 @@ class TestOptimize:
         with pytest.raises(BranchGuardError, match="n1=17, n2=0"):
             optimizer._check_work(17, 0.1, 0.6, "exact", 1)
 
-    @pytest.mark.parametrize("step", [0.1, 0.3, 0.7, 1 / 3, 0.15, 2.0, 1e-3])
+    @pytest.mark.parametrize("step", [0.1, 0.3, 0.7, 1 / 3, 0.15, 2.0, 1e-3,
+                                      1.0000000000004, 0.6666666666669,
+                                      0.4000000000002, 0.2857142857144])
     def test_counted_grid_is_the_filtered_grid(self, step):
         # The guard counts the grid the plans use: i step rounded to 12
-        # decimals for i up to round(2 / step), those above 2 dropped.
+        # decimals for i up to round(2 / step), those above 2 dropped.  The
+        # last four steps put a point at 2.000000000001, which no plan
+        # accepts.
         from lossyphase.optimizer import _chi_grid_size
         grid = [g for g in (round(i * step, 12) for i in range(round(2.0 / step) + 1))
-                if g <= 2.0 + 1e-12]
+                if g <= 2.0]
         assert _chi_grid_size(step) == len(grid)
         assert [p.chi2 for p in enumerate_plans(2, step)[1:]] == grid
 
@@ -136,6 +146,10 @@ class TestSqlBaseline:
     def test_invalid_photon_count(self):
         with pytest.raises(ValueError):
             sql_baseline(0, 0.6)
+
+    def test_non_integer_photon_count_is_named(self):
+        with pytest.raises(ValueError, match="total_photons must be an integer, got 2.5"):
+            sql_baseline(2.5, 0.6)
 
 
 def test_pareto_csv_format():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import warnings
@@ -14,7 +15,7 @@ from lossyphase.detection import (
     evaluate_outcome,
 )
 from lossyphase.feedback import optimal_theta_numeric, optimal_theta_single_photon
-from lossyphase.optimizer import enumerate_plans
+from lossyphase.optimizer import enumerate_plans, optimize
 from lossyphase.posterior import PhaseDistribution
 from lossyphase.sequences import (
     BranchGuardError,
@@ -432,6 +433,28 @@ class TestPinnedBits:
             "0x1.b608aa9f62f87p-1", "0x1.b8f1c4564d579p-1",
             "0x1.bb655c40a97b5p-1", "0x1.be25628e44afcp-1"]
 
+    def test_split_fanned_from_the_root(self):
+        # Without single photons the first stage fans the root out over chi2.
+        plans = [SequencePlan(0, 1, chi2, 1, chi4, 0.6)
+                 for chi2 in (0.5, 1.5) for chi4 in (1.0, 1.5)]
+        assert [r.mu.hex() for r in evaluate_plans_with_speedup(plans)] == [
+            "0x1.3c38cd994dbb7p-1", "0x1.4d6374b048ec6p-1",
+            "0x1.7482935f54100p-1", "0x1.7fc61bb065b6ep-1"]
+
+    def test_unmerged_chi_fanned_split(self):
+        plans = [SequencePlan(2, 1, chi2, 1, 1.3, 0.6) for chi2 in (1.7, 0.9)]
+        stages, keys = sequences._split_stages(plans, merge_lost=False)
+        mu = sequences._walk_tree(stages)[0]
+        assert [mu[key].hex() for key in keys] == [
+            "0x1.b159b5c502505p-1", "0x1.a235f5a123db3p-1"]
+
+    def test_optimize_n9_table(self):
+        # Every mu of the paper's N = 9 search, as one digest of their hex.
+        rows = optimize(9, 0.6, 0.1).pareto_table
+        digest = hashlib.sha256("\n".join(r.mu.hex() for _, r in rows).encode())
+        assert len(rows) == 1009 and digest.hexdigest() == (
+            "82c09f8ae84caf49d2fd1399f52502cbecf78b019fcec1b911acd31b550128d0")
+
     @pytest.mark.parametrize("plan, mu, std_error", [
         (SequencePlan(9, 2, 1.5, 0, 0, 0.6),
          "0x1.d7c4cc553e3e5p-1", "0x1.dbfd9f2cbaa13p-12"),
@@ -442,6 +465,17 @@ class TestPinnedBits:
         # Both plans' leaving rows are cut to the next stage's horizon and
         # advanced again; these bits are those of the whole bands.
         mc = evaluate_monte_carlo(plan, 3000, 1)
+        assert (mc.mu.hex(), mc.mc_std_error.hex()) == (mu, std_error)
+
+    @pytest.mark.parametrize("eta, trials, mu, std_error", [
+        (0.0, 3000, "0x0.0p+0", "0x0.0p+0"),
+        (1.0, 3000, "0x1.e2ff5796f6283p-1", "0x1.53048b969cbe8p-14"),
+        (0.6, 1, "0x1.c9931ed4d4a18p-1", "0x0.0p+0"),
+    ], ids=["eta0", "eta1", "one-trial"])
+    def test_monte_carlo_edges(self, eta, trials, mu, std_error):
+        # At eta = 0 no row scores, at eta = 1 no trial stops before the
+        # last detection, and one trial is one record.
+        mc = evaluate_monte_carlo(SequencePlan(3, 1, 1.7, 1, 1.3, eta), trials, 1)
         assert (mc.mu.hex(), mc.mc_std_error.hex()) == (mu, std_error)
 
 
@@ -572,15 +606,15 @@ class TestAllLostMerge:
     def test_lossless_stages_leave_only_at_full_depth(self, monkeypatch):
         # At eta = 1 every weight below full depth is zero: no row leaves
         # early, so the multi-photon stage sees only the 2^(n1-1) records
-        # the twin-merged single-photon stage ends with.  That last stage
-        # scores every depth with the sharpness; with n2 = 2 its depth-0
-        # rows are the ones that do not settle.
+        # the twin-merged single-photon stage ends with.  With n2 = 2 the
+        # last stage's depth-0 rows are the ones whose feedback does not
+        # settle, whether or not their weight-0 scores are taken.
         rows = []
         kernel = _engine.numeric_theta_batch
 
         def counted(batch, cmat, **options):
-            if options.get("sharpness"):
-                rows.append(0 if options.get("settle") else batch.shape[0])
+            if not options.get("settle"):
+                rows.append(batch.shape[0])
             return kernel(batch, cmat, **options)
 
         monkeypatch.setattr(_engine, "numeric_theta_batch", counted)
@@ -647,6 +681,22 @@ class TestMonteCarlo:
     def test_rejects_non_integer_trials(self, trials):
         with pytest.raises(ValueError, match="trials must be an integer"):
             evaluate_monte_carlo(SequencePlan(n1=1, eta=0.6), trials, 1)
+
+    @pytest.mark.parametrize("seed, error", [
+        (None, "rng_seed must be an integer, got None"),
+        (1.5, "rng_seed must be an integer, got 1.5"),
+        (True, "rng_seed must be an integer, got True"),
+        (-1, "rng_seed must be >= 0"),
+    ])
+    def test_rejects_bad_seeds(self, seed, error):
+        # None would draw OS entropy: the same call would not give the same bits.
+        with pytest.raises(ValueError, match=error):
+            evaluate_monte_carlo(SequencePlan(n1=1, eta=0.6), 50, seed)
+
+    def test_accepts_numpy_integer_seed(self):
+        plan = SequencePlan(3, 1, 1.7, 0, 0, 0.6)
+        got, want = (evaluate_monte_carlo(plan, 50, seed) for seed in (np.int64(5), 5))
+        assert (got.mu, got.mc_std_error) == (want.mu, want.mc_std_error)
 
     def test_accepts_numpy_integer_trials(self):
         got = evaluate_monte_carlo(SequencePlan(n1=1, eta=0.6), np.int64(50), 1)
