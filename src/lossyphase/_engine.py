@@ -28,12 +28,17 @@ centre columns of the window, is bit for bit the centre of the whole band
 (whose keep is the harmonic horizon of the `sequences` module docstring)
 and bayes_update.  The exact and merged walks multiply several outcomes per
 row, so they pass no keep (ROADMAP, measured dead ends).
+
+At import the module has glibc keep the heap the kernels free instead of
+handing it back after every block (README, "Performance notes", heap).
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
+import os
 
 import numpy as np
 
@@ -56,6 +61,40 @@ _MIRROR_MIN = 512
 # feedback inputs that differ in the last bits, and a comparison sitting on
 # a tie would let the two walks diverge.
 _SNAP = 1e-9
+# Allocator variables whose setting means the heap is already tuned, and
+# the freed heap top glibc keeps (mallopt's M_TOP_PAD, which is -2).
+_MALLOC_VARS = ("MALLOC_TOP_PAD_", "MALLOC_TRIM_THRESHOLD_", "MALLOC_MMAP_THRESHOLD_")
+_M_TOP_PAD = -2
+_TOP_PAD = 16 << 20
+
+
+def _keep_freed_heap(load=ctypes.CDLL) -> bool:
+    """Have the C library keep _TOP_PAD bytes of freed heap top, so a block
+    does not fault in again what the last one handed back (README,
+    "Performance notes", heap).  Acts only on POSIX (where load(None) opens
+    the program's own symbols), when no variable of _MALLOC_VARS is set,
+    GLIBC_TUNABLES tunes no glibc.malloc entry and load(None) exports
+    mallopt; returns whether it acted."""
+    if (os.name != "posix" or any(os.environ.get(k) is not None for k in _MALLOC_VARS)
+            or "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", "")):
+        return False
+    mallopt = getattr(load(None), "mallopt", None)
+    if mallopt is None:
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return mallopt(_M_TOP_PAD, _TOP_PAD) == 1
+
+
+_HEAP_KEPT = _keep_freed_heap()
+
+
+def release_heap() -> None:
+    """Hand the kept heap top back now (malloc_trim), once a caller is done
+    with the kernels; nothing where _keep_freed_heap did not act."""
+    if _HEAP_KEPT:
+        trim = ctypes.CDLL(None).malloc_trim
+        trim.argtypes, trim.restype = (ctypes.c_size_t,), ctypes.c_int
+        trim(0)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

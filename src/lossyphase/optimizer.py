@@ -12,6 +12,7 @@ import io
 import math
 from dataclasses import asdict, dataclass
 
+from lossyphase._engine import release_heap
 from lossyphase.sequences import (
     BranchGuardError,
     EvaluationReport,
@@ -180,6 +181,9 @@ def optimize(
     _check_work(total_photons, chi_grid_step, eta, evaluator, mc_trials)
     plans = enumerate_plans(total_photons, chi_grid_step, eta)
     reports = evaluate_plans(plans, evaluator, mc_trials, mc_seed)
+    # The walks are done: hand their kept heap back before the result's
+    # objects add to the peak.
+    release_heap()
     table = tuple(zip(plans, reports))
     best_plan, best = min(table, key=lambda row: row[1].holevo_variance)
     return OptimizationResult(

@@ -365,14 +365,12 @@ def _walk_tree(stages: list[_Stage], rng: np.random.Generator | None = None,
     sums = np.zeros((2, math.prod(fans)))
     chunk, spare = (_CHUNK_ROWS, 0) if rng is None else (_SAMPLE_ROWS,) * 2
 
-    def enter(si, rows, cells, counts):  # rows entering stage si, fanned out
-        fan = fans[si]
-        return (rows, None if fan == 1 else np.arange(rows.shape[0]).repeat(fan), None,
-                (cells[:, None] + np.arange(fan) * strides[si]).ravel(),
-                counts.repeat(fan), 0, si, 0)
+    def enter(si, rows, cells, counts):  # rows entering stage si, each held once
+        return rows, None, None, cells, counts, 0, si, 0
 
     # (rows, the row of rows each walked row reads or None for all, its
-    #  (outcome, theta) or None, key and trials, first row to walk, stage, depth)
+    #  (outcome, theta) or None, key and trials, first row to walk, stage,
+    #  depth); at depth 0 walked row j is row j // fan at chi j % fan.
     pending = [enter(0, np.ones((1, 1), dtype=complex), np.zeros(1, dtype=np.int64),
                      np.array([trials]))] if stages else []
     leaving: list[list] = [[] for _ in stages]  # rows that left stage si
@@ -382,15 +380,18 @@ def _walk_tree(stages: list[_Stage], rng: np.random.Generator | None = None,
                 pending.append(enter(si + 1, *map(np.concatenate, zip(*out))))
                 leaving[si] = []
         rows, parent, drawn, cells, counts, lo, si, step = pending.pop()
+        fan = 1 if step else fans[si]
         end = lo + chunk
-        if end + spare < cells.size:
+        if end + spare < cells.size * fan:
             pending.append((rows, parent, drawn, cells, counts, end, si, step))
         else:
-            end = cells.size
+            end = cells.size * fan
         stage, span, last = stages[si], spans[si], si == len(stages) - 1
-        take = slice(lo, end)
+        take = slice(lo, end) if fan == 1 else np.arange(lo, end) // fan
         batch = rows[take] if parent is None else rows[parent[take]]
         cells, counts = cells[take], counts[take]
+        if fan > 1:
+            cells = cells + np.arange(lo, end) % fan * strides[si]
         if drawn is not None:
             outcome, theta = (a[take] for a in drawn)
             batch = _engine.advance_batch(batch, stage.cmat[outcome][:, None], theta,

@@ -5,7 +5,9 @@ harmonic d into a band allocated wide enough up front) and the
 full-circle 64-point grid search followed by exactly 12 Newton steps.
 """
 
+import ctypes
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -776,3 +778,86 @@ class TestViewsEqualKernels:
             assert (theta.hex(), tuple(outcome), float(probs.sum()).hex()) == step
         got = post.coefficient(1)
         assert (got.real.hex(), got.imag.hex()) == a1
+
+
+class TestKeptHeap:
+    """At import _engine has glibc keep the heap the kernels free, so a
+    block reuses the pages the last one freed instead of faulting them in
+    again; a tuned allocator or a C library without mallopt is left alone.
+
+    The faults are counted in a fresh interpreter, as a benchmark pass
+    runs, since what the heap holds depends on what ran before."""
+
+    CODE = """
+import resource
+import numpy as np
+from lossyphase import _engine
+from lossyphase.detection import build_likelihood_table
+from lossyphase.sequences import SequencePlan, evaluate_exact
+from lossyphase.states import make_loss_resistant
+
+def minor_faults(call, times):
+    call()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(times):
+        call()
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+cmat = build_likelihood_table(make_loss_resistant(2, 1.3), 0.6).matrix
+x = np.random.default_rng(36).normal(size=(_engine._BLOCK_ROWS, 26)).view(complex)
+batch = 0.5 * (x + np.conj(x[:, ::-1]))
+plan = SequencePlan(7, 0, 0.0, 1, 1.3, 0.6)
+print(_engine._HEAP_KEPT, minor_faults(lambda: _engine.numeric_theta_batch(batch, cmat), 20),
+      minor_faults(lambda: evaluate_exact(plan), 1))
+"""
+
+    @pytest.fixture(scope="class")
+    def faults(self):
+        pytest.importorskip("resource")
+        src = str(Path(_engine.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", self.CODE], capture_output=True,
+                             text=True, cwd=src, timeout=60, check=True)
+        kept, feedback, walk = out.stdout.split()
+        if kept != "True":
+            pytest.skip("the C library has no mallopt, or the allocator is tuned")
+        return int(feedback), int(walk)
+
+    def test_feedback_blocks_reuse_freed_pages(self, faults):
+        # 20 calls on one 256-row block: about 5,200 faults when each call
+        # hands its heap back.
+        assert faults[0] < 20
+
+    def test_exact_walk_reuses_freed_pages(self, faults):
+        # About 2,200 faults when the walk hands its heap back; Python's own
+        # small-object arenas still take a few.
+        assert faults[1] < 100
+
+    @pytest.mark.parametrize("var", ["MALLOC_TOP_PAD_", "MALLOC_TRIM_THRESHOLD_",
+                                     "MALLOC_MMAP_THRESHOLD_", "GLIBC_TUNABLES"])
+    def test_tuned_allocator_is_left_alone(self, monkeypatch, var):
+        monkeypatch.setenv(var, "glibc.malloc.top_pad=0" if var == "GLIBC_TUNABLES" else "0")
+        loads = []
+        assert not _engine._keep_freed_heap(load=loads.append)
+        assert loads == []
+
+    @pytest.mark.skipif(os.name != "posix", reason="mallopt is looked up only on POSIX")
+    def test_other_tunables_do_not_count_as_tuned(self, monkeypatch):
+        for var in _engine._MALLOC_VARS:
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setenv("GLIBC_TUNABLES", "glibc.rtld.optional_static_tls=512")
+        calls = []
+
+        class Libc:
+            @staticmethod
+            def mallopt(param, value):
+                calls.append((param, value))
+                return 1
+
+        assert _engine._keep_freed_heap(load=lambda _: Libc)
+        assert Libc.mallopt.restype is ctypes.c_int
+        assert calls == [(-2, 16 << 20)]
+
+    def test_no_mallopt_is_a_no_op(self, monkeypatch):
+        for var in (*_engine._MALLOC_VARS, "GLIBC_TUNABLES"):
+            monkeypatch.delenv(var, raising=False)
+        assert not _engine._keep_freed_heap(load=lambda _: object())
