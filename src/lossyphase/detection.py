@@ -31,7 +31,8 @@ from typing import Iterator, Mapping, NamedTuple
 import numpy as np
 
 from lossyphase import _engine
-from lossyphase.states import TwoModeState, _times_linear_form
+from lossyphase.states import (TwoModeState, _require_integer, _require_real,
+                               _times_linear_form)
 
 __all__ = [
     "Outcome",
@@ -72,6 +73,8 @@ class OutcomeLikelihoodTable:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        _require_integer("n_photons", self.n_photons, least=0)
+        _require_real("eta", self.eta, 0.0, 1.0)
         m = np.array(self.matrix, dtype=complex)
         n = self.n_photons
         if m.shape != (len(_row_index(n)), 2 * n + 1):
@@ -120,6 +123,7 @@ class OutcomeLikelihoodTable:
     @classmethod
     def from_json_dict(cls, data: dict) -> "OutcomeLikelihoodTable":
         n = data["n_photons"]
+        _require_integer("n_photons", n, least=0)
         index = _row_index(n)
         matrix = np.zeros((len(index), 2 * n + 1), dtype=complex)
         for e in data["entries"]:
@@ -198,8 +202,7 @@ def _amplitude_weights(state: TwoModeState, eta: float) -> np.ndarray:
     P_{L,k}(x) = pre_{L,k} sum_m |A_m(x)|^2 (pre from the build kernel);
     w vanishes for m > L and r > N - L.  Raises on eta outside [0, 1].
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta={eta} outside [0, 1]")
+    eta = _require_real("eta", eta, 0.0, 1.0)
     n = state.n_photons
     kernel = _build_kernel(n)
     loss = np.array([math.sqrt(eta ** (n - lost) * (1.0 - eta) ** lost)
@@ -252,13 +255,13 @@ def oracle_probabilities(
     (d1, d2, c1, c2) by N-k linear-form steps of b1+ and k of b2+, which
     hold both loss beam splitters and the real 50/50 output splitter, and
     marginalizes |amplitude|^2 over the loss modes c1, c2.  Reads no
-    likelihood table; limited to N <= ORACLE_MAX_PHOTONS.
+    likelihood table; limited to N <= ORACLE_MAX_PHOTONS and finite phases.
     """
     n = state.n_photons
     if n > ORACLE_MAX_PHOTONS:
         raise ValueError(f"oracle limited to N <= {ORACLE_MAX_PHOTONS}")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta={eta} outside [0, 1]")
+    eta = _require_real("eta", eta, 0.0, 1.0)
+    phi, theta = _require_real("phi", phi), _require_real("theta", theta)
     rt, rl = math.sqrt(eta / 2.0), 1j * math.sqrt(1.0 - eta)
     # b1 -> rt (d1 + d2) + rl c1, b2 -> rt (d1 - d2) + rl c2
     b1, b2 = (rt, rt, rl, 0.0), (rt, -rt, 0.0, rl)

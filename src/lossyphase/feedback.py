@@ -8,13 +8,12 @@ view over a batch kernel of `_engine` and returns its row bit for bit.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from lossyphase import _engine
 from lossyphase.detection import OutcomeLikelihoodTable
 from lossyphase.posterior import PhaseDistribution
+from lossyphase.states import _require_real
 
 __all__ = [
     "expected_sharpness",
@@ -28,8 +27,7 @@ def expected_sharpness(
 ) -> float:
     """Predicted sharpness after the next detection at controlled phase
     theta; raises on a non-finite theta."""
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta!r}")
+    theta = _require_real("theta", theta)
     batch = prior.coeffs[None, :]
     return float(
         _engine.expected_sharpness_batch(batch, table.matrix, np.array([theta]))[0]

@@ -23,8 +23,8 @@ import math
 import numpy as np
 
 from lossyphase.detection import _amplitude_weights, _build_kernel
-from lossyphase.states import (TwoModeState, _require_integer, make_exact_optimal4,
-                               make_loss_resistant)
+from lossyphase.states import (TwoModeState, _require_integer, _require_real,
+                               make_exact_optimal4, make_loss_resistant)
 
 __all__ = [
     "fisher_information",
@@ -83,9 +83,7 @@ def fisher_information(
 ) -> float:
     """Fisher information of one detection of `state` at efficiency eta;
     a non-finite phi or theta is rejected."""
-    if not (math.isfinite(phi) and math.isfinite(theta)):
-        raise ValueError(f"phi and theta must be finite, got {phi!r} and {theta!r}")
-    x = np.array([[phi - theta]])
+    x = np.array([[_require_real("phi", phi) - _require_real("theta", theta)]])
     return float(_fisher(_weights(state, eta)[None], x)[0, 0])
 
 

@@ -23,7 +23,7 @@ from lossyphase.sequences import (
     evaluate_monte_carlo,
     evaluate_plans_with_speedup,
 )
-from lossyphase.states import _require_integer
+from lossyphase.states import _require_integer, _require_real
 
 __all__ = [
     "OptimizationResult",
@@ -79,10 +79,8 @@ def _chi_grid_size(step: float) -> int:
 def _splits(total_photons: int, chi_grid_step: float) -> list[tuple[int, int, int]]:
     """The splits (N1, N2, N4) by decreasing N1, then N2, once the
     arguments are checked."""
-    _require_integer("total_photons", total_photons)
-    if total_photons < 1:
-        raise ValueError("total_photons must be >= 1")
-    if not 0.0 < chi_grid_step <= 2.0:
+    _require_integer("total_photons", total_photons, least=1)
+    if not 0.0 < _require_real("chi_grid_step", chi_grid_step) <= 2.0:
         raise ValueError("chi_grid_step must be in (0, 2]")
     splits = [
         (n1, n2, n4)
@@ -117,31 +115,37 @@ def enumerate_plans(
     return plans
 
 
+def _check_method(method: str) -> None:
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}: expected exact, speedup or mc")
+
+
 def evaluate_plans(
     plans: list[SequencePlan], method: str, mc_trials: int, mc_seed: int
 ) -> list[EvaluationReport]:
     """Reports for plans, in input order, by one of METHODS: "exact"
     enumerates each plan, "speedup" walks each split's plans as one
     merged tree (evaluate_plans_with_speedup), "mc" samples each plan."""
+    _check_method(method)
     if method == "speedup":
         return evaluate_plans_with_speedup(plans)
     if method == "exact":
         return [evaluate_exact(p) for p in plans]
-    if method == "mc":
-        return [evaluate_monte_carlo(p, mc_trials, mc_seed) for p in plans]
-    raise ValueError(f"unknown method {method!r}: expected exact, speedup or mc")
+    return [evaluate_monte_carlo(p, mc_trials, mc_seed) for p in plans]
 
 
 def _check_work(total_photons: int, chi_grid_step: float, eta: float,
                 evaluator: str, mc_trials: int) -> None:
     """Raise BranchGuardError when a search asks for more than PLAN_BUDGET
     plans or WORK_BUDGET records (trials with "mc"), from the arguments
-    alone.  A split whose plans exceed the branch guard is refused first,
-    naming its first plan as its evaluator would."""
+    alone.  An unknown evaluator is refused before anything else, and a
+    split whose plans exceed the branch guard before the budgets, naming
+    its first plan as its evaluator would."""
+    _check_method(evaluator)
     splits = _splits(total_photons, chi_grid_step)
     size = _chi_grid_size(chi_grid_step)
     if evaluator == "mc":
-        _require_integer("trials", mc_trials)
+        _require_integer("trials", mc_trials, least=1)
     plans = work = 0
     for n1, n2, n4 in splits:
         count = size ** ((n2 > 0) + (n4 > 0))
@@ -197,9 +201,7 @@ def optimize(
 
 def sql_baseline(total_photons: int, eta: float) -> float:
     """Holevo variance of the all-single-photon plan (the SQL reference)."""
-    _require_integer("total_photons", total_photons)
-    if total_photons < 1:
-        raise ValueError("total_photons must be >= 1")
+    _require_integer("total_photons", total_photons, least=1)
     plan = SequencePlan(n1=total_photons, eta=eta)
     return evaluate_exact_with_speedup(plan).holevo_variance
 

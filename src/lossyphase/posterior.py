@@ -20,6 +20,7 @@ import numpy as np
 
 from lossyphase import _engine
 from lossyphase.detection import Outcome, OutcomeLikelihoodTable
+from lossyphase.states import _require_integer, _require_real
 
 __all__ = [
     "PhaseDistribution",
@@ -44,8 +45,7 @@ class PhaseDistribution:
 
     def __post_init__(self):
         j = self.max_harmonic
-        if isinstance(j, bool) or not isinstance(j, (int, np.integer)) or j < 0:
-            raise ValueError(f"max_harmonic must be an integer >= 0, got {j!r}")
+        _require_integer("max_harmonic", j, least=0)
         c = np.array(self.coeffs, dtype=complex)
         if c.shape != (2 * j + 1,):
             raise ValueError(f"expected {2 * j + 1} coefficients, got {c.shape}")
@@ -103,8 +103,7 @@ def bayes_update(
     identically zero likelihood, such as loss at eta = 1, gives a_0 = 0
     exactly.
     """
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta!r}")
+    theta = _require_real("theta", theta)
     c = table.row(outcome)
     raw = _engine.advance_batch(prior.coeffs[None, :], c[None, None, :],
                                 np.array([theta]))[0, 0]

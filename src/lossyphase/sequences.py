@@ -104,7 +104,7 @@ import numpy as np
 from lossyphase import _engine
 from lossyphase.detection import build_likelihood_table
 from lossyphase.posterior import variance_from_sharpness
-from lossyphase.states import _require_integer, _state_for
+from lossyphase.states import _require_integer, _require_real, _state_for
 
 __all__ = [
     "SequencePlan",
@@ -126,7 +126,8 @@ _SAMPLE_ROWS = 1024
 
 
 class BranchGuardError(RuntimeError):
-    """Exact enumeration would exceed the configured leaf budget."""
+    """Work refused before it starts: a walk beyond DEFAULT_BRANCH_GUARD
+    records, or an optimize or fisher-scan run beyond its work guard."""
 
 
 @dataclass(frozen=True)
@@ -142,15 +143,9 @@ class SequencePlan:
 
     def __post_init__(self):
         for name in ("n1", "n2", "n4"):
-            _require_integer(name, getattr(self, name))
-        if min(self.n1, self.n2, self.n4) < 0:
-            raise ValueError("state counts must be non-negative")
-        if not 0.0 <= self.chi2 <= 2.0:
-            raise ValueError(f"chi2={self.chi2} outside [0, 2]")
-        if not 0.0 <= self.chi4 <= 2.0:
-            raise ValueError(f"chi4={self.chi4} outside [0, 2]")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta={self.eta} outside [0, 1]")
+            _require_integer(name, getattr(self, name), least=0)
+        for name, hi in (("chi2", 2.0), ("chi4", 2.0), ("eta", 1.0)):
+            _require_real(name, getattr(self, name), 0.0, hi)
 
     @property
     def total_photons(self) -> int:
@@ -343,9 +338,10 @@ def _walk_tree(stages: list[_Stage], rng: np.random.Generator | None = None,
     Stages with lost set are merged, the others branch on every outcome and fold
     bit-identical rows; with rng the walk samples trials records instead
     (see the module docstring for all three).  Rows go depth first in
-    chunks of _CHUNK_ROWS, or _SAMPLE_ROWS when sampling, where a chunk
-    takes the whole rest of a batch once at most one more would remain; so
-    the order of every sum is fixed.  Exactly zero rows are skipped by index.
+    chunks of at most _CHUNK_ROWS, one kernel block, or when sampling of
+    _SAMPLE_ROWS, where a chunk takes the whole rest of a batch once at
+    most one more would remain; so the order of every sum is fixed.
+    Exactly zero rows are skipped by index.
     """
     fans = [s.cmat.shape[0] if s.cmat.ndim == 3 else 1 for s in stages]
     strides = [math.prod(fans[si + 1:]) for si in range(len(fans))]
@@ -515,10 +511,8 @@ def evaluate_monte_carlo(
     docstring) and its standard error, the population std of the scores
     over sqrt(trials): 0 for one trial and for a one-detection plan.  The
     same rng_seed, a non-negative integer, gives the same bits."""
-    for name, value, least in (("trials", trials, 1), ("rng_seed", rng_seed, 0)):
-        _require_integer(name, value)
-        if value < least:
-            raise ValueError(f"{name} must be >= {least}")
+    _require_integer("trials", trials, least=1)
+    _require_integer("rng_seed", rng_seed, least=0)
     t0 = time.perf_counter()
     rng = np.random.default_rng(np.random.SeedSequence(rng_seed).spawn(1)[0])
     total, squares = _walk_tree(_split_stages([plan], merge_lost=True)[0], rng,

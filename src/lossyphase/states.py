@@ -36,9 +36,8 @@ class TwoModeState:
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        _require_integer("n_photons", self.n_photons, least=0)
         amps = np.asarray(self.amplitudes, dtype=complex)
-        if self.n_photons < 0:
-            raise ValueError("photon number must be non-negative")
         if amps.shape != (self.n_photons + 1,):
             raise ValueError(
                 f"expected {self.n_photons + 1} amplitudes, got {amps.shape}"
@@ -79,48 +78,54 @@ class TriPortConfig:
 
     def __post_init__(self):
         for name in ("r1", "r2", "r3"):
-            r = getattr(self, name)
-            if not 0.0 <= r <= 1.0:
-                raise ValueError(f"{name}={r} outside [0, 1]")
+            _require_real(name, getattr(self, name), 0.0, 1.0)
 
 
-def _require_integer(name: str, value) -> None:
-    """Reject a bool or a non-integer; numpy integers are integers."""
+def _require_integer(name: str, value, least: float = -math.inf) -> None:
+    """Reject a bool, a non-integer and an integer below least; numpy
+    integers are integers."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+
+
+def _require_real(name: str, value, lo: float = -math.inf, hi: float = math.inf) -> float:
+    """value as a float; rejects a bool, a non-number, nan, +-inf and any
+    value outside [lo, hi], naming the argument."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer,
+                                                          np.floating)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    value = float(value)
+    if lo <= value <= hi and math.isfinite(value):
+        return value
+    if lo == -math.inf and hi == math.inf:
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    raise ValueError(f"{name}={value} outside [{lo:g}, {hi:g}]")
 
 
 def _check_half_n(half_n: int) -> None:
-    _require_integer("half_n", half_n)
-    if half_n < 1:
-        raise ValueError("half_n must be >= 1")
+    """Refuse, before any work, a half_n below 1 or one whose N! overflows a
+    float (N = 2 half_n > 170)."""
+    _require_integer("half_n", half_n, least=1)
+    if half_n > 85:
+        raise ValueError(f"half_n={half_n} above 85: N! would overflow a float")
 
 
 def _fock_amplitudes(coefs) -> np.ndarray:
-    """psi_k = coefs[k] sqrt((N-k)! k!) of the monomials x^(N-k) y^k; raises
-    ValueError where the factorials overflow a float."""
+    """psi_k = coefs[k] sqrt((N-k)! k!) of the monomials x^(N-k) y^k."""
     n_tot = len(coefs) - 1
-    try:
-        return np.array([c * math.sqrt(math.factorial(n_tot - k) * math.factorial(k))
-                         for k, c in enumerate(coefs)], dtype=complex)
-    except OverflowError as exc:
-        raise ValueError(f"N={n_tot} amplitudes overflow a float") from exc
-
-
-def _check_chi(chi: float) -> float:
-    chi = float(chi)
-    if not 0.0 <= chi <= 2.0:
-        raise ValueError(f"chi={chi} outside [0, 2]")
-    return chi
+    return np.array([c * math.sqrt(math.factorial(n_tot - k) * math.factorial(k))
+                     for k, c in enumerate(coefs)], dtype=complex)
 
 
 def make_loss_resistant(half_n: int, chi: float) -> TwoModeState:
     """Expand [(b1+)^2 + chi b1+ b2+ + (b2+)^2]^n |0,0> in the |N-k,k> basis.
 
-    half_n is n, an integer >= 1 (the state carries N = 2n photons).
+    half_n is n, an integer in [1, 85] (the state carries N = 2n photons).
     Raises ValueError where the amplitudes overflow a float.
     """
-    chi = _check_chi(chi)
+    chi = _require_real("chi", chi, 0.0, 2.0)
     _check_half_n(half_n)
     # Polynomial coefficients over monomials x^(N-k) y^k.
     quad = np.array([1.0, chi, 1.0])
@@ -137,8 +142,7 @@ def make_exact_optimal4(chi1p: float, chi2p: float) -> TwoModeState:
     + chi1p |3,1> + |4,0>.  The loss-resistant family is the slice
     chi1p = chi, chi2p = (2 + chi^2)/sqrt(6).
     """
-    if not (math.isfinite(chi1p) and math.isfinite(chi2p)):
-        raise ValueError("chi1p and chi2p must be finite")
+    chi1p, chi2p = _require_real("chi1p", chi1p), _require_real("chi2p", chi2p)
     amps = np.array([1.0, chi1p, chi2p, chi1p, 1.0], dtype=complex)
     return TwoModeState(4, amps)
 
@@ -160,7 +164,7 @@ def _state_for(n_photons: int, chi: float) -> TwoModeState:
 
 def synthesize_triport(chi: float) -> TriPortConfig:
     """Beam-splitter reflectivities and phases that generate the chi state."""
-    chi = _check_chi(chi)
+    chi = _require_real("chi", chi, 0.0, 2.0)
     return TriPortConfig(
         r1=1.0 / (1.0 + chi),
         r2=1.0 / (2.0 + chi),
@@ -214,8 +218,8 @@ def _times_linear_form(poly: np.ndarray, coefs) -> np.ndarray:
 def forward_simulate_triport(config: TriPortConfig, half_n: int) -> TwoModeState:
     """Propagate |n,n,0> through the network and post-select vacuum in port 3.
 
-    half_n is n, an integer >= 1.  Raises ValueError where the amplitudes
-    overflow a float or the post-selected output has zero weight.
+    half_n is n, an integer in [1, 85].  Raises ValueError where the
+    amplitudes overflow a float or the post-selected output has zero weight.
     """
     _check_half_n(half_n)
     m = triport_transfer_matrix(config)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from conftest import traced_peak
 
-from lossyphase import cli
+from lossyphase import cli, optimizer
 from lossyphase.cli import (
     EXIT_GUARD,
     EXIT_OK,
@@ -83,6 +83,12 @@ class TestStatePrep:
         code, out, err = run(capsys, "state-prep", "--chi", "1", "--half-n", half_n)
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error: ") and ("finite" in err or "overflow" in err)
+
+
+    def test_half_n_beyond_float_factorials_is_named(self, capsys):
+        code, out, err = run(capsys, "state-prep", "--chi", "1", "--half-n", "86")
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: half_n=86 ")
 
 
 class TestProbs:
@@ -497,6 +503,22 @@ class TestConfigFile:
         assert code == EXIT_USAGE
         assert "bogus" in err
         assert out == ""
+
+    @pytest.mark.parametrize("step", ["1e-9", "0.5"])
+    def test_unknown_optimize_method_is_refused_first(self, capsys, tmp_path,
+                                                      monkeypatch, step):
+        # At 1e-9 the work guard would trip (exit 3); at 0.5 every plan
+        # would be built before the method was read.
+        def no_plans(*args):
+            raise AssertionError("plans built before the method was checked")
+
+        monkeypatch.setattr(optimizer, "enumerate_plans", no_plans)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"method": "foo"}))
+        code, out, err = run(capsys, "--config", str(cfg), "optimize", "--n", "3",
+                             "--eta", "0.6", "--chi-step", step)
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: unknown method 'foo': expected exact, speedup or mc\n"
 
     def test_unknown_evaluate_method_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"

@@ -139,6 +139,15 @@ class TestOracleEquivalence:
                         oracle[o] - evaluate_outcome(table, o, phi, theta)
                     ) <= 1e-10
 
+    @pytest.mark.parametrize("phi, theta, error", [
+        (math.nan, 0.3, "phi must be finite"), (0.3, math.inf, "theta must be finite"),
+        (True, 0.3, "phi must be a number"),
+    ])
+    def test_oracle_refuses_bad_phases(self, phi, theta, error):
+        # A nan phase once gave nan for every outcome.
+        with pytest.raises(ValueError, match=error):
+            oracle_probabilities(make_single_photon(), 0.6, phi, theta)
+
     def test_oracle_guard(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
@@ -246,6 +255,20 @@ def test_random_states_keep_port_swap_symmetry(eta):
         doc = json.loads(json.dumps(table.to_json_dict()))
         back = OutcomeLikelihoodTable.from_json_dict(doc)
         np.testing.assert_array_equal(back.matrix, table.matrix)
+
+
+@pytest.mark.parametrize("key, value, error", [
+    ("n_photons", 1.0, "n_photons must be an integer, got 1.0"),
+    ("n_photons", True, "n_photons must be an integer, got True"),
+    ("eta", 5, r"eta=5.0 outside \[0, 1\]"),
+    ("eta", "0.6", "eta must be a number"),
+])
+def test_table_checks_photon_number_and_eta(key, value, error):
+    # A JSON writer may give 1.0 for 1: it is refused by name, not inside
+    # the outcome index.
+    doc = build_likelihood_table(make_single_photon(), 0.6).to_json_dict()
+    with pytest.raises(ValueError, match=error):
+        OutcomeLikelihoodTable.from_json_dict({**doc, key: value})
 
 
 def test_table_without_port_swap_symmetry_rejected():

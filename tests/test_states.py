@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lossyphase import states
 from lossyphase.states import (
     TwoModeState,
     forward_simulate_triport,
@@ -64,6 +65,21 @@ def test_overflowing_amplitudes_rejected(half_n):
 def test_overflowing_triport_output_rejected():
     with pytest.raises(ValueError, match="overflow"):
         forward_simulate_triport(synthesize_triport(1.0), 86)
+
+
+@pytest.mark.parametrize("half_n", [86, 10 ** 4, 10 ** 9])
+def test_half_n_beyond_float_factorials_refused_before_any_work(monkeypatch, half_n):
+    # N! overflows a float beyond N = 170: the expansion and the (2 half_n + 1)^2
+    # array of the network must never start.
+    def no_work(*args):
+        raise AssertionError("work began before half_n was checked")
+
+    monkeypatch.setattr(np, "convolve", no_work)
+    monkeypatch.setattr(states, "triport_transfer_matrix", no_work)
+    triport = synthesize_triport(1.0)
+    for make in (make_loss_resistant, lambda h, _: forward_simulate_triport(triport, h)):
+        with pytest.raises(ValueError, match=f"half_n={half_n} .*overflow"):
+            make(half_n, 1.0)
 
 
 def test_largest_safe_states_keep_their_bits():
