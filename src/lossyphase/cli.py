@@ -28,7 +28,8 @@ import numpy as np
 import lossyphase
 from lossyphase.detection import build_likelihood_table
 from lossyphase.fisher import fisher_information
-from lossyphase.optimizer import METHODS, evaluate_plans, optimize, pareto_csv
+from lossyphase.optimizer import (METHODS, _chi_grid, _chi_grid_size, evaluate_plans,
+                                  optimize, pareto_csv)
 from lossyphase.sequences import BranchGuardError, SequencePlan
 from lossyphase.states import (
     _state_for,
@@ -213,26 +214,19 @@ def cmd_probs(cfg: dict):
     return build_likelihood_table(state, cfg["eta"]).to_json_dict(), None
 
 
-def _chi_points(lo: float, hi: float, step: float) -> int:
-    """Points of the fisher-scan grid lo + k step, each rounded to 12
-    decimals, up to hi: the last may pass hi by half that resolution."""
-    return int((hi - lo + 5e-13) / step) + 1
-
-
 def cmd_fisher_scan(cfg: dict):
     # chi is rounded to 12 decimals, so a step below 1e-12 may not move it;
     # the range is checked for every N, since the single photon ignores chi.
     lo, hi, step = cfg["chi_min"], cfg["chi_max"], cfg["chi_step"]
-    if not (step >= 1e-12 and 0.0 <= lo <= hi <= 2.0):
+    if not (1e-12 <= step < math.inf and 0.0 <= lo <= hi <= 2.0):
         raise ValueError("need chi-step >= 1e-12 and finite chi-max >= chi-min, "
                          "both in [0, 2]")
-    points = _chi_points(lo, hi, step)
+    points = _chi_grid_size(step, lo, hi)
     if points > _SCAN_BUDGET:
         raise BranchGuardError(f"{points} chi points exceed the work guard "
                                f"{_SCAN_BUDGET} for fisher-scan")
     lines = ["chi,fisher\n"]
-    for k in range(points):
-        chi = round(lo + k * step, 12)
+    for chi in _chi_grid(step, lo, hi):
         f = fisher_information(_state_for(cfg["n_photons"], chi), cfg["eta"],
                                cfg["phi"], cfg["theta"])
         lines.append(f"{chi:.10g},{f!r}\n")

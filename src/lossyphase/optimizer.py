@@ -38,8 +38,8 @@ __all__ = [
 PARETO_CSV_HEADER = "n1,n2,chi2,n4,chi4,eta,mu,holevo_variance,branches,method"
 METHODS = ("exact", "speedup", "mc")
 # The work guard of optimize: plans, and records walked (trials with "mc")
-# summed over the plans, counted before any plan is built (README,
-# "Command line").
+# summed over the plans, counted before any plan is built, and the chi
+# points of any search's grid (README, "Command line").
 PLAN_BUDGET = 10 ** 6
 WORK_BUDGET = 10 ** 10
 
@@ -67,20 +67,29 @@ class OptimizationResult:
         }
 
 
-def _chi_grid_size(step: float) -> int:
-    """Points of the chi grid, i step rounded to 12 decimals up to 2,
-    counted without building it."""
-    n_steps = int(round(2.0 / step))
-    while round(n_steps * step, 12) > 2.0:
+def _chi_grid_size(step: float, lo: float = 0.0, hi: float = 2.0) -> int:
+    """Points lo + i step rounded to 12 decimals that stay <= hi, counted
+    unbuilt: optimize's chi2 and chi4 over [0, 2], fisher-scan's chi grid."""
+    n_steps = int(round((hi - lo) / step))
+    while round(lo + n_steps * step, 12) > hi:
         n_steps -= 1
     return n_steps + 1
 
 
-def _splits(total_photons: int, chi_grid_step: float) -> list[tuple[int, int, int]]:
-    """The splits (N1, N2, N4) by decreasing N1, then N2, once the
-    arguments are checked."""
+def _chi_grid(step: float, lo: float = 0.0, hi: float = 2.0) -> list[float]:
+    """The points _chi_grid_size counts, refused beyond PLAN_BUDGET."""
+    size = _chi_grid_size(step, lo, hi)
+    if size > PLAN_BUDGET:
+        raise BranchGuardError(f"{size} chi points exceed the work guard "
+                               f"{PLAN_BUDGET} at chi step {step!r}")
+    return [round(lo + i * step, 12) for i in range(size)]
+
+
+def _splits(total_photons: int, chi_grid_step: float) -> tuple[list, float]:
+    """The splits (N1, N2, N4) by decreasing N1, then N2, and the step as a
+    float, once the arguments are checked."""
     _require_integer("total_photons", total_photons, least=1)
-    if not 0.0 < _require_real("chi_grid_step", chi_grid_step) <= 2.0:
+    if not 0.0 < (step := _require_real("chi_grid_step", chi_grid_step)) <= 2.0:
         raise ValueError("chi_grid_step must be in (0, 2]")
     splits = [
         (n1, n2, n4)
@@ -88,7 +97,7 @@ def _splits(total_photons: int, chi_grid_step: float) -> list[tuple[int, int, in
         for n2 in range((total_photons - 4 * n4) // 2 + 1)
         for n1 in (total_photons - 2 * n2 - 4 * n4,)
     ]
-    return sorted(splits, key=lambda s: (-s[0], -s[1]))
+    return sorted(splits, key=lambda s: (-s[0], -s[1])), step
 
 
 def enumerate_plans(
@@ -100,8 +109,8 @@ def enumerate_plans(
     ascending, matching the tie-breaking rule of `optimize`.  chi entries
     are omitted (held at 0) when the corresponding count is zero.
     """
-    splits = _splits(total_photons, chi_grid_step)
-    grid = [round(i * chi_grid_step, 12) for i in range(_chi_grid_size(chi_grid_step))]
+    splits, step = _splits(total_photons, chi_grid_step)
+    grid = _chi_grid(step)
     plans = []
     for n1, n2, n4 in splits:
         chi2s = grid if n2 > 0 else [0.0]
@@ -142,8 +151,8 @@ def _check_work(total_photons: int, chi_grid_step: float, eta: float,
     split whose plans exceed the branch guard before the budgets, naming
     its first plan as its evaluator would."""
     _check_method(evaluator)
-    splits = _splits(total_photons, chi_grid_step)
-    size = _chi_grid_size(chi_grid_step)
+    splits, step = _splits(total_photons, chi_grid_step)
+    size = _chi_grid_size(step)
     if evaluator == "mc":
         _require_integer("trials", mc_trials, least=1)
     plans = work = 0
@@ -156,7 +165,7 @@ def _check_work(total_photons: int, chi_grid_step: float, eta: float,
                         else first.speedup_leaf_count())
             _check_guard(first, per_plan)
         plans, work = plans + count, work + count * per_plan
-    asked = f"for optimize --n {total_photons} --chi-step {chi_grid_step!r}"
+    asked = f"for optimize --n {total_photons} --chi-step {step!r}"
     if plans > PLAN_BUDGET:
         raise BranchGuardError(f"{plans} plans exceed the work guard {PLAN_BUDGET} {asked}")
     if work > WORK_BUDGET:
@@ -192,7 +201,7 @@ def optimize(
     best_plan, best = min(table, key=lambda row: row[1].holevo_variance)
     return OptimizationResult(
         total_photons=total_photons,
-        eta=eta,
+        eta=best_plan.eta,
         best_plan=best_plan,
         best_variance=best.holevo_variance,
         pareto_table=table,

@@ -144,8 +144,8 @@ class SequencePlan:
     def __post_init__(self):
         for name in ("n1", "n2", "n4"):
             _require_integer(name, getattr(self, name), least=0)
-        for name, hi in (("chi2", 2.0), ("chi4", 2.0), ("eta", 1.0)):
-            _require_real(name, getattr(self, name), 0.0, hi)
+        for key, hi in (("chi2", 2.0), ("chi4", 2.0), ("eta", 1.0)):
+            object.__setattr__(self, key, _require_real(key, getattr(self, key), 0.0, hi))
 
     @property
     def total_photons(self) -> int:

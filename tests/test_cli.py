@@ -163,6 +163,14 @@ class TestFisherScan:
         assert code == EXIT_USAGE
         assert "chi-step >= 1e-12" in err and out == ""
 
+    @pytest.mark.parametrize("n_photons", ["1", "2"])
+    def test_infinite_chi_step_exits_2(self, capsys, n_photons):
+        # lo + 0 * inf is nan, so the first point would be chi = nan.
+        code, out, err = run(capsys, "fisher-scan", "--n-photons", n_photons,
+                             "--eta", "0.6", "--chi-step", "inf")
+        assert code == EXIT_USAGE and out == ""
+        assert "chi-step >= 1e-12" in err
+
     @pytest.mark.parametrize("bounds", [("0", "inf"), ("inf", "inf"),
                                         ("0", "nan"), ("nan", "1"), ("-inf", "1")])
     def test_non_finite_chi_range_exits_2(self, bounds):
@@ -238,22 +246,37 @@ class TestFisherScan:
     def test_work_guard_counts_the_rows_the_scan_writes(self, monkeypatch):
         # On the 0.1 grid, (hi - lo) / step often rounds just below an
         # integer, e.g. 0.3 / 0.1 = 2.9999999999999996, and the scan still
-        # reaches hi: the count must include that point.
+        # reaches hi: the count must include that point.  The last three
+        # steps put a point at 2.000000000001, past hi = 2, which the CSV
+        # prints as 2: only the chi handed to the state shows it.
+        scanned = []
         monkeypatch.setattr(cli, "fisher_information", lambda *args: 0.0)
-        monkeypatch.setattr(cli, "_state_for", lambda *args: None)
+        monkeypatch.setattr(cli, "_state_for", lambda n, chi: scanned.append(chi))
         undercounted = 0
         for a in range(21):
             for b in range(a, 21):
-                for step in (0.1, 0.02, 0.05, 0.3, 0.07, 0.25):
+                for step in (0.1, 0.02, 0.05, 0.3, 0.07, 0.25, 0.4000000000001,
+                             0.6666666666668333, 1.00000000000025):
                     lo, hi = a / 10, b / 10
+                    scanned.clear()
                     _, csv = cli.cmd_fisher_scan({
                         "chi_min": lo, "chi_max": hi, "chi_step": step,
                         "n_photons": 2, "eta": 0.6, "phi": 0.0, "theta": 0.0})
                     rows = csv.count("\n") - 1
-                    assert cli._chi_points(lo, hi, step) == rows, (lo, hi, step)
+                    assert optimizer._chi_grid_size(step, lo, hi) == rows, (lo, hi, step)
                     assert float(csv.split("\n")[-2].split(",")[0]) <= hi
+                    assert len(scanned) == rows
+                    assert all(chi <= hi for chi in scanned), (lo, hi, step)
                     undercounted += int((hi - lo) / step) + 1 < rows
         assert undercounted > 200
+
+    def test_step_whose_last_point_rounds_past_two_stops_before_it(self, capsys):
+        # 5 x 0.4000000000001 rounds to 2.000000000001, outside [0, 2].
+        code, out, err = run(capsys, "fisher-scan", "--n-photons", "2", "--eta",
+                             "0.6", "--chi-step", "0.4000000000001")
+        assert code == EXIT_OK, err
+        rows = out.strip().split("\n")[2:]
+        assert len(rows) == 5 and rows[-1].startswith("1.6,")
 
     @pytest.mark.parametrize("bounds", [("0", "0.3", "0.1"), ("0.5", "0.5", "1e-12"),
                                         ("0", "2", "0.02")])
@@ -386,6 +409,19 @@ class TestOptimize:
                              "--output", str(tmp_path / "o.json"))
         assert code == EXIT_GUARD and out == ""
         assert err == f"error: {message}\n"
+        assert sorted(tmp_path.iterdir()) == []
+
+    def test_chi_grid_beyond_guard_exits_3_before_building_it(self, capsys, tmp_path):
+        # One plan passes the work guard, and its 2,000,000,001-point chi
+        # grid is refused before a point is built.
+        argv = ["optimize", "--n", "1", "--eta", "0.6", "--chi-step", "1e-9",
+                "--output", str(tmp_path / "o.json")]
+        codes = []
+        assert traced_peak(lambda: codes.append(main(argv))) < 2 ** 20
+        captured = capsys.readouterr()
+        assert codes == [EXIT_GUARD] and captured.out == ""
+        assert captured.err == ("error: 2000000001 chi points exceed the work guard 1000000 "
+                       "at chi step 1e-09\n")
         assert sorted(tmp_path.iterdir()) == []
 
     def test_sql_baseline_is_the_single_photon_row(self, capsys):

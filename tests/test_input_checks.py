@@ -58,6 +58,11 @@ def test_outside_input_fails_naming_its_argument(call, name):
         call()
 
 
+def test_plan_holds_the_floats_its_checks_return():
+    plan = SequencePlan(1, 1, 1, 1, 1, 1)
+    assert [type(v) for v in (plan.chi2, plan.chi4, plan.eta)] == [float] * 3
+
+
 def bool_checks(tree):
     """Lines of isinstance(..., bool) and isinstance(..., (..., bool, ...))."""
     lines = []
@@ -78,3 +83,22 @@ def test_bool_rule_lives_in_states_and_cli():
              for line in bool_checks(ast.parse(path.read_text(), str(path)))]
     assert found == []
     assert bool_checks(ast.parse((PACKAGE / "states.py").read_text()))
+
+
+def chi_roundings(tree):
+    """Lines of round(..., 12), the rounding of every chi grid point."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "round"
+            and any(isinstance(a, ast.Constant) and a.value == 12
+                    for a in node.args[1:] + [k.value for k in node.keywords])]
+
+
+def test_chi_grid_rule_lives_in_optimizer():
+    # optimize and fisher-scan count and build their chi points through
+    # optimizer._chi_grid_size and optimizer._chi_grid.
+    found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "optimizer.py"
+             for line in chi_roundings(ast.parse(path.read_text(), str(path)))]
+    assert found == []
+    assert chi_roundings(ast.parse((PACKAGE / "optimizer.py").read_text()))

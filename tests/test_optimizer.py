@@ -1,5 +1,7 @@
+import json
 import math
 
+import numpy as np
 import pytest
 
 from lossyphase.optimizer import (
@@ -129,12 +131,47 @@ class TestOptimize:
         # The guard counts the grid the plans use: i step rounded to 12
         # decimals for i up to round(2 / step), those above 2 dropped.  The
         # last four steps put a point at 2.000000000001, which no plan
-        # accepts.
-        from lossyphase.optimizer import _chi_grid_size
+        # accepts.  fisher-scan counts and builds its grid over [lo, hi] by
+        # the same two functions.
+        from lossyphase.optimizer import _chi_grid, _chi_grid_size
         grid = [g for g in (round(i * step, 12) for i in range(round(2.0 / step) + 1))
                 if g <= 2.0]
         assert _chi_grid_size(step) == len(grid)
         assert [p.chi2 for p in enumerate_plans(2, step)[1:]] == grid
+        for lo, hi in ((0.3, 1.7), (0.5, 0.5), (1.1, 2.0), (0.05, 0.95)):
+            grid = [g for g in (round(lo + i * step, 12)
+                                for i in range(round((hi - lo) / step) + 2)) if g <= hi]
+            assert _chi_grid_size(step, lo, hi) == len(grid), (lo, hi)
+            assert _chi_grid(step, lo, hi) == grid, (lo, hi)
+
+    @pytest.mark.parametrize("call", [lambda: optimize(1, 0.6, 0.1),
+                                      lambda: enumerate_plans(3, 0.1)],
+                             ids=["optimize", "enumerate_plans"])
+    def test_chi_grid_beyond_budget_is_refused(self, monkeypatch, call):
+        # One plan, or 22, pass the work guard; the grid's 21 points do not.
+        from lossyphase import optimizer
+        from lossyphase.sequences import BranchGuardError
+        monkeypatch.setattr(optimizer, "PLAN_BUDGET", 10)
+        with pytest.raises(BranchGuardError,
+                           match=r"^21 chi points exceed the work guard 10 at chi step 0\.1$"):
+            call()
+
+    def test_integer_step_and_eta_search_as_floats(self):
+        # The plans and the result hold the floats the checks return.
+        def untimed(result):
+            doc = result.to_json_dict()
+            for row in doc["pareto_table"]:
+                row["report"]["wall_time_ms"] = 0.0
+            return json.dumps(doc)
+
+        ints, floats = optimize(2, 1, 1), optimize(2, 1.0, 1.0)
+        assert pareto_csv(ints) == pareto_csv(floats)
+        assert untimed(ints) == untimed(floats)
+
+    def test_work_guard_names_the_step_as_a_float(self):
+        from lossyphase.sequences import BranchGuardError
+        with pytest.raises(BranchGuardError, match=r"--chi-step 1e-09$"):
+            optimize(3, 0.6, np.float64(1e-9))
 
 
 class TestSqlBaseline:
