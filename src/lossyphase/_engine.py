@@ -14,9 +14,13 @@ the feedback grid covers [0, pi) alone.
 The scalar API's one-row views and the tree walks call these kernels, and
 each view returns its kernel's row bit for bit.  Blocking (_in_blocks: the
 numeric feedback, the expected sharpness, the predictive probabilities and
-advance_batch), the per-width caches (read-only, filled on first use) and
-the ufunc calls that take several operands at once, which keep a one-row
-call cheap, change no bit.
+advance_batch), the per-width caches (read-only, filled on first use), the
+ufunc calls that take several operands at once and np.count_nonzero in
+place of .all() and .any(), which keep a one-row call cheap, change no
+bit.  The feedback grid's product per row, in blocks with fewer rows than
+outcomes, rounds the grid values otherwise than its product per outcome;
+the winning bracket, theta and S have come out the same on every row
+checked (README, "Scalar views").
 
 advance_batch is the one Bayes update.  How a child's bits round depends on
 how many outcomes each row multiplies: with one outcome per row the product
@@ -104,9 +108,10 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _band(width: int) -> np.ndarray:
-    """Harmonic indices d = -order..order of a band of width 2 order + 1."""
+    """Harmonic indices d = -order..order of a band of width 2 order + 1, as
+    floats: a product with them needs no cast, and gives the same bits."""
     order = (width - 1) // 2
-    return _read_only(np.arange(-order, order + 1))
+    return _read_only(np.arange(-order, order + 1, dtype=float))
 
 
 @functools.lru_cache(maxsize=None)
@@ -120,8 +125,7 @@ def _newton_deriv(width: int) -> np.ndarray:
     """(width, 3): columns 1, -i d and -d^2, which turn the phases into
     those of g and its first and second theta derivatives."""
     d = _band(width)
-    return _read_only(np.stack([np.ones(d.size), -1j * d, -(d * d.astype(float))],
-                               axis=1))
+    return _read_only(np.stack([np.ones(d.size), -1j * d, -(d * d)], axis=1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -177,8 +181,12 @@ def _sharpness_from_weights(w: np.ndarray, thetas: np.ndarray) -> np.ndarray:
 
 
 def _sharpness_grid(w: np.ndarray) -> np.ndarray:
-    """(branches, GRID_POINTS) objective values on THETA_GRID."""
+    """(branches, GRID_POINTS) objective values on THETA_GRID: one product
+    per row where rows are fewer than outcomes (a one-row view makes one),
+    else one per outcome (module docstring)."""
     phases = _grid_phases(w.shape[2])
+    if w.shape[0] < w.shape[1]:
+        return np.add.reduce(np.abs(w @ phases), axis=1)
     vals = np.zeros((w.shape[0], GRID_POINTS))
     for o in range(w.shape[1]):
         vals += np.abs(w[:, o, :] @ phases)
@@ -229,14 +237,15 @@ def _refine_newton(w: np.ndarray, start: np.ndarray, settle: bool) -> np.ndarray
         if settle:
             moving &= ((np.abs(mu1) > _SETTLE_GRAD * np.add.reduce(mag, axis=1))
                        | (step > _SETTLE_STEP))
-        if moving.all():
+        live = np.count_nonzero(moving)
+        if live == moving.size:
             t = stepped
             continue
+        if not live:
+            break
         rows, w, lo, hi = rows[moving], w[moving], lo[moving], hi[moving]
         curv_floor, mag_floor = curv_floor[moving], mag_floor[moving]
         t = stepped[moving]
-        if not t.size:
-            break
     return theta
 
 
@@ -296,9 +305,10 @@ def numeric_theta_batch(batch: np.ndarray, cmat: np.ndarray, *, settle: bool = F
     theta = THETA_GRID[idx]
     margin = 1.0 + _SNAP
     refine = (f_best > f_prev * margin) & (f_best > f_next * margin)
-    if refine.all():
+    refined = np.count_nonzero(refine)
+    if refined == refine.size:
         theta = _refine_newton(w, idx, settle)
-    elif refine.any():
+    elif refined:
         theta[refine] = _refine_newton(w[refine], idx[refine], settle)
     theta = np.mod(theta, 2.0 * math.pi)
     return (theta, _sharpness_from_weights(w, theta)) if sharpness else theta
@@ -311,13 +321,25 @@ SINGLE_FRINGE = np.array(
 )
 
 
-def _candidates(low: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Stationary phases of the single-photon expected sharpness, from each
-    row's a_0, a_1, a_2.
+def _flat_rows(low: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's scale |a_0| (1 where a_0 = 0) and whether its posterior
+    is flat, from its a_0, a_1, a_2: |a_1| and |a_2| / 2 at most 1e-13
+    times the scale."""
+    scale = np.abs(low[:, 0])
+    scale = np.where(scale > 0.0, scale, 1.0)
+    flat = ((np.abs(low[:, 1]) <= 1e-13 * scale)
+            & (np.abs(0.5 * low[:, 2]) <= 1e-13 * scale))
+    return scale, flat
 
-    Returns (candidates, flat, degenerate): the phases theta_0, theta_+ and
-    theta_- per row, the rows whose posterior is flat, and the non-flat rows
-    where c1 = 0 leaves theta_+- undefined (placeholder entries).
+
+def _candidates(low: np.ndarray, scale: np.ndarray,
+                flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stationary phases of the single-photon expected sharpness, from each
+    row's a_0, a_1, a_2 and its `_flat_rows`.
+
+    Returns (candidates, degenerate): the phases theta_0, theta_+ and
+    theta_- per row, and the non-flat rows where c1 = 0 leaves theta_+-
+    undefined (placeholder entries).
     """
     a0 = low[:, 0]
     a = low[:, 1]
@@ -325,10 +347,6 @@ def _candidates(low: np.ndarray) -> tuple[np.ndarray, ...]:
     c = 0.5 * a0
     conj_a, conj_b, conj_c = np.conj(a), np.conj(b), np.conj(c)
     abs_b = np.abs(b)
-    scale = np.abs(a0)
-    scale = np.where(scale > 0.0, scale, 1.0)
-
-    flat = (np.abs(a) <= 1e-13 * scale) & (abs_b <= 1e-13 * scale)
     c1 = (conj_a * c) ** 2 - (a * conj_b) ** 2 \
         + 4.0 * (abs_b ** 2 - np.abs(c) ** 2) * conj_b * c
     c2 = -2j * (a * a * conj_b * conj_c).imag
@@ -341,23 +359,27 @@ def _candidates(low: np.ndarray) -> tuple[np.ndarray, ...]:
     np.subtract(b * conj_a, conj_c * a, out=z[:, 0])
     np.sqrt((c2 + root) / safe_c1, out=z[:, 1])
     np.sqrt((c2 - root) / safe_c1, out=z[:, 2])
-    return np.mod(np.arctan2(z.imag, z.real), 2.0 * math.pi), flat, degenerate
+    return np.mod(np.arctan2(z.imag, z.real), 2.0 * math.pi), degenerate
 
 
 def closed_form_theta_batch(batch: np.ndarray) -> np.ndarray:
     """Best one-step controlled phase for a single-photon detection, for
     every eta (loss only adds a theta-independent term): the closed-form
     candidate of largest expected sharpness; 0 for a flat posterior, and the
-    numeric rule where the candidates are degenerate."""
+    numeric rule where the candidates are degenerate.  An all-flat batch,
+    such as the flat prior, is zeros before any candidate is scored."""
     low = _harmonics(batch, 0, 2)
-    cand, flat, degenerate = _candidates(low)
+    scale, flat = _flat_rows(low)
+    if np.count_nonzero(flat) == flat.size:
+        return np.zeros(batch.shape[0])
+    cand, degenerate = _candidates(low, scale, flat)
     w = SINGLE_FRINGE * low[:, None, :]
     g = np.einsum("bod,bkd->bko", w, _phases(cand, w.shape[2]))
     # mu[b, k] is the sharpness at cand[b, k].
     mu = np.add.reduce(np.abs(g), axis=2)
     theta = cand[np.arange(batch.shape[0]), np.argmax(mu, axis=1)]
     theta = np.where(flat, 0.0, theta)
-    if degenerate.any():
+    if np.count_nonzero(degenerate):
         theta[degenerate] = numeric_theta_batch(batch[degenerate], SINGLE_FRINGE)
     return theta
 

@@ -72,9 +72,11 @@ def _fisher(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     zero = norm == 0.0
     ratio = 4.0 * half_dp * half_dp / np.where(zero, 1.0, norm)
     if zero.any():
-        slope = both[..., 1, :]
+        # The bound, on the points where some outcome vanishes.
+        hit = zero.any(axis=-1)
+        slope = both[..., 1, :][hit]
         ratio[zero] = 4.0 * np.add.reduceat(
-            slope.real ** 2 + slope.imag ** 2, starts, axis=-1)[zero]
+            slope.real ** 2 + slope.imag ** 2, starts, axis=-1)[zero[hit]]
     return ratio @ pre
 
 

@@ -69,8 +69,12 @@ class OptimizationResult:
 
 def _chi_grid_size(step: float, lo: float = 0.0, hi: float = 2.0) -> int:
     """Points lo + i step rounded to 12 decimals that stay <= hi, counted
-    unbuilt: optimize's chi2 and chi4 over [0, 2], fisher-scan's chi grid."""
-    n_steps = int(round((hi - lo) / step))
+    unbuilt: optimize's chi2 and chi4 over [0, 2], fisher-scan's chi grid.
+    A step so small that the count overflows a float is refused."""
+    if math.isinf(steps := (hi - lo) / step):
+        raise BranchGuardError(f"chi step {step!r} gives too many chi points to count, "
+                               f"beyond the work guard {PLAN_BUDGET}")
+    n_steps = int(round(steps))
     while round(lo + n_steps * step, 12) > hi:
         n_steps -= 1
     return n_steps + 1

@@ -397,7 +397,10 @@ class TestOptimize:
         (("--n", "9", "--method", "mc", "--trials", "100000000"),
          "100900000000 trials exceed the work guard 10000000000 for optimize "
          "--n 9 --chi-step 0.1 --method mc"),
-    ], ids=["plans", "records", "trials"])
+        (("--n", "3", "--chi-step", "1e-310"),
+         "chi step 1e-310 gives too many chi points to count, beyond the work "
+         "guard 1000000"),
+    ], ids=["plans", "records", "trials", "uncountable"])
     def test_work_beyond_guard_exits_3_before_enumerating(self, capsys, monkeypatch,
                                                           tmp_path, argv, message):
         # Counted from the arguments: no plan is built.

@@ -579,10 +579,110 @@ class TestRefinePaths:
             assert np.array_equal(_engine.numeric_theta_batch(batch, cmat), got[0])
 
 
+class TestFewRowsGrid:
+    """A block with fewer rows than outcomes makes its grid in one product
+    per row, a bigger one in one product per outcome.  The grid values may
+    round differently, but the winning bracket, theta and S may not: blocks
+    of 1-16 rows equal the same rows of one 256-row call (==)."""
+
+    TABLES = {2: make_loss_resistant(1, 1.7), 4: make_loss_resistant(2, 1.3)}
+
+    @pytest.fixture(scope="class")
+    def batch(self):
+        return random_posteriors(np.random.default_rng(3900), 256)
+
+    @staticmethod
+    def blocks(rows):
+        """Consecutive row slices of 1, 2, ..., 16, 1, 2, ... rows."""
+        lo, size = 0, 1
+        while lo < rows:
+            yield slice(lo, lo + size)
+            lo, size = lo + size, size % 16 + 1
+
+    @pytest.mark.parametrize("options", [{}, {"settle": True}, {"sharpness": True},
+                                         {"settle": True, "sharpness": True}],
+                             ids=["plain", "settle", "sharpness", "both"])
+    @pytest.mark.parametrize("eta", [0.6, 1.0])
+    @pytest.mark.parametrize("n_photons", [2, 4])
+    def test_blocks_equal_rows_of_one_call(self, batch, n_photons, eta, options):
+        cmat = build_likelihood_table(self.TABLES[n_photons], eta).matrix
+        assert 1 < cmat.shape[0] < 16
+        whole = _engine.numeric_theta_batch(batch, cmat, **options)
+        for rows in self.blocks(batch.shape[0]):
+            part = _engine.numeric_theta_batch(batch[rows], cmat, **options)
+            if options.get("sharpness"):
+                assert (part[0] == whole[0][rows]).all(), rows
+                assert (part[1] == whole[1][rows]).all(), rows
+            else:
+                assert (part == whole[rows]).all(), rows
+
+    def test_one_row_makes_one_grid_product(self, batch):
+        cmat = build_likelihood_table(self.TABLES[4], 0.6).matrix
+        w = _engine._g1_weights(batch[:1], cmat)
+        calls = []
+
+        class Counted(np.ndarray):
+            def __matmul__(self, other):
+                calls.append(self.shape)
+                return np.asarray(self) @ other
+
+        _engine._sharpness_grid(w.view(Counted))
+        assert calls == [w.shape]
+
+
+class TestClosedFormFlatExit:
+    """An all-flat batch, such as the flat prior every walk and trajectory
+    starts from, is float64 +0.0 zeros before any candidate is scored; a
+    batch that mixes flat and non-flat rows is scored as before."""
+
+    @staticmethod
+    def flat_rows():
+        rows = np.zeros((4, 7), dtype=complex)
+        rows[:, 3] = [1.0, 2.5, 0.0, 1.0]
+        rows[1, [0, 6]] = 0.3          # only a_+-3: flat by a_1 and a_2
+        rows[3, [2, 4]] = 1e-14        # a_1 within the flatness tolerance
+        return rows
+
+    @pytest.fixture
+    def scored(self, monkeypatch):
+        calls = []
+        candidates = _engine._candidates
+
+        def counted(low, *args):
+            calls.append(low.shape[0])
+            return candidates(low, *args)
+
+        monkeypatch.setattr(_engine, "_candidates", counted)
+        return calls
+
+    def test_all_flat_batch_is_positive_zeros_unscored(self, scored):
+        for batch in (flat_prior().coeffs[None], self.flat_rows()):
+            theta = _engine.closed_form_theta_batch(batch)
+            assert theta.dtype == np.float64 and theta.shape == (batch.shape[0],)
+            assert (theta == 0.0).all() and not np.signbit(theta).any()
+        assert optimal_theta_single_photon(flat_prior()) == 0.0
+        assert scored == []
+
+    def test_mixed_batch_is_scored_as_before(self, scored):
+        rng = np.random.default_rng(3901)
+        live = random_posteriors(rng, 6)
+        flat = np.zeros_like(live)
+        flat[:, (live.shape[1] - 1) // 2] = 1.0
+        batch = np.concatenate([flat[:2], live[:3], flat[2:3], live[3:]])
+        is_flat = np.isin(np.arange(len(batch)), [0, 1, 5])
+        theta = _engine.closed_form_theta_batch(batch)
+        assert scored == [len(batch)]
+        assert (theta[is_flat] == 0.0).all() and not np.signbit(theta).any()
+        assert (theta[~is_flat] == _engine.closed_form_theta_batch(live)).all()
+        for i, row in enumerate(batch):
+            assert theta[i] == _engine.closed_form_theta_batch(row[None])[0]
+
+
 class TestCachedConstants:
     """The per-width constants are filled on first use, read-only, and
-    equal a fresh computation byte for byte; advance_batch's window made by
-    the ndarray constructor equals the as_strided window."""
+    equal a fresh computation byte for byte (from the integer band: the
+    float band gives the same bytes); advance_batch's window made by the
+    ndarray constructor equals the as_strided window."""
 
     WIDTHS = range(3, 62, 2)
 
@@ -591,7 +691,7 @@ class TestCachedConstants:
         order = (width - 1) // 2
         d = np.arange(-order, order + 1)
         return {
-            "_band": d,
+            "_band": d.astype(float),
             "_newton_deriv": np.stack([np.ones(d.size), -1j * d,
                                        -(d * d.astype(float))], axis=1),
             "_grid_phases": np.exp(-1j * np.multiply.outer(_engine.THETA_GRID, d)).T,

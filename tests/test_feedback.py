@@ -67,7 +67,10 @@ class TestExpectedSharpness:
 
 def candidates(prior):
     """The closed form's (candidates, flat, degenerate) for one prior."""
-    return _engine._candidates(_engine._harmonics(prior.coeffs[None], 0, 2))
+    low = _engine._harmonics(prior.coeffs[None], 0, 2)
+    scale, flat = _engine._flat_rows(low)
+    cands, degenerate = _engine._candidates(low, scale, flat)
+    return cands, flat, degenerate
 
 
 class TestClosedForm:

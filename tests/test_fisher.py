@@ -285,6 +285,23 @@ class TestLockstepWitness:
             f = max_fisher_over_chi(n_photons, eta)[1]
             assert f == pytest.approx(f_ref, rel=1e-12, abs=0.0), n_photons
 
+    @pytest.mark.parametrize("eta", [0.3, 0.6, 1.0])
+    def test_vanishing_outcomes_take_the_bound_bit_for_bit(self, eta):
+        # _fisher takes the bound only at the points where some outcome
+        # vanishes (every point at eta = 1, where loss never happens); the
+        # reference takes it everywhere and keeps it there.
+        states = [make_loss_resistant(1, 0.8), make_loss_resistant(2, 1.3),
+                  make_exact_optimal4(1.0, 2.0), make_exact_optimal4(0.0, 0.0)]
+        for group in (states[:1], states[1:]):
+            w = np.stack([_weights(s, eta) for s in group])
+            x = np.stack([_PHI_GRID + 0.01 * i for i in range(len(group))])
+            x[:, ::7] = 0.0
+            got = _fisher(w, x)
+            for ws, xs, row in zip(w, x, got):
+                hit = (reference_sums(ws, xs)[0] == 0.0).any(axis=1)
+                assert hit.any() and (eta == 1.0 or not hit.all())
+                assert row.tolist() == reference_fisher(ws, xs).tolist()
+
 
 def package_states():
     """Every state the package's searches make: the single photon, both

@@ -168,6 +168,20 @@ class TestOptimize:
         assert pareto_csv(ints) == pareto_csv(floats)
         assert untimed(ints) == untimed(floats)
 
+    @pytest.mark.parametrize("step", [1e-310, 5e-324])
+    def test_step_too_fine_to_count_is_refused(self, step):
+        # 2 / step overflows to inf: refused by the guard, not an
+        # OverflowError.
+        from lossyphase import optimizer
+        from lossyphase.sequences import BranchGuardError
+        message = (f"^chi step {step!r} gives too many chi points to count, "
+                   f"beyond the work guard 1000000$")
+        for call in (lambda: optimizer._chi_grid_size(step),
+                     lambda: optimize(3, 0.6, step),
+                     lambda: enumerate_plans(1, step)):
+            with pytest.raises(BranchGuardError, match=message):
+                call()
+
     def test_work_guard_names_the_step_as_a_float(self):
         from lossyphase.sequences import BranchGuardError
         with pytest.raises(BranchGuardError, match=r"--chi-step 1e-09$"):
