@@ -59,8 +59,6 @@ _SETTLE_STEP = 1e-6
 # Rows per block of the blocked kernels (README, "Performance notes",
 # chunks and blocks).
 _BLOCK_ROWS = 256
-# Entries (rows times band width) from which _phases mirrors half the band.
-_MIRROR_MIN = 512
 # Relative slack for grid comparisons: the exact and speedup walks feed the
 # feedback inputs that differ in the last bits, and a comparison sitting on
 # a tie would let the two walks diverge.
@@ -136,20 +134,8 @@ def _newton_start(width: int) -> np.ndarray:
 
 
 def _phases(x, width: int) -> np.ndarray:
-    """e^{-i x d} over the band, one row per entry of x.
-
-    From _MIRROR_MIN entries on, the d < 0 half is the conjugate of its
-    mirror, which equals the direct exponential bit for bit (cos is even and
-    sin odd); below it the mirror costs more than it saves.
-    """
-    x = np.asarray(x, dtype=float)[..., None]
-    if x.size * width < _MIRROR_MIN:
-        return np.exp(-1j * (x * _band(width)))
-    order = (width - 1) // 2
-    out = np.empty(x.shape[:-1] + (width,), dtype=complex)
-    np.exp(-1j * (x * np.arange(order + 1)), out=out[..., order:])
-    np.conjugate(out[..., :order:-1], out=out[..., :order])
-    return out
+    """e^{-i x d} over the band, one row per entry of x."""
+    return np.exp(-1j * (np.asarray(x, dtype=float)[..., None] * _band(width)))
 
 
 def table_matrix(table) -> np.ndarray:

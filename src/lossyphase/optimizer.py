@@ -39,7 +39,7 @@ PARETO_CSV_HEADER = "n1,n2,chi2,n4,chi4,eta,mu,holevo_variance,branches,method"
 METHODS = ("exact", "speedup", "mc")
 # The work guard of optimize: plans, and records walked (trials with "mc")
 # summed over the plans, counted before any plan is built, and the chi
-# points of any search's grid (README, "Command line").
+# points of any search's grid, fisher-scan's too (README, "Command line").
 PLAN_BUDGET = 10 ** 6
 WORK_BUDGET = 10 ** 10
 

@@ -232,7 +232,7 @@ class TestFisherScan:
                              "--chi-step", "1e-12", "--output", str(tmp_path / "f.csv"))
         assert code == EXIT_GUARD and out == ""
         assert err == ("error: 2000000000001 chi points exceed the work guard "
-                       "1000000 for fisher-scan\n")
+                       "1000000 at chi step 1e-12\n")
         assert sorted(tmp_path.iterdir()) == []
 
     def test_chi_step_at_resolution_accepted(self, capsys):
@@ -289,11 +289,11 @@ class TestFisherScan:
         rows = len([line for line in out.strip().split("\n")
                     if not line.startswith("#")]) - 1
         assert code == EXIT_OK
-        monkeypatch.setattr(cli, "_SCAN_BUDGET", rows - 1)
+        monkeypatch.setattr(optimizer, "PLAN_BUDGET", rows - 1)
         code, out, err = run(capsys, *args)
         assert code == EXIT_GUARD and out == ""
         assert err == (f"error: {rows} chi points exceed the work guard {rows - 1} "
-                       "for fisher-scan\n")
+                       f"at chi step {float(bounds[2])!r}\n")
 
 
 class TestEvaluate:

@@ -96,9 +96,16 @@ def chi_roundings(tree):
 
 def test_chi_grid_rule_lives_in_optimizer():
     # optimize and fisher-scan count and build their chi points through
-    # optimizer._chi_grid_size and optimizer._chi_grid.
+    # optimizer._chi_grid_size and optimizer._chi_grid, against one budget,
+    # optimizer.PLAN_BUDGET: the CLI neither counts nor holds a budget.
     found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
              if path.name != "optimizer.py"
              for line in chi_roundings(ast.parse(path.read_text(), str(path)))]
     assert found == []
     assert chi_roundings(ast.parse((PACKAGE / "optimizer.py").read_text()))
+    cli = list(ast.walk(ast.parse((PACKAGE / "cli.py").read_text())))
+    names = {getattr(node, key) for node in cli for key in ("id", "attr", "name")
+             if isinstance(getattr(node, key, None), str)}
+    assert "_chi_grid_size" not in names
+    assert [node.id for node in cli if isinstance(node, ast.Name)
+            and isinstance(node.ctx, ast.Store) and node.id.endswith("_BUDGET")] == []
