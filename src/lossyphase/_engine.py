@@ -133,9 +133,22 @@ def _newton_start(width: int) -> np.ndarray:
     return _read_only(_phases(THETA_GRID, width)[:, :, None] * _newton_deriv(width))
 
 
+@functools.lru_cache(maxsize=None)
+def _negated_band(width: int) -> np.ndarray:
+    """-d over the band, -0.0 at d = 0."""
+    return _read_only(-_band(width))
+
+
 def _phases(x, width: int) -> np.ndarray:
-    """e^{-i x d} over the band, one row per entry of x."""
-    return np.exp(-1j * (np.asarray(x, dtype=float)[..., None] * _band(width)))
+    """e^{-i x d} over the band, one row per entry of x: the exponential of
+    +0 + i x (-d), made in place.  -1j * (x d) has that real part and those
+    imaginary bits, signed zeros included, so this skips its cast and
+    complex product and gives the same bytes (tests/test_engine.py,
+    TestPhases)."""
+    x = np.asarray(x, dtype=float)
+    arg = np.zeros(x.shape + (width,), dtype=complex)
+    np.multiply(x[..., None], _negated_band(width), out=arg.imag)
+    return np.exp(arg, out=arg)
 
 
 def table_matrix(table) -> np.ndarray:
@@ -418,8 +431,9 @@ def predictive_batch(batch: np.ndarray, cmat: np.ndarray,
 
 def outcome_probabilities(cmat: np.ndarray, x: np.ndarray) -> np.ndarray:
     """P[b, o] at per-row phase difference x = phi - theta, as the complex
-    Fourier sums: callers check or clamp the real part."""
-    return _phases(-x, cmat.shape[1]) @ cmat.T
+    Fourier sums (P[b] for one outcome's 1-D row): callers check or clamp
+    the real part."""
+    return _phases(-x, cmat.shape[-1]) @ cmat.T
 
 
 def first_harmonic(batch: np.ndarray) -> np.ndarray:

@@ -65,7 +65,9 @@ class OutcomeLikelihoodTable:
 
     matrix[i] holds outcome i of `iter_outcomes` over the full band
     d = -N..N, zero where |d| > N - L.  It is stored read-only, and a
-    matrix without the port-swap symmetry is rejected.
+    matrix without the port-swap symmetry is rejected.  The per-outcome
+    views that `row` and `coeffs` return are made once, on first use; a
+    pickle or copy holds the three fields alone and makes its own views.
     """
 
     n_photons: int
@@ -92,18 +94,29 @@ class OutcomeLikelihoodTable:
     def outcomes(self) -> list[Outcome]:
         return list(_row_index(self.n_photons))
 
+    def __reduce__(self):
+        return type(self), (self.n_photons, self.eta, self.matrix)
+
+    @functools.cached_property
+    def _rows(self) -> dict[Outcome, np.ndarray]:
+        """outcome -> read-only view of its row of `matrix` over its band."""
+        width = self.matrix.shape[1]
+        return {o: self.matrix[i, o.lost: width - o.lost]
+                for o, i in _row_index(self.n_photons).items()}
+
     def row(self, outcome: Outcome) -> np.ndarray:
-        """c_d of one outcome over its own band d = -(N-L)..(N-L)."""
-        i = _row_index(self.n_photons).get(Outcome(*outcome))
-        if i is None:
+        """c_d of one outcome over its own band d = -(N-L)..(N-L); a
+        plain pair is made an Outcome first."""
+        key = outcome if type(outcome) is Outcome else Outcome(*outcome)
+        c = self._rows.get(key)
+        if c is None:
             raise KeyError(f"outcome {outcome} not in table")
-        lost = outcome[0]
-        return self.matrix[i, lost: self.matrix.shape[1] - lost]
+        return c
 
     @property
     def coeffs(self) -> Mapping[Outcome, np.ndarray]:
         """Read-only mapping outcome -> `row(outcome)`."""
-        return MappingProxyType({o: self.row(o) for o in self.outcomes})
+        return MappingProxyType(self._rows)
 
     def to_json_dict(self) -> dict:
         return {
@@ -229,21 +242,24 @@ def build_likelihood_table(state: TwoModeState, eta: float) -> OutcomeLikelihood
 def evaluate_outcome(
     table: OutcomeLikelihoodTable, outcome: Outcome, phi: float, theta: float
 ) -> float:
-    """P_{L,k}(phi, theta): one entry of `_engine.outcome_probabilities`.
+    """P_{L,k}(phi, theta): the one entry of `_engine.outcome_probabilities`
+    for the outcome's row (a dot product with its phases).
 
     Raises on a non-finite phi or theta, an imaginary part above 1e-10 or
-    a value below -1e-12, and clamps the rest to >= 0.
+    a value below -1e-12 or above 1 + 1e-12, and clamps the rest to [0, 1].
     """
     if not (math.isfinite(phi) and math.isfinite(theta)):
         raise ValueError(f"phi and theta must be finite, got {phi!r} and {theta!r}")
     c = table.row(outcome)
-    val = _engine.outcome_probabilities(c[None, :], np.array([phi - theta])).item(0)
+    val = _engine.outcome_probabilities(c, np.array([phi - theta])).item(0)
     if abs(val.imag) > 1e-10:
         raise ValueError(f"probability has imaginary part {val.imag}")
     p = val.real
     if p < -_CLAMP_TOL:
         raise ValueError(f"probability {p} below clamping tolerance")
-    return max(p, 0.0)
+    if p > 1.0 + _CLAMP_TOL:
+        raise ValueError(f"probability {p} above clamping tolerance")
+    return min(max(p, 0.0), 1.0)
 
 
 def oracle_probabilities(

@@ -752,6 +752,20 @@ def test_csv_format_on_evaluate_still_emits_json(capsys):
     assert doc["result"]["mu"] == pytest.approx(0.3, abs=1e-12)
 
 
+def test_json_format_on_fisher_scan_still_emits_csv(capsys):
+    # --format is read by optimize alone: fisher-scan writes its CSV either way.
+    scan = ("fisher-scan", "--n-photons", "2", "--eta", "0.6", "--phi", "1.0",
+            "--theta", "0", "--chi-min", "0.5", "--chi-max", "0.7", "--chi-step", "0.1")
+    _, default, _ = run(capsys, *scan)
+    for argv in (("--format", "json") + scan, scan + ("--format", "json")):
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        lines = out.strip().split("\n")
+        assert lines[0].startswith("# {") and lines[1] == "chi,fisher"
+        assert lines[1:] == default.strip().split("\n")[1:]
+        assert len(lines) == 5
+
+
 def test_missing_required_parameter(capsys):
     code, _, err = run(capsys, "probs", "--chi", "1.0", "--eta", "0.5")
     assert code == EXIT_USAGE

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -224,12 +226,80 @@ class TestEvaluation:
         assert evaluate_outcome(
             self.hand_table(0.5 - 1e-13), (0, 0), math.pi, 0.0) == 0.0
 
+    def test_probability_above_one_rejected_beyond_tolerance(self):
+        # At x = 0 the hand table's row (0, 0) sums to 0.25 + c0 + 0.25.
+        with pytest.raises(ValueError, match="clamping"):
+            evaluate_outcome(self.hand_table(0.5 + 1e-9), (0, 0), 0.0, 0.0)
+        assert evaluate_outcome(self.hand_table(0.5 + 1e-13), (0, 0), 0.0, 0.0) == 1.0
+
+    @pytest.mark.parametrize("state, outcome", [
+        (make_single_photon(), (1, 0)),
+        (make_loss_resistant(2, 1.0), (4, 0)),
+    ])
+    def test_certain_outcome_is_at_most_one(self, state, outcome):
+        # At eta = 0 the all-lost row sums to one ulp above 1.
+        table = build_likelihood_table(state, 0.0)
+        assert evaluate_outcome(table, outcome, 0.3, 0.1) == 1.0
+
     def test_nonnegative_clamp(self):
         table = build_likelihood_table(make_loss_resistant(1, 0.0), 1.0)
         xs = np.linspace(0.0, 2.0 * math.pi, 512)
         for o in table.outcomes:
             for x in xs:
                 assert evaluate_outcome(table, o, float(x), 0.0) >= 0.0
+
+
+class TestRowViews:
+    """row and coeffs read one read-only view per outcome, made once per
+    table; a pickle or copy makes its own from the three fields."""
+
+    @pytest.fixture
+    def table(self):
+        return build_likelihood_table(make_loss_resistant(2, 1.3), 0.6)
+
+    def test_row_accepts_outcome_tuple_and_list(self, table):
+        for o in table.outcomes:
+            c = table.row(o)
+            assert table.row(tuple(o)) is c
+            assert table.row(list(o)) is c
+            assert table.row((np.int64(o.lost), np.int64(o.detected_k))) is c
+
+    @pytest.mark.parametrize("outcome, error", [
+        ((5, 0), KeyError), ((0, 5), KeyError), ([9, 9], KeyError),
+        ((1,), TypeError), ((1, 2, 3), TypeError), (5, TypeError), (None, TypeError),
+    ])
+    def test_row_rejects(self, table, outcome, error):
+        with pytest.raises(error):
+            table.row(outcome)
+
+    def test_coeffs_are_read_only_views_in_outcome_order(self, table):
+        n = table.n_photons
+        coeffs = table.coeffs
+        assert list(coeffs) == list(iter_outcomes(n)) == table.outcomes
+        for i, (o, c) in enumerate(coeffs.items()):
+            assert c is table.row(o)
+            np.testing.assert_array_equal(c, table.matrix[i, o.lost: 2 * n + 1 - o.lost])
+            assert not c.flags.writeable
+            assert np.shares_memory(c, table.matrix)
+            with pytest.raises(ValueError):
+                c[0] = 0.0
+        with pytest.raises(TypeError):
+            coeffs[Outcome(0, 0)] = np.zeros(9)
+
+    @pytest.mark.parametrize("clone", [
+        lambda t: pickle.loads(pickle.dumps(t)), copy.deepcopy, copy.copy])
+    def test_pickle_and_copy_after_row(self, table, clone):
+        table.row((0, 0))
+        table.coeffs
+        back = clone(table)
+        assert (back.n_photons, back.eta) == (table.n_photons, table.eta)
+        assert back.matrix.tobytes() == table.matrix.tobytes()
+        assert not back.matrix.flags.writeable
+        for o, c in back.coeffs.items():
+            assert c.tobytes() == table.row(o).tobytes()
+            assert not c.flags.writeable
+            assert np.shares_memory(c, back.matrix)
+            assert back.row(o) is c
 
 
 def test_json_round_trip():

@@ -827,18 +827,24 @@ class TestViewsEqualKernels:
                     checked += 1
         assert checked >= 200
 
-    @pytest.mark.parametrize("eta", [0.6, 1.0])
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 0.6, 1.0])
     @pytest.mark.parametrize("n_photons", [1, 2, 4])
     def test_evaluate_outcome_is_the_clamped_entry(self, n_photons, eta):
+        # The (1, d) @ (d, 1) call is a dot, as the view's 1-D row is; phi =
+        # theta with either sign of zero reaches x = +-0.
         table = build_likelihood_table(TABLE_STATES[n_photons], eta)
         rng = np.random.default_rng(20 + n_photons)
-        for phi, theta in rng.uniform(-2.0 * math.pi, 2.0 * math.pi, (50, 2)):
+        pairs = [*rng.uniform(-2.0 * math.pi, 2.0 * math.pi, (50, 2)),
+                 (0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (0.3, 0.3)]
+        for phi, theta in pairs:
             for outcomes, cmat in self.by_lost(table):
                 for row, outcome in zip(cmat, outcomes):
                     entry = _engine.outcome_probabilities(
                         row[None, :], np.array([phi - theta]))[0, 0]
-                    assert evaluate_outcome(table, outcome, phi, theta) \
-                        == max(entry.real, 0.0)
+                    expected = min(max(entry.real, 0.0), 1.0)
+                    got = evaluate_outcome(table, outcome, phi, theta)
+                    assert got == expected
+                    assert math.copysign(1.0, got) == math.copysign(1.0, expected)
 
     # Demo 03's run (seed 42) and a second seed that loses fewer photons:
     # theta, outcome and probability total per detection, then a_1.
