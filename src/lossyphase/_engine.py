@@ -236,6 +236,8 @@ def _refine_newton(w: np.ndarray, start: np.ndarray, settle: bool) -> np.ndarray
         if settle:
             moving &= ((np.abs(mu1) > _SETTLE_GRAD * np.add.reduce(mag, axis=1))
                        | (step > _SETTLE_STEP))
+        # The next product or a compaction allocates without these beside it.
+        del prod, mags, cross, mag, inner, safe
         live = np.count_nonzero(moving)
         if live == moving.size:
             t = stepped
@@ -415,7 +417,7 @@ def advance_batch(batch: np.ndarray, cmat: np.ndarray, thetas: np.ndarray, *,
 
 
 # No caller: perfbench's tracer looks up every _engine name it wraps, this
-# one included, until ROADMAP items 4 and 5 delete it with its tracer entry.
+# one included, until ROADMAP item 4 deletes it with its tracer entry.
 def advance_selected(batch, cmat, picks, thetas, *, keep=None):
     return advance_batch(batch, cmat[picks][:, None], thetas, keep=keep)[:, 0]
 

@@ -341,7 +341,9 @@ def _walk_tree(stages: list[_Stage], rng: np.random.Generator | None = None,
     chunks of at most _CHUNK_ROWS, one kernel block, or when sampling of
     _SAMPLE_ROWS, where a chunk takes the whole rest of a batch once at
     most one more would remain; so the order of every sum is fixed.
-    Exactly zero rows are skipped by index.
+    Exactly zero rows are skipped by index.  Once a chunk has taken its
+    rows (a view or a gather of them), it holds no reference to its pending
+    entry's rows or their index.
     """
     fans = [s.cmat.shape[0] if s.cmat.ndim == 3 else 1 for s in stages]
     strides = [math.prod(fans[si + 1:]) for si in range(len(fans))]
@@ -386,6 +388,8 @@ def _walk_tree(stages: list[_Stage], rng: np.random.Generator | None = None,
         take = slice(lo, end) if fan == 1 else np.arange(lo, end) // fan
         batch = rows[take] if parent is None else rows[parent[take]]
         cells, counts = cells[take], counts[take]
+        # An entry with chunks left keeps its arrays through pending.
+        rows = parent = None
         if fan > 1:
             cells = cells + np.arange(lo, end) % fan * strides[si]
         if drawn is not None:
@@ -452,6 +456,7 @@ def _walk_tree(stages: list[_Stage], rng: np.random.Generator | None = None,
             draws = rng.multinomial(counts, p / p.sum(axis=1, keepdims=True))
             parent, picks = np.nonzero(draws)
             source, drawn, counts = parent, (picks, thetas[parent]), draws[parent, picks]
+            del p, draws
         else:
             children = _engine.advance_batch(batch, branch, thetas)
             if stage.lost is not None and orders[si] == 1 and si == step == 0:

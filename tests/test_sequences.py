@@ -992,18 +992,30 @@ class TestSampledRecords:
         # A few chunks per depth are alive, not a row per trial, and the
         # kernels hold one 256-row block of temporaries.  16,384 trials of
         # the N=30 row peaked at 25 MiB with a node per distinct record,
-        # updated in place, at 15.3 MiB with 1,024-row kernel blocks, and
-        # at 4.6 MiB (16,384 trials) and 4.9 MiB (65,536) now.  A one-trial
-        # run fills the caches.
+        # updated in place, at 15.3 MiB with 1,024-row kernel blocks, at
+        # 4.6 MiB (16,384 trials) and 4.9 MiB (65,536) while chunks held
+        # their parent rows, and at 3.4 and 4.2 MiB now.  A one-trial run
+        # fills the caches.
         evaluate_monte_carlo(N30_ROW, 1, 11)
         peak = traced_peak(evaluate_monte_carlo, N30_ROW, trials, 11)
         assert peak <= 8 * 2 ** 20
 
     def test_rows_past_their_horizon_are_not_held(self):
         # Rows kept at their whole band, up to 53 coefficients, peaked at
-        # 6.0 MiB; rows cut to the harmonics still read peak at 4.6 MiB.
+        # 6.0 MiB; rows cut to the harmonics peaked at 4.6 MiB, and at
+        # 3.4 MiB once chunks let go of their parent rows.
         evaluate_monte_carlo(N30_ROW, 1, 11)
         assert traced_peak(evaluate_monte_carlo, N30_ROW, 16384, 11) <= 5.5 * 2 ** 20
+
+    def test_chunks_let_go_of_their_parent_rows(self):
+        # A chunk that has taken its rows holds no reference to its pending
+        # entry, its chunk's draws die with the chunk, and Newton frees an
+        # iteration's products before the next product or compaction.
+        # While they did not, 16,384 trials of the N=30 row peaked at
+        # 4.6 MiB and of its SQL row at 4.0 MiB; both read 3.4 MiB now.
+        for plan in (N30_ROW, SequencePlan(n1=30, eta=0.6)):
+            evaluate_monte_carlo(plan, 1, 11)
+            assert traced_peak(evaluate_monte_carlo, plan, 16384, 11) <= 3.55 * 2 ** 20
 
 
 class TestSampledFeedback:

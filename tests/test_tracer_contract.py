@@ -47,7 +47,7 @@ def test_row_argument_position(name):
 
 
 # Batch kernels the tracer does not wrap yet, so their callers' spans hold
-# their time (ROADMAP, item 4).
+# their time (ROADMAP, item 3, which wraps them).
 UNTRACED_KERNELS = {"expected_sharpness_batch", "predictive_batch"}
 
 
@@ -69,8 +69,8 @@ def test_no_side_door_around_the_traced_kernels(module):
 
 
 # _engine names that only the benchmark reads: they stay while the tracer
-# wraps them, and no program code may call them again (ROADMAP, items 4, 5
-# and 7, which delete them with their tracer entries).
+# wraps them, and no program code may call them again (ROADMAP, item 4,
+# which deletes them with their tracer entries).
 TRACER_ONLY = {"advance_selected", "table_matrix", "first_harmonic"}
 
 
