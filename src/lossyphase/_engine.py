@@ -283,7 +283,7 @@ def expected_sharpness_batch(batch: np.ndarray, cmat: np.ndarray,
                              thetas: np.ndarray) -> np.ndarray:
     """Sum over outcomes of |predicted first harmonic| at per-row theta."""
     w = _g1_weights(batch, cmat)
-    return _sharpness_from_weights(w, np.asarray(thetas, dtype=float))
+    return _sharpness_from_weights(w, thetas)
 
 
 @_in_blocks

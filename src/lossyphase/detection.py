@@ -245,11 +245,11 @@ def evaluate_outcome(
     """P_{L,k}(phi, theta): the one entry of `_engine.outcome_probabilities`
     for the outcome's row (a dot product with its phases).
 
-    Raises on a non-finite phi or theta, an imaginary part above 1e-10 or
-    a value below -1e-12 or above 1 + 1e-12, and clamps the rest to [0, 1].
+    Raises on a phi or theta that is not a finite number, an imaginary
+    part above 1e-10 or a value below -1e-12 or above 1 + 1e-12, and
+    clamps the rest to [0, 1].
     """
-    if not (math.isfinite(phi) and math.isfinite(theta)):
-        raise ValueError(f"phi and theta must be finite, got {phi!r} and {theta!r}")
+    phi, theta = _require_real("phi", phi), _require_real("theta", theta)
     c = table.row(outcome)
     val = _engine.outcome_probabilities(c, np.array([phi - theta])).item(0)
     if abs(val.imag) > 1e-10:

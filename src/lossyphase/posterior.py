@@ -62,7 +62,11 @@ class PhaseDistribution:
         return complex(self.coeffs[self.max_harmonic + j])
 
     def density(self, phi) -> np.ndarray:
-        """P(phi) evaluated pointwise (phi may be an array)."""
+        """P(phi) evaluated pointwise (phi may be an array); raises on a
+        non-finite entry, naming phi."""
+        phi = np.asarray(phi, dtype=float)
+        if not np.isfinite(phi).all():
+            raise ValueError(f"phi must be finite, got {phi}")
         vals = _engine._phases(phi, self.coeffs.size) @ self.coeffs
         return vals.real / (2.0 * math.pi)
 

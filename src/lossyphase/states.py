@@ -68,7 +68,8 @@ class TwoModeState:
 
 @dataclass(frozen=True)
 class TriPortConfig:
-    """Reflectivities and phase shifts of the three-port preparation scheme."""
+    """Reflectivities in [0, 1] and finite phase shifts of the three-port
+    preparation scheme, stored as the floats their checks return."""
 
     r1: float
     r2: float
@@ -78,7 +79,9 @@ class TriPortConfig:
 
     def __post_init__(self):
         for name in ("r1", "r2", "r3"):
-            _require_real(name, getattr(self, name), 0.0, 1.0)
+            object.__setattr__(self, name, _require_real(name, getattr(self, name), 0.0, 1.0))
+        for name in ("phi1", "phi2"):
+            object.__setattr__(self, name, _require_real(name, getattr(self, name)))
 
 
 def _require_integer(name: str, value, least: float = -math.inf) -> None:

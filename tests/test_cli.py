@@ -524,6 +524,19 @@ class TestConfigFile:
         config = json.loads(out)["config"]
         assert (config["n1"], config["trials"], config["seed"]) == (2, 100000, 3)
         assert all(type(config[k]) is int for k in ("n1", "trials", "seed"))
+
+    def test_exponent_reads_as_integer_in_config_only(self, capsys, tmp_path):
+        # argparse casts a flag with int(), which takes no exponent.
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"n1": 2, "eta": 0.6, "method": "mc", "trials": 1e3}')
+        code, out, err = run(capsys, "--config", str(cfg), "evaluate")
+        assert code == EXIT_OK, err
+        assert json.loads(out)["config"]["trials"] == 1000
+        code, out, err = run(capsys, "evaluate", "--n1", "2", "--eta", "0.6",
+                             "--method", "mc", "--trials", "1e3")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.endswith("error: argument --trials: invalid int value: '1e3'\n")
+
     def test_flags_override_config(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"n1": 1, "eta": 0.3, "method": "exact"}))

@@ -8,16 +8,19 @@ ran, raised a bare TypeError or failed deep inside a kernel.
 """
 
 import ast
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lossyphase import fisher, optimizer
-from lossyphase.detection import build_likelihood_table
+from lossyphase.detection import build_likelihood_table, evaluate_outcome
 from lossyphase.feedback import expected_sharpness
 from lossyphase.posterior import bayes_update, flat_prior
 from lossyphase.sequences import SequencePlan
 from lossyphase.states import (
+    TriPortConfig,
     TwoModeState,
     make_exact_optimal4,
     make_loss_resistant,
@@ -49,6 +52,15 @@ CALLS = {
     "optimize-step-string": (lambda: optimizer.optimize(2, 0.6, "0.5"), "chi_grid_step"),
     "table-photons-float": (
         lambda: build_likelihood_table(TwoModeState(2.0, [1, 1, 1]), 0.6), "n_photons"),
+    "outcome-phi-bool": (lambda: evaluate_outcome(TABLE, (0, 0), True, 0.0), "phi"),
+    "outcome-theta-bool": (lambda: evaluate_outcome(TABLE, (0, 0), 0.3, True), "theta"),
+    "outcome-phi-string": (lambda: evaluate_outcome(TABLE, (0, 0), "0.3", 0.0), "phi"),
+    "outcome-theta-string": (lambda: evaluate_outcome(TABLE, (0, 0), 0.3, "0"), "theta"),
+    "triport-phi1-bool": (lambda: TriPortConfig(0.5, 0.5, 0.5, True, 0.0), "phi1"),
+    "triport-phi2-string": (lambda: TriPortConfig(0.5, 0.5, 0.5, 0.0, "x"), "phi2"),
+    "triport-phi1-nan": (lambda: TriPortConfig(0.5, 0.5, 0.5, float("nan"), 0.0),
+                         "phi1"),
+    "triport-phi2-inf": (lambda: TriPortConfig(0.5, 0.5, 0.5, 0.0, -math.inf), "phi2"),
 }
 
 
@@ -61,6 +73,12 @@ def test_outside_input_fails_naming_its_argument(call, name):
 def test_plan_holds_the_floats_its_checks_return():
     plan = SequencePlan(1, 1, 1, 1, 1, 1)
     assert [type(v) for v in (plan.chi2, plan.chi4, plan.eta)] == [float] * 3
+
+
+def test_triport_holds_the_floats_its_checks_return():
+    config = TriPortConfig(1, 0, np.float64(0.5), 2, np.int64(-1))
+    assert [type(v) for v in vars(config).values()] == [float] * 5
+    assert vars(config) == {"r1": 1.0, "r2": 0.0, "r3": 0.5, "phi1": 2.0, "phi2": -1.0}
 
 
 def bool_checks(tree):
@@ -83,6 +101,24 @@ def test_bool_rule_lives_in_states_and_cli():
              for line in bool_checks(ast.parse(path.read_text(), str(path)))]
     assert found == []
     assert bool_checks(ast.parse((PACKAGE / "states.py").read_text()))
+
+
+def finiteness_checks(tree):
+    """Lines of math.isfinite(...)."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "isfinite" and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "math"]
+
+
+def test_finiteness_rule_lives_in_states_and_cli():
+    # A scalar from outside goes through states._require_real; cli._resolve
+    # casts config values itself, so it keeps its own rule.
+    found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+             if path.name not in ("states.py", "cli.py")
+             for line in finiteness_checks(ast.parse(path.read_text(), str(path)))]
+    assert found == []
+    assert finiteness_checks(ast.parse((PACKAGE / "states.py").read_text()))
 
 
 def chi_roundings(tree):

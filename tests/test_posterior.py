@@ -25,6 +25,16 @@ def test_flat_prior():
     assert holevo_variance(prior) == math.inf
 
 
+@pytest.mark.parametrize("phi", [math.nan, [0.3, math.inf], [[0.1], [-math.inf]]],
+                         ids=["nan", "inf-in-array", "-inf-in-2d"])
+def test_density_refuses_a_non_finite_phi(phi):
+    # Unchecked, the phases of nan or inf raise numpy's RuntimeWarning
+    # (an error under this suite's filter) and the density reads nan.
+    with pytest.raises(ValueError, match=r"^phi must be finite, got "):
+        flat_prior().density(phi)
+    assert flat_prior().density(np.zeros((2, 3))).shape == (2, 3)
+
+
 def test_single_fringe_update():
     table = build_likelihood_table(make_single_photon(), 1.0)
     theta = 0.789
